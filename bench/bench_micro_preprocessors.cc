@@ -4,14 +4,12 @@
 /// decomposition.
 ///
 /// `--json [path]` switches to the kernel roofline report instead: each
-/// preprocessor's TransformInPlace timed as scalar row-major (the
-/// pre-kernel-layer reference), SIMD row-major, and SIMD col-major, with
-/// rows/s, GB/s and speedups. scripts/bench_snapshot.sh commits it as
+/// preprocessor's TransformInPlace timed on the forced-scalar reference
+/// and on the SIMD path, with rows/s, GB/s and the speedup. scripts/bench_snapshot.sh commits it as
 /// BENCH_kernels.json.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -184,19 +182,17 @@ BENCHMARK(BM_SpaceMutation);
 
 // --- Kernel roofline report (--json) ----------------------------------------
 
-/// Best-of-N wall time of one TransformInPlace over `source` staged in
-/// `layout`, in nanoseconds. The refresh copy is outside the timed
-/// region, so the number is the kernel alone.
+/// Best-of-N wall time of one TransformInPlace over `source`, in
+/// nanoseconds. The refresh copy is outside the timed region, so the
+/// number is the kernel alone.
 double TimeTransformNs(const Preprocessor& step, const Matrix& source,
-                       Matrix::Layout layout, bool force_scalar) {
+                       bool force_scalar) {
   constexpr int kReps = 9;  // 1 warmup + best of 8
-  Matrix staged;
-  staged.AssignWithLayout(source, layout);
   Matrix buffer;
   simd::ScopedForceScalar forced(force_scalar);
   double best = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
-    buffer = staged;
+    buffer = source;
     const auto start = std::chrono::steady_clock::now();
     step.TransformInPlace(buffer);
     const auto stop = std::chrono::steady_clock::now();
@@ -236,24 +232,17 @@ int RunRooflineReport(const char* path) {
     const PreprocessorKind kind = kinds[i];
     auto step = MakePreprocessor(kind);
     step->Fit(data);
-    const double scalar_ns =
-        TimeTransformNs(*step, data, Matrix::Layout::kRowMajor, true);
-    const double simd_row_ns =
-        TimeTransformNs(*step, data, Matrix::Layout::kRowMajor, false);
-    const double simd_col_ns =
-        TimeTransformNs(*step, data, Matrix::Layout::kColMajor, false);
-    const double best_ns = std::min(simd_row_ns, simd_col_ns);
+    const double scalar_ns = TimeTransformNs(*step, data, true);
+    const double simd_row_ns = TimeTransformNs(*step, data, false);
     std::fprintf(
         out,
         "    {\"kernel\": \"%s\", \"scalar_row_major_ns\": %.0f, "
-        "\"simd_row_major_ns\": %.0f, \"simd_col_major_ns\": %.0f, "
-        "\"rows_per_s\": %.0f, \"gb_per_s\": %.2f, "
-        "\"speedup_simd_row\": %.2f, \"speedup_simd_col\": %.2f}%s\n",
-        KindName(kind).c_str(), scalar_ns, simd_row_ns, simd_col_ns,
-        static_cast<double>(kRooflineRows) * 1e9 / best_ns,
-        bytes_per_pass / best_ns,  // bytes/ns == GB/s
-        scalar_ns / simd_row_ns, scalar_ns / simd_col_ns,
-        i + 1 < kinds.size() ? "," : "");
+        "\"simd_row_major_ns\": %.0f, \"rows_per_s\": %.0f, "
+        "\"gb_per_s\": %.2f, \"speedup_simd_row\": %.2f}%s\n",
+        KindName(kind).c_str(), scalar_ns, simd_row_ns,
+        static_cast<double>(kRooflineRows) * 1e9 / simd_row_ns,
+        bytes_per_pass / simd_row_ns,  // bytes/ns == GB/s
+        scalar_ns / simd_row_ns, i + 1 < kinds.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   if (out != stdout) std::fclose(out);

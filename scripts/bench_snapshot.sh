@@ -13,9 +13,8 @@
 #     drift monitor); all should dwarf the socket front end's
 #     throughput (bench_stream_overhead).
 #   BENCH_kernels.json — preprocessor-kernel roofline: each
-#     TransformInPlace timed scalar row-major vs SIMD row-major vs
-#     SIMD col-major, with rows/s, GB/s and speedups
-#     (bench_micro_preprocessors --json).
+#     TransformInPlace timed forced-scalar vs SIMD, with rows/s, GB/s
+#     and the speedup (bench_micro_preprocessors --json).
 #   BENCH_model_kernels.json — the model-side SIMD primitives (Dot,
 #     Axpy, histogram binning, running moments), scalar vs vectorized
 #     (bench_micro_models --json).

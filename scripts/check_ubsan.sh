@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Builds with -fsanitize=undefined and runs the kernel-layer suites:
-# the SIMD wrapper primitives, the layout-aware preprocessor kernels,
-# the matrix layout/view machinery, and the pipeline data plane built
-# on them. UBSan is the check that the vectorized remainder handling,
-# the branchless table lookups (index arithmetic, gathers) and the
+# the SIMD wrapper primitives, the vectorized preprocessor kernels,
+# the matrix storage and borrowed views, and the pipeline data plane
+# built on them. UBSan is the check that the vectorized remainder
+# handling, the branchless table lookups (index arithmetic) and the
 # borrowed-view aliasing never rely on undefined behavior — misaligned
 # casts, signed overflow, out-of-range shifts.
 #

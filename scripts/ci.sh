@@ -6,8 +6,9 @@
 # must pass everything the SIMD build does), the artifact/serving round
 # trip, the network serving end-to-end leg (hot swap under load,
 # malformed frames, signal handling), the streaming drift loop
-# (drift-triggered background re-search and hot swap), and the
-# kill-point crash-injection matrix.
+# (drift-triggered background re-search and hot swap), the
+# kill-point crash-injection matrix, and a quick pass of the end-to-end
+# benchmark (bench/e2e, its own CMake project that tier-1 never builds).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -60,5 +61,8 @@ echo "=== dist: multi-process chaos (crashes, stragglers, orphans) ==="
 echo "=== dist: chaos quick pass under the TSan build ==="
 "${repo_root}/scripts/check_dist.sh" \
   --binary "${repo_root}/build-tsan/tools/autofp" --quick
+
+echo "=== e2e: benchmark smoke ==="
+bash "${repo_root}/bench/e2e/run.sh" --quick
 
 echo "CI passed."

@@ -64,16 +64,8 @@ Status WriteSharedDataset(const std::string& path, const Dataset& dataset) {
   bytes.append((kSharedDatasetAlign - bytes.size() % kSharedDatasetAlign) %
                    kSharedDatasetAlign,
                '\0');
-  if (dataset.features.layout() == Matrix::Layout::kRowMajor) {
-    bytes.append(reinterpret_cast<const char*>(dataset.features.Raw()),
-                 static_cast<size_t>(rows * cols) * sizeof(double));
-  } else {
-    for (size_t r = 0; r < rows; ++r) {
-      for (size_t c = 0; c < cols; ++c) {
-        AppendPod(&bytes, dataset.features(r, c));
-      }
-    }
-  }
+  bytes.append(reinterpret_cast<const char*>(dataset.features.Raw()),
+               static_cast<size_t>(rows * cols) * sizeof(double));
   for (int label : dataset.labels) {
     AppendPod(&bytes, static_cast<int32_t>(label));
   }

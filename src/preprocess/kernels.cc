@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "preprocess/power_transformer.h"
-#include "util/aligned.h"
 #include "util/simd.h"
 #include "util/stats.h"
 
@@ -15,8 +14,6 @@ namespace kernels {
 namespace {
 
 using simd::VecD;
-using simd::VecIdx;
-using Layout = Matrix::Layout;
 
 constexpr size_t kLanes = simd::kDoubleLanes;
 
@@ -65,175 +62,71 @@ void Binarize(Matrix& data, double threshold) {
 }
 
 void ScaleColumns(Matrix& data, const std::vector<double>& scales) {
-  const size_t rows = data.rows();
   const size_t cols = data.cols();
-  if (SimdOn() && data.layout() == Layout::kRowMajor) {
-    for (size_t r = 0; r < rows; ++r) {
-      double* row = data.RowPtr(r);
-      size_t c = 0;
+  const bool simd_on = SimdOn();
+  for (size_t r = 0; r < data.rows(); ++r) {
+    double* row = data.RowPtr(r);
+    size_t c = 0;
+    if (simd_on) {
       for (; c + kLanes <= cols; c += kLanes) {
         (VecD::Load(row + c) / VecD::Load(scales.data() + c)).Store(row + c);
       }
-      for (; c < cols; ++c) row[c] /= scales[c];
     }
-    return;
-  }
-  if (SimdOn() && data.layout() == Layout::kColMajor) {
-    for (size_t c = 0; c < cols; ++c) {
-      const VecD vs = VecD::Set1(scales[c]);
-      double* p = data.ColPtr(c);
-      size_t r = 0;
-      for (; r + kLanes <= rows; r += kLanes) {
-        (VecD::Load(p + r) / vs).Store(p + r);
-      }
-      for (; r < rows; ++r) p[r] /= scales[c];
-    }
-    return;
-  }
-  for (size_t c = 0; c < cols; ++c) {
-    const double scale = scales[c];
-    const Matrix::ColumnSpan col = data.Col(c);
-    for (size_t r = 0; r < rows; ++r) col[r] /= scale;
+    for (; c < cols; ++c) row[c] /= scales[c];
   }
 }
 
 void ShiftScaleColumns(Matrix& data, const std::vector<double>& shifts,
                        const std::vector<double>& scales) {
-  const size_t rows = data.rows();
   const size_t cols = data.cols();
-  if (SimdOn() && data.layout() == Layout::kRowMajor) {
-    for (size_t r = 0; r < rows; ++r) {
-      double* row = data.RowPtr(r);
-      size_t c = 0;
+  const bool simd_on = SimdOn();
+  for (size_t r = 0; r < data.rows(); ++r) {
+    double* row = data.RowPtr(r);
+    size_t c = 0;
+    if (simd_on) {
       for (; c + kLanes <= cols; c += kLanes) {
         ((VecD::Load(row + c) - VecD::Load(shifts.data() + c)) /
          VecD::Load(scales.data() + c))
             .Store(row + c);
       }
-      for (; c < cols; ++c) row[c] = (row[c] - shifts[c]) / scales[c];
     }
-    return;
-  }
-  if (SimdOn() && data.layout() == Layout::kColMajor) {
-    for (size_t c = 0; c < cols; ++c) {
-      const VecD vm = VecD::Set1(shifts[c]);
-      const VecD vs = VecD::Set1(scales[c]);
-      double* p = data.ColPtr(c);
-      size_t r = 0;
-      for (; r + kLanes <= rows; r += kLanes) {
-        ((VecD::Load(p + r) - vm) / vs).Store(p + r);
-      }
-      for (; r < rows; ++r) p[r] = (p[r] - shifts[c]) / scales[c];
-    }
-    return;
-  }
-  for (size_t c = 0; c < cols; ++c) {
-    const double shift = shifts[c];
-    const double scale = scales[c];
-    const Matrix::ColumnSpan col = data.Col(c);
-    for (size_t r = 0; r < rows; ++r) col[r] = (col[r] - shift) / scale;
+    for (; c < cols; ++c) row[c] = (row[c] - shifts[c]) / scales[c];
   }
 }
 
 void NormalizeRows(Matrix& data, NormKind kind) {
-  const size_t rows = data.rows();
+  // The norm is a per-row reduction: it stays scalar (vectorizing it
+  // would reassociate and break exactness); the divide is elementwise
+  // and vectorizes.
   const size_t cols = data.cols();
-  if (data.layout() == Layout::kRowMajor) {
-    // The norm is a per-row reduction: it stays scalar (vectorizing it
-    // would reassociate and break exactness); the divide is elementwise
-    // and vectorizes.
-    const bool simd_on = SimdOn();
-    for (size_t r = 0; r < rows; ++r) {
-      double* row = data.RowPtr(r);
-      double norm = 0.0;
-      switch (kind) {
-        case NormKind::kL1:
-          for (size_t c = 0; c < cols; ++c) norm += std::abs(row[c]);
-          break;
-        case NormKind::kL2:
-          for (size_t c = 0; c < cols; ++c) norm += row[c] * row[c];
-          norm = std::sqrt(norm);
-          break;
-        case NormKind::kMax:
-          for (size_t c = 0; c < cols; ++c) {
-            const double abs_value = std::abs(row[c]);
-            if (abs_value > norm) norm = abs_value;
-          }
-          break;
-      }
-      if (norm == 0.0) norm = 1.0;
-      size_t c = 0;
-      if (simd_on) {
-        const VecD vn = VecD::Set1(norm);
-        for (; c + kLanes <= cols; c += kLanes) {
-          (VecD::Load(row + c) / vn).Store(row + c);
-        }
-      }
-      for (; c < cols; ++c) row[c] /= norm;
-    }
-    return;
-  }
-  // Column-major: accumulate all row norms in one pass per column,
-  // visiting columns in ascending order so each row's reduction happens
-  // in exactly the order the row-major reference uses — which is what
-  // keeps this path bit-identical. Vector lanes span rows, which are
-  // independent reductions, so vectorizing is exact too.
-  thread_local AlignedVector<double> norms;
-  norms.assign(rows, 0.0);
-  double* acc = norms.data();
   const bool simd_on = SimdOn();
-  for (size_t c = 0; c < cols; ++c) {
-    const double* p = data.ColPtr(c);
-    size_t r = 0;
-    if (simd_on) {
-      for (; r + kLanes <= rows; r += kLanes) {
-        const VecD x = VecD::Load(p + r);
-        const VecD a = VecD::Load(acc + r);
-        switch (kind) {
-          case NormKind::kL1:
-            (a + x.Abs()).Store(acc + r);
-            break;
-          case NormKind::kL2:
-            (a + x * x).Store(acc + r);
-            break;
-          case NormKind::kMax: {
-            const VecD abs_x = x.Abs();
-            VecD::Select(VecD::Gt(abs_x, a), abs_x, a).Store(acc + r);
-            break;
-          }
+  for (size_t r = 0; r < data.rows(); ++r) {
+    double* row = data.RowPtr(r);
+    double norm = 0.0;
+    switch (kind) {
+      case NormKind::kL1:
+        for (size_t c = 0; c < cols; ++c) norm += std::abs(row[c]);
+        break;
+      case NormKind::kL2:
+        for (size_t c = 0; c < cols; ++c) norm += row[c] * row[c];
+        norm = std::sqrt(norm);
+        break;
+      case NormKind::kMax:
+        for (size_t c = 0; c < cols; ++c) {
+          const double abs_value = std::abs(row[c]);
+          if (abs_value > norm) norm = abs_value;
         }
-      }
+        break;
     }
-    for (; r < rows; ++r) {
-      const double x = p[r];
-      switch (kind) {
-        case NormKind::kL1:
-          acc[r] += std::abs(x);
-          break;
-        case NormKind::kL2:
-          acc[r] += x * x;
-          break;
-        case NormKind::kMax: {
-          const double abs_x = std::abs(x);
-          if (abs_x > acc[r]) acc[r] = abs_x;
-          break;
-        }
-      }
-    }
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    if (kind == NormKind::kL2) acc[r] = std::sqrt(acc[r]);
-    if (acc[r] == 0.0) acc[r] = 1.0;
-  }
-  for (size_t c = 0; c < cols; ++c) {
-    double* p = data.ColPtr(c);
-    size_t r = 0;
+    if (norm == 0.0) norm = 1.0;
+    size_t c = 0;
     if (simd_on) {
-      for (; r + kLanes <= rows; r += kLanes) {
-        (VecD::Load(p + r) / VecD::Load(acc + r)).Store(p + r);
+      const VecD vn = VecD::Set1(norm);
+      for (; c + kLanes <= cols; c += kLanes) {
+        (VecD::Load(row + c) / vn).Store(row + c);
       }
     }
-    for (; r < rows; ++r) p[r] /= acc[r];
+    for (; c < cols; ++c) row[c] /= norm;
   }
 }
 
@@ -242,25 +135,21 @@ void PowerTransformColumns(Matrix& data, const std::vector<double>& lambdas,
                            const std::vector<double>& stddevs,
                            bool standardize) {
   // Yeo-Johnson is a libm transcendental (log1p/expm1) with no vector
-  // form under the exactness contract; this kernel's win is layout
-  // awareness — the column pass is contiguous when the matrix is
-  // column-major instead of cols-strided.
+  // form under the exactness contract, so this kernel stays scalar. It
+  // walks one column at a time (stride cols), holding that column's
+  // parameters fixed for the inner loop.
   const size_t rows = data.rows();
   const size_t cols = data.cols();
+  double* p = data.MutableRaw();
   for (size_t c = 0; c < cols; ++c) {
     const double lambda = lambdas[c];
     const double mean = means[c];
     const double stddev = stddevs[c];
-    const Matrix::ColumnSpan col = data.Col(c);
-    if (standardize) {
-      for (size_t r = 0; r < rows; ++r) {
-        col[r] = ClampFinite(
-            (PowerTransformer::YeoJohnson(col[r], lambda) - mean) / stddev);
-      }
-    } else {
-      for (size_t r = 0; r < rows; ++r) {
-        col[r] = ClampFinite(PowerTransformer::YeoJohnson(col[r], lambda));
-      }
+    for (size_t r = 0; r < rows; ++r) {
+      double& x = p[r * cols + c];
+      double value = PowerTransformer::YeoJohnson(x, lambda);
+      if (standardize) value = (value - mean) / stddev;
+      x = ClampFinite(value);
     }
   }
 }
@@ -268,100 +157,43 @@ void PowerTransformColumns(Matrix& data, const std::vector<double>& lambdas,
 void QuantileTransformColumns(
     Matrix& data, const std::vector<std::vector<double>>& references,
     bool to_normal) {
+  // One column at a time (stride cols), so the column's reference table
+  // stays in L1 for the whole pass; row order would cycle through every
+  // column's table per row.
   const size_t rows = data.rows();
   const size_t cols = data.cols();
-  if (SimdOn() && data.layout() == Layout::kColMajor) {
-    for (size_t c = 0; c < cols; ++c) {
-      const std::vector<double>& refs = references[c];
-      const size_t n = refs.size();
-      const double denom = static_cast<double>(n - 1);
-      double* p = data.ColPtr(c);
-      const VecD v_lo_ref = VecD::Set1(refs.front());
-      const VecD v_hi_ref = VecD::Set1(refs.back());
-      const VecD v_denom = VecD::Set1(denom);
-      const VecD zero = VecD::Zero();
-      const VecD one = VecD::Set1(1.0);
-      const VecD half = VecD::Set1(0.5);
-      const VecD n_minus_half = VecD::Set1(static_cast<double>(n) - 0.5);
-      const VecD v_eps = VecD::Set1(kCdfEps);
-      const VecD v_one_m_eps = VecD::Set1(1.0 - kCdfEps);
-      size_t r = 0;
-      for (; r + kLanes <= rows; r += kLanes) {
-        const VecD v = VecD::Load(p + r);
-        const auto below = VecD::Le(v, v_lo_ref);
-        const auto above = VecD::Ge(v, v_hi_ref);
-        // Lane-parallel upper_bound; out-of-range lanes then get their
-        // index clamped into [1, n-1] so the gathers stay in bounds (the
-        // Selects below overwrite those lanes with 0 / 1 anyway).
-        VecIdx hi = simd::UpperBoundIndexV(refs.data(), n, v);
-        const VecD hi_d = simd::ToDouble(hi);
-        hi = hi.AddWhere(VecD::Le(hi_d, half), VecIdx::Set1(1));
-        hi = hi.AddWhere(VecD::Ge(hi_d, n_minus_half), VecIdx::Set1(-1));
-        const VecIdx lo = hi + VecIdx::Set1(-1);
-        const VecD ref_hi = simd::Gather(refs.data(), hi);
-        const VecD ref_lo = simd::Gather(refs.data(), lo);
-        const VecD gap = ref_hi - ref_lo;
-        const VecD fraction =
-            VecD::Select(VecD::Gt(gap, zero), (v - ref_lo) / gap, zero);
-        VecD cdf = (simd::ToDouble(lo) + fraction) / v_denom;
-        cdf = VecD::Select(below, zero, cdf);
-        cdf = VecD::Select(above, one, cdf);
-        if (to_normal) cdf = VecD::Min(VecD::Max(cdf, v_eps), v_one_m_eps);
-        cdf.Store(p + r);
-      }
-      for (; r < rows; ++r) {
-        double cdf = CdfScalar(p[r], refs.data(), n, denom);
-        if (to_normal) cdf = std::clamp(cdf, kCdfEps, 1.0 - kCdfEps);
-        p[r] = cdf;
-      }
-      if (to_normal) {
-        for (size_t i = 0; i < rows; ++i) p[i] = NormalInverseCdf(p[i]);
-      }
-    }
-    return;
-  }
+  double* p = data.MutableRaw();
   for (size_t c = 0; c < cols; ++c) {
-    const std::vector<double>& refs = references[c];
-    const size_t n = refs.size();
+    const double* refs = references[c].data();
+    const size_t n = references[c].size();
     const double denom = static_cast<double>(n - 1);
-    const Matrix::ColumnSpan col = data.Col(c);
     for (size_t r = 0; r < rows; ++r) {
-      double cdf = CdfScalar(col[r], refs.data(), n, denom);
-      if (to_normal) {
-        cdf = std::clamp(cdf, kCdfEps, 1.0 - kCdfEps);
-        col[r] = NormalInverseCdf(cdf);
-      } else {
-        col[r] = cdf;
-      }
+      double& x = p[r * cols + c];
+      const double cdf = CdfScalar(x, refs, n, denom);
+      x = to_normal
+              ? NormalInverseCdf(std::clamp(cdf, kCdfEps, 1.0 - kCdfEps))
+              : cdf;
     }
   }
 }
 
 void ColumnAbsMax(const Matrix& data, std::vector<double>* out) {
-  const size_t rows = data.rows();
   const size_t cols = data.cols();
   out->assign(cols, 0.0);
   double* acc = out->data();
-  if (SimdOn() && data.layout() == Layout::kRowMajor) {
-    for (size_t r = 0; r < rows; ++r) {
-      const double* row = data.RowPtr(r);
-      size_t c = 0;
+  const bool simd_on = SimdOn();
+  for (size_t r = 0; r < data.rows(); ++r) {
+    const double* row = data.RowPtr(r);
+    size_t c = 0;
+    if (simd_on) {
       for (; c + kLanes <= cols; c += kLanes) {
         const VecD abs_x = VecD::Load(row + c).Abs();
         const VecD a = VecD::Load(acc + c);
         VecD::Select(VecD::Gt(abs_x, a), abs_x, a).Store(acc + c);
       }
-      for (; c < cols; ++c) {
-        const double abs_x = std::abs(row[c]);
-        if (abs_x > acc[c]) acc[c] = abs_x;
-      }
     }
-    return;
-  }
-  for (size_t c = 0; c < cols; ++c) {
-    const Matrix::ConstColumnSpan col = data.Col(c);
-    for (size_t r = 0; r < rows; ++r) {
-      const double abs_x = std::abs(col[r]);
+    for (; c < cols; ++c) {
+      const double abs_x = std::abs(row[c]);
       if (abs_x > acc[c]) acc[c] = abs_x;
     }
   }
@@ -369,92 +201,69 @@ void ColumnAbsMax(const Matrix& data, std::vector<double>* out) {
 
 void ColumnMinMax(const Matrix& data, std::vector<double>* mins,
                   std::vector<double>* maxs) {
-  const size_t rows = data.rows();
   const size_t cols = data.cols();
   mins->assign(cols, std::numeric_limits<double>::infinity());
   maxs->assign(cols, -std::numeric_limits<double>::infinity());
   double* lo = mins->data();
   double* hi = maxs->data();
-  if (SimdOn() && data.layout() == Layout::kRowMajor) {
-    for (size_t r = 0; r < rows; ++r) {
-      const double* row = data.RowPtr(r);
-      size_t c = 0;
+  const bool simd_on = SimdOn();
+  for (size_t r = 0; r < data.rows(); ++r) {
+    const double* row = data.RowPtr(r);
+    size_t c = 0;
+    if (simd_on) {
       for (; c + kLanes <= cols; c += kLanes) {
         const VecD x = VecD::Load(row + c);
         const VecD a = VecD::Load(lo + c);
         const VecD b = VecD::Load(hi + c);
-        // Select on strict comparison (not Min/Max) so ties keep the
-        // incumbent, exactly like the scalar update — the two differ in
-        // which signed zero survives.
+        // Select on strict comparison (not a min/max instruction) so ties
+        // keep the incumbent, exactly like the scalar update — the two
+        // differ in which signed zero survives.
         VecD::Select(VecD::Gt(a, x), x, a).Store(lo + c);
         VecD::Select(VecD::Gt(x, b), x, b).Store(hi + c);
       }
-      for (; c < cols; ++c) {
-        if (row[c] < lo[c]) lo[c] = row[c];
-        if (row[c] > hi[c]) hi[c] = row[c];
-      }
     }
-    return;
-  }
-  for (size_t c = 0; c < cols; ++c) {
-    const Matrix::ConstColumnSpan col = data.Col(c);
-    for (size_t r = 0; r < rows; ++r) {
-      if (col[r] < lo[c]) lo[c] = col[r];
-      if (col[r] > hi[c]) hi[c] = col[r];
+    for (; c < cols; ++c) {
+      if (row[c] < lo[c]) lo[c] = row[c];
+      if (row[c] > hi[c]) hi[c] = row[c];
     }
   }
 }
 
 void ColumnSums(const Matrix& data, std::vector<double>* out) {
-  const size_t rows = data.rows();
   const size_t cols = data.cols();
   out->assign(cols, 0.0);
   double* acc = out->data();
-  if (SimdOn() && data.layout() == Layout::kRowMajor) {
-    for (size_t r = 0; r < rows; ++r) {
-      const double* row = data.RowPtr(r);
-      size_t c = 0;
+  const bool simd_on = SimdOn();
+  for (size_t r = 0; r < data.rows(); ++r) {
+    const double* row = data.RowPtr(r);
+    size_t c = 0;
+    if (simd_on) {
       for (; c + kLanes <= cols; c += kLanes) {
         (VecD::Load(acc + c) + VecD::Load(row + c)).Store(acc + c);
       }
-      for (; c < cols; ++c) acc[c] += row[c];
     }
-    return;
-  }
-  // Column passes accumulate in the same row-ascending order, so the
-  // result is bit-identical to the row-major reference.
-  for (size_t c = 0; c < cols; ++c) {
-    const Matrix::ConstColumnSpan col = data.Col(c);
-    for (size_t r = 0; r < rows; ++r) acc[c] += col[r];
+    for (; c < cols; ++c) acc[c] += row[c];
   }
 }
 
 void ColumnSquaredDevSums(const Matrix& data,
                           const std::vector<double>& means,
                           std::vector<double>* out) {
-  const size_t rows = data.rows();
   const size_t cols = data.cols();
   out->assign(cols, 0.0);
   double* acc = out->data();
-  if (SimdOn() && data.layout() == Layout::kRowMajor) {
-    for (size_t r = 0; r < rows; ++r) {
-      const double* row = data.RowPtr(r);
-      size_t c = 0;
+  const bool simd_on = SimdOn();
+  for (size_t r = 0; r < data.rows(); ++r) {
+    const double* row = data.RowPtr(r);
+    size_t c = 0;
+    if (simd_on) {
       for (; c + kLanes <= cols; c += kLanes) {
         const VecD d = VecD::Load(row + c) - VecD::Load(means.data() + c);
         (VecD::Load(acc + c) + d * d).Store(acc + c);
       }
-      for (; c < cols; ++c) {
-        const double d = row[c] - means[c];
-        acc[c] += d * d;
-      }
     }
-    return;
-  }
-  for (size_t c = 0; c < cols; ++c) {
-    const Matrix::ConstColumnSpan col = data.Col(c);
-    for (size_t r = 0; r < rows; ++r) {
-      const double d = col[r] - means[c];
+    for (; c < cols; ++c) {
+      const double d = row[c] - means[c];
       acc[c] += d * d;
     }
   }

@@ -1,28 +1,30 @@
 #ifndef AUTOFP_PREPROCESS_KERNELS_H_
 #define AUTOFP_PREPROCESS_KERNELS_H_
 
-/// Layout-aware, vectorized inner loops for the seven preprocessors.
-/// Each kernel dispatches on the matrix's storage layout and on
+/// Vectorized inner loops for the seven preprocessors, over row-major
+/// matrices. The vectorized kernels walk the rows (Binarize, being
+/// elementwise, the flat storage) and dispatch on
 /// simd::ForceScalarEnabled():
 ///
-///   - kRowMajor + SIMD: vectorize ACROSS COLUMNS within each row, with
-///     the per-column parameter arrays loaded as vectors. Contiguous
-///     loads, exact per element.
-///   - kColMajor + SIMD: vectorize DOWN each contiguous column with the
-///     column's parameters broadcast. This is the transform data plane's
-///     fast path.
-///   - otherwise: the scalar reference — a column-strided loop identical
-///     to the pre-kernel-layer implementation. The property tests compare
-///     the SIMD paths against this reference bit for bit.
+///   - SIMD: vectorize ACROSS COLUMNS within each row, with the
+///     per-column parameter arrays loaded as vectors. Contiguous loads,
+///     exact per element; the last cols % lanes columns run scalar.
+///   - forced scalar: the same row loop with every column scalar. This
+///     is the reference the property tests compare the SIMD path against
+///     bit for bit.
+///
+/// Power and Quantile are scalar on every path and walk one column at a
+/// time, so a column's parameters (and Quantile's reference table) stay
+/// hot for the whole pass.
 ///
 /// Exactness: every transform kernel here is bit-identical across
-/// backends and layouts (see util/simd.h's contract) because each element
-/// is produced by the same sequence of correctly-rounded IEEE ops and
+/// backends (see util/simd.h's contract) because each element is
+/// produced by the same sequence of correctly-rounded IEEE ops and
 /// per-column/per-row accumulation order is preserved. The fit reductions
-/// (ColumnSums etc.) preserve the row-ascending accumulation order per
-/// column for the same reason. The transcendental element functions
-/// (Yeo-Johnson's log1p/expm1, the normal inverse CDF) stay scalar libm
-/// calls — identical on every path — so Power/Quantile remain exact too.
+/// (ColumnSums etc.) accumulate each column in row-ascending order on
+/// every path for the same reason. The transcendental element functions
+/// (Yeo-Johnson's log1p/expm1, the normal inverse CDF) and the quantile
+/// table walk stay scalar on every path, so Power/Quantile are exact too.
 
 #include <vector>
 
@@ -55,14 +57,13 @@ void PowerTransformColumns(Matrix& data, const std::vector<double>& lambdas,
 /// Maps each value through its column's empirical CDF (piecewise-linear
 /// over `references[c]`, a sorted table of >= 2 entries), optionally
 /// through the normal inverse CDF. The table walk is the branchless
-/// simd::UpperBoundIndex, gathered lane-parallel on the columnar path.
+/// simd::UpperBoundIndex.
 void QuantileTransformColumns(
     Matrix& data, const std::vector<std::vector<double>>& references,
     bool to_normal);
 
 /// Fit reductions. All accumulate per column in row-ascending order on
-/// every path, so fitted parameters are bit-identical across layouts and
-/// backends. Output vectors are assigned (not accumulated into).
+/// every path, so fitted parameters are bit-identical across backends. Output vectors are assigned (not accumulated into).
 void ColumnAbsMax(const Matrix& data, std::vector<double>* out);
 void ColumnMinMax(const Matrix& data, std::vector<double>* mins,
                   std::vector<double>* maxs);

@@ -5,9 +5,9 @@
 namespace autofp {
 
 void Normalizer::TransformInPlace(Matrix& data) const {
-  // Row-wise by definition: the norm is a per-sample reduction. The
-  // kernel keeps the reduction order fixed in both layouts, so the
-  // output stays bit-identical either way.
+  // Row-wise by definition: the norm is a per-sample reduction, kept
+  // scalar so its summation order (and the output) is fixed on every
+  // backend.
   kernels::NormalizeRows(data, config_.norm);
 }
 

@@ -55,6 +55,22 @@ Result<TransformedPair> CheckTransformedPair(const PipelineSpec& spec,
   return pair;
 }
 
+/// Fits `spec` step by step on a working copy of `train` while `valid`
+/// follows in lockstep: one buffer per matrix threaded through the whole
+/// chain. Copy-assigning into the outputs reuses their allocations.
+void FitTransformInto(const PipelineSpec& spec, const Matrix& train,
+                      const Matrix& valid, Matrix* train_out,
+                      Matrix* valid_out) {
+  *train_out = train;
+  *valid_out = valid;
+  for (const PreprocessorConfig& config : spec.steps) {
+    std::unique_ptr<Preprocessor> step = MakePreprocessor(config);
+    step->Fit(*train_out);
+    step->TransformInPlace(*train_out);
+    step->TransformInPlace(*valid_out);
+  }
+}
+
 /// A shared_ptr that observes `matrix` without owning it (the aliasing
 /// constructor with an empty control block). Used to hand out zero-copy
 /// views of caller-owned storage; the caller guarantees the storage
@@ -96,23 +112,13 @@ PipelineSpec PipelineSpec::FromKinds(
   return spec;
 }
 
-Matrix::Layout ChooseWorkingLayout(const PipelineSpec& spec, size_t rows) {
-  // The columnar staging pays for two transpose copies; below a few
-  // hundred rows the strided row-major kernels win outright.
-  if (spec.empty() || rows < 256) return Matrix::Layout::kRowMajor;
-  return Matrix::Layout::kColMajor;
-}
-
 FittedPipeline FittedPipeline::Fit(const PipelineSpec& spec,
                                    const Matrix& train) {
   FittedPipeline pipeline;
   pipeline.spec_ = spec;
   // One working copy threaded through the whole chain: each step fits on
-  // the previous step's output, then transforms it in place. The copy is
-  // discarded afterwards, so it can use whichever layout the kernels
-  // prefer — the fitted parameters are bit-identical either way.
-  Matrix current;
-  current.AssignWithLayout(train, ChooseWorkingLayout(spec, train.rows()));
+  // the previous step's output, then transforms it in place.
+  Matrix current = train;
   for (const PreprocessorConfig& config : spec.steps) {
     std::unique_ptr<Preprocessor> step = MakePreprocessor(config);
     step->Fit(current);
@@ -156,31 +162,8 @@ void FittedPipeline::TransformInto(const Matrix& data, Matrix* scratch) const {
 
 TransformedPair FitTransformPair(const PipelineSpec& spec, const Matrix& train,
                                  const Matrix& valid) {
-  // One working copy per matrix threaded through the whole chain: fitting
-  // transforms train step-by-step anyway, and valid follows in lockstep.
   TransformedPair out;
-  if (ChooseWorkingLayout(spec, train.rows()) == Matrix::Layout::kColMajor) {
-    Matrix stage_train, stage_valid;
-    stage_train.AssignWithLayout(train, Matrix::Layout::kColMajor);
-    stage_valid.AssignWithLayout(valid, Matrix::Layout::kColMajor);
-    for (const PreprocessorConfig& config : spec.steps) {
-      std::unique_ptr<Preprocessor> step = MakePreprocessor(config);
-      step->Fit(stage_train);
-      step->TransformInPlace(stage_train);
-      step->TransformInPlace(stage_valid);
-    }
-    out.train.AssignWithLayout(stage_train, Matrix::Layout::kRowMajor);
-    out.valid.AssignWithLayout(stage_valid, Matrix::Layout::kRowMajor);
-    return out;
-  }
-  out.train = train;
-  out.valid = valid;
-  for (const PreprocessorConfig& config : spec.steps) {
-    std::unique_ptr<Preprocessor> step = MakePreprocessor(config);
-    step->Fit(out.train);
-    step->TransformInPlace(out.train);
-    step->TransformInPlace(out.valid);
-  }
+  FitTransformInto(spec, train, valid, &out.train, &out.valid);
   return out;
 }
 
@@ -206,35 +189,10 @@ Result<SharedTransformedPair> CheckedFitTransformPairCached(
     // Uncached path: thread the chain through the scratch buffers (or
     // locals when the caller brought none), then hand out views. With
     // scratch, the steady state allocates nothing and the result aliases
-    // the scratch buffers — see the header contract. When the layout
-    // policy picks columnar, the chain runs through the stage_* buffers
-    // and only the final transpose-out touches train/valid.
+    // the scratch buffers — see the header contract.
     TransformScratch local;
     TransformScratch& work = scratch != nullptr ? *scratch : local;
-    if (ChooseWorkingLayout(spec, train.rows()) ==
-        Matrix::Layout::kColMajor) {
-      work.stage_train.AssignWithLayout(train, Matrix::Layout::kColMajor);
-      work.stage_valid.AssignWithLayout(valid, Matrix::Layout::kColMajor);
-      for (const PreprocessorConfig& config : spec.steps) {
-        std::unique_ptr<Preprocessor> step = MakePreprocessor(config);
-        step->Fit(work.stage_train);
-        step->TransformInPlace(work.stage_train);
-        step->TransformInPlace(work.stage_valid);
-      }
-      work.train.AssignWithLayout(work.stage_train,
-                                  Matrix::Layout::kRowMajor);
-      work.valid.AssignWithLayout(work.stage_valid,
-                                  Matrix::Layout::kRowMajor);
-    } else {
-      work.train = train;
-      work.valid = valid;
-      for (const PreprocessorConfig& config : spec.steps) {
-        std::unique_ptr<Preprocessor> step = MakePreprocessor(config);
-        step->Fit(work.train);
-        step->TransformInPlace(work.train);
-        step->TransformInPlace(work.valid);
-      }
-    }
+    FitTransformInto(spec, train, valid, &work.train, &work.valid);
     Status status = CheckTransformed(spec, work.train, work.valid);
     if (!status.ok()) return status;
     if (scratch != nullptr) {

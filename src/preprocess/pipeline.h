@@ -110,25 +110,13 @@ struct SharedTransformedPair {
 };
 
 /// Reusable working buffers for the uncached fit/transform path. One per
-/// worker thread (see core/parallel_evaluator.h): after the first
-/// evaluation the buffers have seen their largest shape and the steady
-/// state allocates nothing. The stage_* buffers hold the column-major
-/// working copies when the data plane picks the columnar layout (see
-/// ChooseWorkingLayout); train/valid always end up row-major, which is
-/// what the models consume.
+/// worker thread (see core/parallel_evaluator.h): the chain runs in place
+/// through `train` and `valid`, so after the first evaluation the buffers
+/// have seen their largest shape and the steady state allocates nothing.
 struct TransformScratch {
   Matrix train;
   Matrix valid;
-  Matrix stage_train;
-  Matrix stage_valid;
 };
-
-/// The data plane's layout policy: fit/transform chains stage a
-/// column-major working copy when the pipeline does per-column work over
-/// enough rows to amortize the two transposes; small inputs and the
-/// empty pipeline stay row-major. Outputs are row-major either way, and
-/// bit-identical either way (the kernels' exactness contract).
-Matrix::Layout ChooseWorkingLayout(const PipelineSpec& spec, size_t rows);
 
 /// CheckedFitTransformPair with prefix memoization: reuses the longest
 /// cached fitted prefix of `spec` and caches every newly computed prefix,

@@ -141,18 +141,7 @@ void Predictor::ScoreRange(const Matrix& rows, size_t begin, size_t end,
     const double* src = rows.RowPtr(r);
     std::copy(src, src + rows.cols(), scratch->RowPtr(r - begin));
   }
-  if (ChooseWorkingLayout(pipeline_.spec(), end - begin) ==
-      Matrix::Layout::kColMajor) {
-    // Large shard: run the chain through a column-major stage (the data
-    // plane's layout policy), transposing back for the model. One stage
-    // buffer per worker thread, reused like the shard scratch.
-    static thread_local Matrix stage;
-    stage.AssignWithLayout(*scratch, Matrix::Layout::kColMajor);
-    pipeline_.TransformInPlace(stage);
-    scratch->AssignWithLayout(stage, Matrix::Layout::kRowMajor);
-  } else {
-    pipeline_.TransformInPlace(*scratch);
-  }
+  pipeline_.TransformInPlace(*scratch);
   std::vector<int> shard_predictions = model_->PredictBatch(*scratch);
   std::copy(shard_predictions.begin(), shard_predictions.end(),
             predictions->begin() + static_cast<long>(begin));

@@ -3,9 +3,8 @@
 
 /// Cache-line-aligned storage for the data plane. Matrix (util/matrix.h)
 /// keeps its elements in an AlignedVector so every matrix starts on a
-/// 64-byte boundary: whole cache lines per vector load, no straddle on
-/// the first lane, and a stable base for the columnar layout's
-/// per-column pointers. Alignment is a performance property only — the
+/// 64-byte boundary: whole cache lines per vector load and no straddle
+/// on the first lane. Alignment is a performance property only — the
 /// SIMD wrapper (util/simd.h) uses unaligned loads, so code stays
 /// correct on any interior offset.
 

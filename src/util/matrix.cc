@@ -5,14 +5,6 @@
 
 namespace autofp {
 
-namespace {
-
-/// Block edge for the transpose copy: 32x32 doubles = 8 KiB working set,
-/// comfortably inside L1 for source plus destination blocks.
-constexpr size_t kTransposeBlock = 32;
-
-}  // namespace
-
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows)
     : rows_(rows.size()), cols_(0) {
   if (rows_ == 0) return;
@@ -25,7 +17,7 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows)
 }
 
 Matrix::Matrix(const Matrix& other)
-    : rows_(other.rows_), cols_(other.cols_), layout_(other.layout_) {
+    : rows_(other.rows_), cols_(other.cols_) {
   if (other.view_ != nullptr) {
     // Copying a borrowed matrix materializes owned storage.
     data_.assign(other.view_, other.view_ + rows_ * cols_);
@@ -38,7 +30,6 @@ Matrix& Matrix::operator=(const Matrix& other) {
   if (this == &other) return *this;
   rows_ = other.rows_;
   cols_ = other.cols_;
-  layout_ = other.layout_;
   view_ = nullptr;
   backing_.reset();
   if (other.view_ != nullptr) {
@@ -55,64 +46,32 @@ Matrix Matrix::WrapConstRowMajor(const double* data, size_t rows, size_t cols,
   Matrix out;
   out.rows_ = rows;
   out.cols_ = cols;
-  out.layout_ = Layout::kRowMajor;
   out.view_ = data;
   out.backing_ = std::move(backing);
   return out;
 }
 
-void Matrix::Resize(size_t rows, size_t cols) { Resize(rows, cols, layout_); }
-
-void Matrix::Resize(size_t rows, size_t cols, Layout layout) {
+void Matrix::Resize(size_t rows, size_t cols) {
   view_ = nullptr;
   backing_.reset();
   rows_ = rows;
   cols_ = cols;
-  layout_ = layout;
   data_.resize(rows * cols);
-}
-
-void Matrix::AssignWithLayout(const Matrix& src, Layout layout) {
-  AUTOFP_CHECK(&src != this) << "AssignWithLayout source aliases destination";
-  Resize(src.rows_, src.cols_, layout);
-  const double* in = src.Raw();
-  double* out = data_.data();
-  if (src.layout_ == layout) {
-    std::copy(in, in + rows_ * cols_, out);
-    return;
-  }
-  // Transpose copy, blocked so both access patterns stay cache-resident.
-  // Express both layouts as row-major shapes: transposing an R x C
-  // row-major image into C x R row-major covers every layout pair.
-  const bool src_row_major = src.layout_ == Layout::kRowMajor;
-  const size_t in_rows = src_row_major ? rows_ : cols_;
-  const size_t in_cols = src_row_major ? cols_ : rows_;
-  for (size_t rb = 0; rb < in_rows; rb += kTransposeBlock) {
-    const size_t r_end = std::min(in_rows, rb + kTransposeBlock);
-    for (size_t cb = 0; cb < in_cols; cb += kTransposeBlock) {
-      const size_t c_end = std::min(in_cols, cb + kTransposeBlock);
-      for (size_t r = rb; r < r_end; ++r) {
-        for (size_t c = cb; c < c_end; ++c) {
-          out[c * in_rows + r] = in[r * in_cols + c];
-        }
-      }
-    }
-  }
 }
 
 std::vector<double> Matrix::Column(size_t c) const {
   AUTOFP_CHECK_LT(c, cols_);
   std::vector<double> out(rows_);
-  const ConstColumnSpan col = Col(c);
-  for (size_t r = 0; r < rows_; ++r) out[r] = col[r];
+  const double* p = Raw();
+  for (size_t r = 0; r < rows_; ++r) out[r] = p[r * cols_ + c];
   return out;
 }
 
 void Matrix::SetColumn(size_t c, const std::vector<double>& values) {
   AUTOFP_CHECK_LT(c, cols_);
   AUTOFP_CHECK_EQ(values.size(), rows_);
-  const ColumnSpan col = Col(c);
-  for (size_t r = 0; r < rows_; ++r) col[r] = values[r];
+  double* p = MutableRaw();
+  for (size_t r = 0; r < rows_; ++r) p[r * cols_ + c] = values[r];
 }
 
 Matrix Matrix::SelectRows(const std::vector<size_t>& indices) const {
@@ -124,7 +83,7 @@ Matrix Matrix::SelectRows(const std::vector<size_t>& indices) const {
 void Matrix::SelectRowsInto(const std::vector<size_t>& indices,
                             Matrix* out) const {
   AUTOFP_CHECK(out != this) << "SelectRowsInto destination aliases source";
-  out->Resize(indices.size(), cols_, Layout::kRowMajor);
+  out->Resize(indices.size(), cols_);
   for (size_t i = 0; i < indices.size(); ++i) {
     AUTOFP_CHECK_LT(indices[i], rows_);
     const double* src = RowPtr(indices[i]);
@@ -138,7 +97,6 @@ void Matrix::AppendRows(const Matrix& other) {
     return;
   }
   AUTOFP_CHECK_EQ(cols_, other.cols_) << "column count mismatch";
-  AUTOFP_CHECK(layout_ == Layout::kRowMajor);
   AUTOFP_CHECK(view_ == nullptr) << "appending to a borrowed matrix";
   data_.reserve(data_.size() + other.size());
   for (size_t r = 0; r < other.rows_; ++r) {
@@ -158,17 +116,8 @@ void Matrix::AppendRows(Matrix&& other) {
 
 bool Matrix::operator==(const Matrix& other) const {
   if (rows_ != other.rows_ || cols_ != other.cols_) return false;
-  if (layout_ == other.layout_) {
-    const double* a = Raw();
-    const double* b = other.Raw();
-    return std::equal(a, a + size(), b);
-  }
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t c = 0; c < cols_; ++c) {
-      if ((*this)(r, c) != other(r, c)) return false;
-    }
-  }
-  return true;
+  const double* a = Raw();
+  return std::equal(a, a + size(), other.Raw());
 }
 
 }  // namespace autofp

@@ -15,14 +15,8 @@ namespace autofp {
 /// rows are samples, columns are features. Deliberately minimal — models
 /// and preprocessors implement their own math on top of raw access.
 ///
-/// Two storage layouts (DESIGN.md "Kernel layer and memory layout"):
-///   - kRowMajor (default): element (r, c) at data[r * cols + c]. The
-///     layout models consume (RowPtr) and every persistent matrix uses.
-///   - kColMajor: element (r, c) at data[c * rows + r]. Used by the
-///     transform data plane's working buffers so per-column kernel
-///     passes are contiguous instead of cols-strided.
-/// Layout is a storage property only: logical content, equality and
-/// serialization are layout-independent.
+/// Storage is row-major — element (r, c) at data[r * cols + c] — in a
+/// 64-byte aligned buffer (DESIGN.md "Kernel layer and memory layout").
 ///
 /// A Matrix can also *borrow* read-only storage it does not own
 /// (WrapConstRowMajor) — the zero-copy path for mmap'd shared datasets.
@@ -31,24 +25,6 @@ namespace autofp {
 /// semantics are preserved everywhere else in the codebase).
 class Matrix {
  public:
-  enum class Layout { kRowMajor, kColMajor };
-
-  /// Unowned view of one column: `data[i * stride]` is row i. Stride is 1
-  /// for column-major storage (the contiguous fast path) and cols() for
-  /// row-major.
-  struct ColumnSpan {
-    double* data;
-    size_t stride;
-    size_t rows;
-    double& operator[](size_t i) const { return data[i * stride]; }
-  };
-  struct ConstColumnSpan {
-    const double* data;
-    size_t stride;
-    size_t rows;
-    double operator[](size_t i) const { return data[i * stride]; }
-  };
-
   Matrix() : rows_(0), cols_(0) {}
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
@@ -76,21 +52,20 @@ class Matrix {
   size_t cols() const { return cols_; }
   size_t size() const { return rows_ * cols_; }
   bool empty() const { return size() == 0; }
-  Layout layout() const { return layout_; }
   bool borrowed() const { return view_ != nullptr; }
 
   double& operator()(size_t r, size_t c) {
     AUTOFP_CHECK_LT(r, rows_);
     AUTOFP_CHECK_LT(c, cols_);
-    return MutableRaw()[Index(r, c)];
+    return MutableRaw()[r * cols_ + c];
   }
   double operator()(size_t r, size_t c) const {
     AUTOFP_CHECK_LT(r, rows_);
     AUTOFP_CHECK_LT(c, cols_);
-    return Raw()[Index(r, c)];
+    return Raw()[r * cols_ + c];
   }
 
-  /// Flat storage pointers (layout order). Raw() works for borrowed
+  /// Flat row-major storage pointers. Raw() works for borrowed
   /// matrices; MutableRaw() requires owned storage.
   const double* Raw() const { return view_ != nullptr ? view_ : data_.data(); }
   double* MutableRaw() {
@@ -98,42 +73,12 @@ class Matrix {
     return data_.data();
   }
 
-  /// Unchecked raw row access for hot loops. Row-major only.
-  double* RowPtr(size_t r) {
-    AUTOFP_CHECK(layout_ == Layout::kRowMajor);
-    return MutableRaw() + r * cols_;
-  }
-  const double* RowPtr(size_t r) const {
-    AUTOFP_CHECK(layout_ == Layout::kRowMajor);
-    return Raw() + r * cols_;
-  }
-
-  /// Contiguous column pointer. Column-major only.
-  double* ColPtr(size_t c) {
-    AUTOFP_CHECK(layout_ == Layout::kColMajor);
-    return MutableRaw() + c * rows_;
-  }
-  const double* ColPtr(size_t c) const {
-    AUTOFP_CHECK(layout_ == Layout::kColMajor);
-    return Raw() + c * rows_;
-  }
-
-  /// Layout-aware column accessors: stride 1 when column-major.
-  ColumnSpan Col(size_t c) {
-    AUTOFP_CHECK_LT(c, cols_);
-    return layout_ == Layout::kColMajor
-               ? ColumnSpan{MutableRaw() + c * rows_, 1, rows_}
-               : ColumnSpan{MutableRaw() + c, cols_, rows_};
-  }
-  ConstColumnSpan Col(size_t c) const {
-    AUTOFP_CHECK_LT(c, cols_);
-    return layout_ == Layout::kColMajor
-               ? ConstColumnSpan{Raw() + c * rows_, 1, rows_}
-               : ConstColumnSpan{Raw() + c, cols_, rows_};
-  }
+  /// Unchecked raw row access for hot loops.
+  double* RowPtr(size_t r) { return MutableRaw() + r * cols_; }
+  const double* RowPtr(size_t r) const { return Raw() + r * cols_; }
 
   /// Owned storage access (serialization, wire decode, tests). Borrowed
-  /// matrices CHECK-fail: use Raw(). Elements are in layout order.
+  /// matrices CHECK-fail: use Raw().
   AlignedVector<double>& data() {
     AUTOFP_CHECK(view_ == nullptr) << "mutating a borrowed matrix";
     return data_;
@@ -146,15 +91,8 @@ class Matrix {
   /// Reshapes to rows x cols without initializing the new contents
   /// (existing element values are unspecified afterwards). Keeps the
   /// allocation when capacity suffices, so a reused scratch matrix stops
-  /// allocating once it has seen its largest shape. The three-argument
-  /// form also sets the storage layout; the two-argument form keeps it.
+  /// allocating once it has seen its largest shape.
   void Resize(size_t rows, size_t cols);
-  void Resize(size_t rows, size_t cols, Layout layout);
-
-  /// Copies the logical content of `src` into *this with storage layout
-  /// `layout` (a transpose-copy when layouts differ). Reuses capacity.
-  /// `src` must not alias this matrix.
-  void AssignWithLayout(const Matrix& src, Layout layout);
 
   /// Returns a copy of column c (row order).
   std::vector<double> Column(size_t c) const;
@@ -163,7 +101,6 @@ class Matrix {
   void SetColumn(size_t c, const std::vector<double>& values);
 
   /// Returns the sub-matrix consisting of the given row indices, in order.
-  /// Row-major only.
   Matrix SelectRows(const std::vector<size_t>& indices) const;
 
   /// SelectRows into a caller-provided destination (resized to fit), so a
@@ -171,25 +108,19 @@ class Matrix {
   void SelectRowsInto(const std::vector<size_t>& indices, Matrix* out) const;
 
   /// Appends the rows of `other` (must have identical column count,
-  /// unless this matrix is empty). Row-major only.
+  /// unless this matrix is empty).
   void AppendRows(const Matrix& other);
 
   /// Move form: when this matrix is empty, adopts `other`'s storage
   /// instead of copying it.
   void AppendRows(Matrix&& other);
 
-  /// Logical equality: same shape and element values, regardless of
-  /// storage layout or ownership.
+  /// Equality: same shape and element values, regardless of ownership.
   bool operator==(const Matrix& other) const;
 
  private:
-  size_t Index(size_t r, size_t c) const {
-    return layout_ == Layout::kRowMajor ? r * cols_ + c : c * rows_ + r;
-  }
-
   size_t rows_;
   size_t cols_;
-  Layout layout_ = Layout::kRowMajor;
   AlignedVector<double> data_;
   /// Borrowed storage (zero-copy views); nullptr when owned.
   const double* view_ = nullptr;

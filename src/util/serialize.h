@@ -5,9 +5,13 @@
 /// Classifier::SaveState and the artifact format in src/serve/). The
 /// encoding is host-endian and field-by-field (never raw struct bytes, so
 /// padding can't leak nondeterminism into artifacts). Readers return false
-/// on exhaustion or implausible lengths instead of throwing or allocating
-/// unbounded memory; callers turn that into a typed Status.
+/// on exhaustion or implausible lengths instead of throwing; callers turn
+/// that into a typed Status. A declared length is never trusted for
+/// allocation: payloads are read in bounded chunks, so a corrupt length
+/// over a short stream costs at most one chunk beyond the bytes present.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -23,6 +27,9 @@ namespace autofp {
 /// state. A declared length beyond it is corruption (or a version bug),
 /// not data — reading it would only manufacture a giant allocation.
 inline constexpr uint64_t kMaxSerializedElements = 1ull << 28;
+
+/// Largest allocation a reader makes ahead of bytes that have arrived.
+inline constexpr size_t kReadChunkBytes = size_t{1} << 16;
 
 template <typename T>
 void WritePod(std::ostream& out, T value) {
@@ -47,17 +54,30 @@ void WriteVec(std::ostream& out, const std::vector<T, Alloc>& values) {
   }
 }
 
+/// Reads `count` elements of T into `*values` (a contiguous container),
+/// growing it one chunk at a time as the bytes actually arrive.
+template <typename T, typename Container>
+bool ReadElements(std::istream& in, uint64_t count, Container* values) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  constexpr uint64_t kChunk = kReadChunkBytes / sizeof(T);
+  values->clear();
+  for (uint64_t done = 0; done < count;) {
+    const uint64_t step = std::min(count - done, kChunk);
+    values->resize(done + step);
+    const std::streamsize bytes =
+        static_cast<std::streamsize>(step * sizeof(T));
+    in.read(reinterpret_cast<char*>(values->data() + done), bytes);
+    if (in.gcount() != bytes) return false;
+    done += step;
+  }
+  return true;
+}
+
 template <typename T, typename Alloc>
 bool ReadVec(std::istream& in, std::vector<T, Alloc>* values) {
-  static_assert(std::is_trivially_copyable_v<T>);
   uint64_t count = 0;
   if (!ReadPod(in, &count) || count > kMaxSerializedElements) return false;
-  values->resize(count);
-  if (count == 0) return true;
-  const std::streamsize bytes =
-      static_cast<std::streamsize>(count * sizeof(T));
-  in.read(reinterpret_cast<char*>(values->data()), bytes);
-  return in.gcount() == bytes;
+  return ReadElements<T>(in, count, values);
 }
 
 inline void WriteString(std::ostream& out, const std::string& value) {
@@ -68,30 +88,17 @@ inline void WriteString(std::ostream& out, const std::string& value) {
 inline bool ReadString(std::istream& in, std::string* value) {
   uint64_t size = 0;
   if (!ReadPod(in, &size) || size > kMaxSerializedElements) return false;
-  value->resize(size);
-  if (size == 0) return true;
-  in.read(value->data(), static_cast<std::streamsize>(size));
-  return in.gcount() == static_cast<std::streamsize>(size);
+  return ReadElements<char>(in, size, value);
 }
 
-/// Matrices serialize in row-major element order regardless of the
-/// in-memory layout, so artifacts stay byte-stable when the data plane
-/// stages column-major working copies.
+/// Matrices serialize as their shape followed by the row-major storage.
 inline void WriteMatrix(std::ostream& out, const Matrix& matrix) {
   WritePod<uint64_t>(out, matrix.rows());
   WritePod<uint64_t>(out, matrix.cols());
   WritePod<uint64_t>(out, matrix.size());
   if (matrix.empty()) return;
-  if (matrix.layout() == Matrix::Layout::kRowMajor) {
-    out.write(reinterpret_cast<const char*>(matrix.Raw()),
-              static_cast<std::streamsize>(matrix.size() * sizeof(double)));
-    return;
-  }
-  for (size_t r = 0; r < matrix.rows(); ++r) {
-    for (size_t c = 0; c < matrix.cols(); ++c) {
-      WritePod<double>(out, matrix(r, c));
-    }
-  }
+  out.write(reinterpret_cast<const char*>(matrix.Raw()),
+            static_cast<std::streamsize>(matrix.size() * sizeof(double)));
 }
 
 inline bool ReadMatrix(std::istream& in, Matrix* matrix) {
@@ -104,13 +111,8 @@ inline bool ReadMatrix(std::istream& in, Matrix* matrix) {
     return false;
   }
   Matrix out_matrix;
-  out_matrix.Resize(rows, cols, Matrix::Layout::kRowMajor);
-  if (count != 0) {
-    const std::streamsize bytes =
-        static_cast<std::streamsize>(count * sizeof(double));
-    in.read(reinterpret_cast<char*>(out_matrix.MutableRaw()), bytes);
-    if (in.gcount() != bytes) return false;
-  }
+  if (!ReadElements<double>(in, count, &out_matrix.data())) return false;
+  out_matrix.Resize(rows, cols);  // storage already holds rows * cols.
   *matrix = std::move(out_matrix);
   return true;
 }

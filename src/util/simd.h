@@ -12,20 +12,19 @@
 ///     (CI's forced-scalar leg) — 1 lane, plain IEEE arithmetic.
 ///
 /// Exactness contract: every lane op here maps to a single IEEE-754
-/// correctly-rounded operation (add/sub/mul/div/sqrt/min/max/compare/
+/// correctly-rounded operation (add/sub/mul/div/sqrt/abs/compare/
 /// select), so a vectorized elementwise loop is bit-identical to its
 /// scalar reference regardless of backend. No FMA is ever emitted (the
 /// build also passes -ffp-contract=off so the compiler cannot contract
 /// the scalar references either). The only helpers that reassociate —
 /// and are therefore tolerance-gated, not bit-exact — are the horizontal
-/// reductions: Vec::Sum() and Dot().
+/// reductions: VecD::Sum() and Dot().
 ///
 /// Loads and stores are unaligned-safe; Matrix storage is 64-byte
 /// aligned (util/aligned.h) purely as a performance property.
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 #if !defined(AUTOFP_DISABLE_SIMD) && defined(__AVX2__)
 #define AUTOFP_SIMD_AVX2 1
@@ -74,40 +73,33 @@ class ScopedForceScalar {
   bool previous_;
 };
 
-template <typename T>
-struct Vec;
-
 #if defined(AUTOFP_SIMD_AVX2)
 
-template <>
-struct Vec<double> {
+struct VecD {
   __m256d v;
   static constexpr size_t kLanes = 4;
 
-  static Vec Load(const double* p) { return {_mm256_loadu_pd(p)}; }
-  static Vec Set1(double x) { return {_mm256_set1_pd(x)}; }
-  static Vec Zero() { return {_mm256_setzero_pd()}; }
+  static VecD Load(const double* p) { return {_mm256_loadu_pd(p)}; }
+  static VecD Set1(double x) { return {_mm256_set1_pd(x)}; }
+  static VecD Zero() { return {_mm256_setzero_pd()}; }
   void Store(double* p) const { _mm256_storeu_pd(p, v); }
 
-  Vec operator+(Vec o) const { return {_mm256_add_pd(v, o.v)}; }
-  Vec operator-(Vec o) const { return {_mm256_sub_pd(v, o.v)}; }
-  Vec operator*(Vec o) const { return {_mm256_mul_pd(v, o.v)}; }
-  Vec operator/(Vec o) const { return {_mm256_div_pd(v, o.v)}; }
+  VecD operator+(VecD o) const { return {_mm256_add_pd(v, o.v)}; }
+  VecD operator-(VecD o) const { return {_mm256_sub_pd(v, o.v)}; }
+  VecD operator*(VecD o) const { return {_mm256_mul_pd(v, o.v)}; }
+  VecD operator/(VecD o) const { return {_mm256_div_pd(v, o.v)}; }
 
-  static Vec Min(Vec a, Vec b) { return {_mm256_min_pd(a.v, b.v)}; }
-  static Vec Max(Vec a, Vec b) { return {_mm256_max_pd(a.v, b.v)}; }
-  Vec Abs() const {
+  VecD Abs() const {
     return {_mm256_andnot_pd(_mm256_set1_pd(-0.0), v)};
   }
-  Vec Sqrt() const { return {_mm256_sqrt_pd(v)}; }
+  VecD Sqrt() const { return {_mm256_sqrt_pd(v)}; }
 
-  /// Comparisons return an all-ones / all-zeros lane mask (as a Vec).
-  static Vec Gt(Vec a, Vec b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ)}; }
-  static Vec Ge(Vec a, Vec b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_GE_OQ)}; }
-  static Vec Le(Vec a, Vec b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_LE_OQ)}; }
-  static Vec Eq(Vec a, Vec b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_EQ_OQ)}; }
+  /// Comparisons return an all-ones / all-zeros lane mask (as a VecD).
+  static VecD Gt(VecD a, VecD b) {
+    return {_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ)};
+  }
   /// Lanes from `a` where the mask lane is set, else from `b`.
-  static Vec Select(Vec mask, Vec a, Vec b) {
+  static VecD Select(VecD mask, VecD a, VecD b) {
     return {_mm256_blendv_pd(b.v, a.v, mask.v)};
   }
 
@@ -127,104 +119,29 @@ struct Vec<double> {
   }
 };
 
-/// Signed-64 index vector matching Vec<double>'s lane count; only what
-/// the branchless table lookups need (add, masked add, conversion).
-struct VecIdx {
-  __m256i v;
-  static constexpr size_t kLanes = 4;
-  static VecIdx Set1(int64_t x) { return {_mm256_set1_epi64x(x)}; }
-  static VecIdx Zero() { return {_mm256_setzero_si256()}; }
-  VecIdx operator+(VecIdx o) const { return {_mm256_add_epi64(v, o.v)}; }
-  /// this + (add where the comparison-mask lane is all-ones, else this).
-  VecIdx AddWhere(Vec<double> mask, VecIdx add) const {
-    return {_mm256_add_epi64(
-        v, _mm256_and_si256(_mm256_castpd_si256(mask.v), add.v))};
-  }
-  int64_t Lane(size_t i) const {
-    alignas(32) int64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
-    return lanes[i];
-  }
-};
-
-template <>
-struct Vec<float> {
-  __m256 v;
-  static constexpr size_t kLanes = 8;
-
-  static Vec Load(const float* p) { return {_mm256_loadu_ps(p)}; }
-  static Vec Set1(float x) { return {_mm256_set1_ps(x)}; }
-  static Vec Zero() { return {_mm256_setzero_ps()}; }
-  void Store(float* p) const { _mm256_storeu_ps(p, v); }
-
-  Vec operator+(Vec o) const { return {_mm256_add_ps(v, o.v)}; }
-  Vec operator-(Vec o) const { return {_mm256_sub_ps(v, o.v)}; }
-  Vec operator*(Vec o) const { return {_mm256_mul_ps(v, o.v)}; }
-  Vec operator/(Vec o) const { return {_mm256_div_ps(v, o.v)}; }
-
-  static Vec Min(Vec a, Vec b) { return {_mm256_min_ps(a.v, b.v)}; }
-  static Vec Max(Vec a, Vec b) { return {_mm256_max_ps(a.v, b.v)}; }
-  Vec Abs() const { return {_mm256_andnot_ps(_mm256_set1_ps(-0.0f), v)}; }
-  static Vec Gt(Vec a, Vec b) { return {_mm256_cmp_ps(a.v, b.v, _CMP_GT_OQ)}; }
-  static Vec Select(Vec mask, Vec a, Vec b) {
-    return {_mm256_blendv_ps(b.v, a.v, mask.v)};
-  }
-
-  float Lane(size_t i) const {
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, v);
-    return lanes[i];
-  }
-};
-
-/// refs[idx] per lane (table gather for the branchless quantile lookup).
-inline Vec<double> Gather(const double* base, VecIdx idx) {
-  return {_mm256_i64gather_pd(base, idx.v, 8)};
-}
-
-/// Exact int->double conversion for 0 <= idx < 2^52 (the classic
-/// magic-number trick; AVX2 has no epi64->pd instruction).
-inline Vec<double> ToDouble(VecIdx idx) {
-  const __m256i magic = _mm256_set1_epi64x(0x4330000000000000LL);  // 2^52
-  __m256d shifted = _mm256_castsi256_pd(_mm256_or_si256(idx.v, magic));
-  return {_mm256_sub_pd(shifted, _mm256_set1_pd(4503599627370496.0))};
-}
-
 #elif defined(AUTOFP_SIMD_NEON)
 
-template <>
-struct Vec<double> {
+struct VecD {
   float64x2_t v;
   static constexpr size_t kLanes = 2;
 
-  static Vec Load(const double* p) { return {vld1q_f64(p)}; }
-  static Vec Set1(double x) { return {vdupq_n_f64(x)}; }
-  static Vec Zero() { return {vdupq_n_f64(0.0)}; }
+  static VecD Load(const double* p) { return {vld1q_f64(p)}; }
+  static VecD Set1(double x) { return {vdupq_n_f64(x)}; }
+  static VecD Zero() { return {vdupq_n_f64(0.0)}; }
   void Store(double* p) const { vst1q_f64(p, v); }
 
-  Vec operator+(Vec o) const { return {vaddq_f64(v, o.v)}; }
-  Vec operator-(Vec o) const { return {vsubq_f64(v, o.v)}; }
-  Vec operator*(Vec o) const { return {vmulq_f64(v, o.v)}; }
-  Vec operator/(Vec o) const { return {vdivq_f64(v, o.v)}; }
+  VecD operator+(VecD o) const { return {vaddq_f64(v, o.v)}; }
+  VecD operator-(VecD o) const { return {vsubq_f64(v, o.v)}; }
+  VecD operator*(VecD o) const { return {vmulq_f64(v, o.v)}; }
+  VecD operator/(VecD o) const { return {vdivq_f64(v, o.v)}; }
 
-  static Vec Min(Vec a, Vec b) { return {vminq_f64(a.v, b.v)}; }
-  static Vec Max(Vec a, Vec b) { return {vmaxq_f64(a.v, b.v)}; }
-  Vec Abs() const { return {vabsq_f64(v)}; }
-  Vec Sqrt() const { return {vsqrtq_f64(v)}; }
+  VecD Abs() const { return {vabsq_f64(v)}; }
+  VecD Sqrt() const { return {vsqrtq_f64(v)}; }
 
-  static Vec Gt(Vec a, Vec b) {
+  static VecD Gt(VecD a, VecD b) {
     return {vreinterpretq_f64_u64(vcgtq_f64(a.v, b.v))};
   }
-  static Vec Ge(Vec a, Vec b) {
-    return {vreinterpretq_f64_u64(vcgeq_f64(a.v, b.v))};
-  }
-  static Vec Le(Vec a, Vec b) {
-    return {vreinterpretq_f64_u64(vcleq_f64(a.v, b.v))};
-  }
-  static Vec Eq(Vec a, Vec b) {
-    return {vreinterpretq_f64_u64(vceqq_f64(a.v, b.v))};
-  }
-  static Vec Select(Vec mask, Vec a, Vec b) {
+  static VecD Select(VecD mask, VecD a, VecD b) {
     return {vbslq_f64(vreinterpretq_u64_f64(mask.v), a.v, b.v)};
   }
 
@@ -234,153 +151,41 @@ struct Vec<double> {
   }
 };
 
-struct VecIdx {
-  int64x2_t v;
-  static constexpr size_t kLanes = 2;
-  static VecIdx Set1(int64_t x) { return {vdupq_n_s64(x)}; }
-  static VecIdx Zero() { return {vdupq_n_s64(0)}; }
-  VecIdx operator+(VecIdx o) const { return {vaddq_s64(v, o.v)}; }
-  VecIdx AddWhere(Vec<double> mask, VecIdx add) const {
-    return {vaddq_s64(
-        v, vandq_s64(vreinterpretq_s64_f64(mask.v), add.v))};
-  }
-  int64_t Lane(size_t i) const {
-    return i == 0 ? vgetq_lane_s64(v, 0) : vgetq_lane_s64(v, 1);
-  }
-};
-
-template <>
-struct Vec<float> {
-  float32x4_t v;
-  static constexpr size_t kLanes = 4;
-
-  static Vec Load(const float* p) { return {vld1q_f32(p)}; }
-  static Vec Set1(float x) { return {vdupq_n_f32(x)}; }
-  static Vec Zero() { return {vdupq_n_f32(0.0f)}; }
-  void Store(float* p) const { vst1q_f32(p, v); }
-
-  Vec operator+(Vec o) const { return {vaddq_f32(v, o.v)}; }
-  Vec operator-(Vec o) const { return {vsubq_f32(v, o.v)}; }
-  Vec operator*(Vec o) const { return {vmulq_f32(v, o.v)}; }
-  Vec operator/(Vec o) const { return {vdivq_f32(v, o.v)}; }
-
-  static Vec Min(Vec a, Vec b) { return {vminq_f32(a.v, b.v)}; }
-  static Vec Max(Vec a, Vec b) { return {vmaxq_f32(a.v, b.v)}; }
-  Vec Abs() const { return {vabsq_f32(v)}; }
-  static Vec Gt(Vec a, Vec b) {
-    return {vreinterpretq_f32_u32(vcgtq_f32(a.v, b.v))};
-  }
-  static Vec Select(Vec mask, Vec a, Vec b) {
-    return {vbslq_f32(vreinterpretq_u32_f32(mask.v), a.v, b.v)};
-  }
-
-  float Lane(size_t i) const {
-    switch (i) {
-      case 0: return vgetq_lane_f32(v, 0);
-      case 1: return vgetq_lane_f32(v, 1);
-      case 2: return vgetq_lane_f32(v, 2);
-      default: return vgetq_lane_f32(v, 3);
-    }
-  }
-};
-
-inline Vec<double> Gather(const double* base, VecIdx idx) {
-  float64x2_t out = vdupq_n_f64(0.0);
-  out = vsetq_lane_f64(base[vgetq_lane_s64(idx.v, 0)], out, 0);
-  out = vsetq_lane_f64(base[vgetq_lane_s64(idx.v, 1)], out, 1);
-  return {out};
-}
-
-inline Vec<double> ToDouble(VecIdx idx) { return {vcvtq_f64_s64(idx.v)}; }
-
 #else  // scalar fallback
 
-template <>
-struct Vec<double> {
+struct VecD {
   double v;
   static constexpr size_t kLanes = 1;
 
-  static Vec Load(const double* p) { return {*p}; }
-  static Vec Set1(double x) { return {x}; }
-  static Vec Zero() { return {0.0}; }
+  static VecD Load(const double* p) { return {*p}; }
+  static VecD Set1(double x) { return {x}; }
+  static VecD Zero() { return {0.0}; }
   void Store(double* p) const { *p = v; }
 
-  Vec operator+(Vec o) const { return {v + o.v}; }
-  Vec operator-(Vec o) const { return {v - o.v}; }
-  Vec operator*(Vec o) const { return {v * o.v}; }
-  Vec operator/(Vec o) const { return {v / o.v}; }
+  VecD operator+(VecD o) const { return {v + o.v}; }
+  VecD operator-(VecD o) const { return {v - o.v}; }
+  VecD operator*(VecD o) const { return {v * o.v}; }
+  VecD operator/(VecD o) const { return {v / o.v}; }
 
-  static Vec Min(Vec a, Vec b) { return {b.v < a.v ? b.v : a.v}; }
-  static Vec Max(Vec a, Vec b) { return {a.v < b.v ? b.v : a.v}; }
-  Vec Abs() const { return {std::fabs(v)}; }
-  Vec Sqrt() const { return {std::sqrt(v)}; }
+  VecD Abs() const { return {std::fabs(v)}; }
+  VecD Sqrt() const { return {std::sqrt(v)}; }
 
-  /// Scalar "masks" are plain bools consumed by Select/AddWhere.
-  static bool Gt(Vec a, Vec b) { return a.v > b.v; }
-  static bool Ge(Vec a, Vec b) { return a.v >= b.v; }
-  static bool Le(Vec a, Vec b) { return a.v <= b.v; }
-  static bool Eq(Vec a, Vec b) { return a.v == b.v; }
-  static Vec Select(bool mask, Vec a, Vec b) { return mask ? a : b; }
+  /// Scalar "masks" are plain bools consumed by Select.
+  static bool Gt(VecD a, VecD b) { return a.v > b.v; }
+  static VecD Select(bool mask, VecD a, VecD b) { return mask ? a : b; }
 
   double Sum() const { return v; }
   double Lane(size_t) const { return v; }
 };
 
-struct VecIdx {
-  int64_t v;
-  static constexpr size_t kLanes = 1;
-  static VecIdx Set1(int64_t x) { return {x}; }
-  static VecIdx Zero() { return {0}; }
-  VecIdx operator+(VecIdx o) const { return {v + o.v}; }
-  VecIdx AddWhere(bool mask, VecIdx add) const {
-    return {v + (mask ? add.v : 0)};
-  }
-  int64_t Lane(size_t) const { return v; }
-};
-
-
-template <>
-struct Vec<float> {
-  float v;
-  static constexpr size_t kLanes = 1;
-
-  static Vec Load(const float* p) { return {*p}; }
-  static Vec Set1(float x) { return {x}; }
-  static Vec Zero() { return {0.0f}; }
-  void Store(float* p) const { *p = v; }
-
-  Vec operator+(Vec o) const { return {v + o.v}; }
-  Vec operator-(Vec o) const { return {v - o.v}; }
-  Vec operator*(Vec o) const { return {v * o.v}; }
-  Vec operator/(Vec o) const { return {v / o.v}; }
-
-  static Vec Min(Vec a, Vec b) { return {b.v < a.v ? b.v : a.v}; }
-  static Vec Max(Vec a, Vec b) { return {a.v < b.v ? b.v : a.v}; }
-  Vec Abs() const { return {std::fabs(v)}; }
-  static bool Gt(Vec a, Vec b) { return a.v > b.v; }
-  static Vec Select(bool mask, Vec a, Vec b) { return mask ? a : b; }
-
-  float Lane(size_t) const { return v; }
-};
-
-inline Vec<double> Gather(const double* base, VecIdx idx) {
-  return {base[idx.v]};
-}
-
-inline Vec<double> ToDouble(VecIdx idx) {
-  return {static_cast<double>(idx.v)};
-}
-
 #endif
 
-using VecD = Vec<double>;
-using VecF = Vec<float>;
 inline constexpr size_t kDoubleLanes = VecD::kLanes;
 
 /// Branchless std::upper_bound over a sorted table: returns the number of
 /// elements <= value (== upper_bound - begin). The iteration count
-/// depends only on `n`, never on the data — which is what makes the
-/// vectorized form below possible (all lanes share the control flow).
+/// depends only on `n`, never on the data, so the descent compiles to
+/// conditional adds instead of unpredictable branches.
 inline size_t UpperBoundIndex(const double* refs, size_t n, double value) {
   size_t base = 0;
   size_t len = n;
@@ -404,26 +209,6 @@ inline size_t LowerBoundIndex(const double* refs, size_t n, double value) {
     len -= half;
   }
   return base + (n > 0 && refs[base] < value ? 1 : 0);
-}
-
-/// Lane-parallel UpperBoundIndex: one gather + compare per level instead
-/// of a data-dependent branchy descent per element.
-inline VecIdx UpperBoundIndexV(const double* refs, size_t n, VecD value) {
-  VecIdx base = VecIdx::Zero();
-  size_t len = n;
-  while (len > 1) {
-    const size_t half = len / 2;
-    VecD probe = Gather(refs, base + VecIdx::Set1(static_cast<int64_t>(
-                                        half - 1)));
-    base = base.AddWhere(VecD::Le(probe, value), VecIdx::Set1(
-                             static_cast<int64_t>(half)));
-    len -= half;
-  }
-  if (n > 0) {
-    VecD last = Gather(refs, base);
-    base = base.AddWhere(VecD::Le(last, value), VecIdx::Set1(1));
-  }
-  return base;
 }
 
 /// Dot product. Vector accumulation reassociates the sum (lane-striped

@@ -57,6 +57,68 @@ std::string WriteTestArtifact(const std::string& name) {
 }
 
 // ---------------------------------------------------------------------------
+// Serialization primitives: declared lengths never drive allocation.
+
+/// A blob that declares kMaxSerializedElements elements of `width` bytes
+/// after `prefix`, then holds only 8 bytes of payload.
+std::string InflatedLengthBlob(const std::string& prefix) {
+  std::ostringstream out;
+  out << prefix;
+  WritePod<uint64_t>(out, kMaxSerializedElements);
+  WritePod<uint64_t>(out, 0x0123456789abcdefull);
+  return out.str();
+}
+
+TEST(Serialize, InflatedVectorLengthFailsWithBoundedAllocation) {
+  std::istringstream in(InflatedLengthBlob(""));
+  std::vector<double> values;
+  EXPECT_FALSE(ReadVec(in, &values));
+  EXPECT_LT(values.capacity() * sizeof(double), size_t{1} << 20);
+}
+
+TEST(Serialize, InflatedStringLengthFailsWithBoundedAllocation) {
+  std::istringstream in(InflatedLengthBlob(""));
+  std::string value;
+  EXPECT_FALSE(ReadString(in, &value));
+  EXPECT_LT(value.capacity(), size_t{1} << 20);
+}
+
+TEST(Serialize, InflatedMatrixLengthFailsAndLeavesOutputUntouched) {
+  std::ostringstream shape;
+  WritePod<uint64_t>(shape, uint64_t{1} << 14);  // rows
+  WritePod<uint64_t>(shape, uint64_t{1} << 14);  // cols: 2^28 elements
+  std::istringstream in(InflatedLengthBlob(shape.str()));
+  Matrix matrix = {{1.0, 2.0}};
+  EXPECT_FALSE(ReadMatrix(in, &matrix));
+  EXPECT_TRUE(matrix == Matrix({{1.0, 2.0}}));
+}
+
+TEST(Serialize, ChunkedReadsRoundTripAcrossChunkBoundaries) {
+  const size_t chunk = kReadChunkBytes / sizeof(double);
+  for (size_t n : {size_t{0}, size_t{1}, chunk - 1, chunk, chunk + 1,
+                   3 * chunk + 5}) {
+    std::vector<double> values(n);
+    for (size_t i = 0; i < n; ++i) values[i] = static_cast<double>(i) - 0.5;
+    Matrix matrix(n, 3, 1.5);
+    std::string text(n, 'x');
+    std::ostringstream out;
+    WriteVec(out, values);
+    WriteMatrix(out, matrix);
+    WriteString(out, text);
+    std::istringstream in(out.str());
+    std::vector<double> values_back = {42.0};
+    Matrix matrix_back;
+    std::string text_back = "stale";
+    ASSERT_TRUE(ReadVec(in, &values_back)) << n;
+    ASSERT_TRUE(ReadMatrix(in, &matrix_back)) << n;
+    ASSERT_TRUE(ReadString(in, &text_back)) << n;
+    EXPECT_EQ(values_back, values);
+    EXPECT_TRUE(matrix_back == matrix);
+    EXPECT_EQ(text_back, text);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Preprocessor state round-trips.
 
 TEST(PreprocessorState, RoundTripAllSevenKinds) {

@@ -18,11 +18,11 @@ namespace {
 
 /// The property-test widths from the kernel layer's contract: every
 /// remainder-lane count around the vector width, one aligned width, and
-/// one wide enough to stress the strided paths. Odd widths also make
-/// every row pointer unaligned, covering the unaligned-offset cases.
+/// one wide row. Odd widths also make every row pointer unaligned,
+/// covering the unaligned-offset cases.
 const size_t kWidths[] = {1,  2,  3,  4,  5,  6,  7,  8,  9, 10,
                           11, 12, 13, 14, 15, 16, 17, 64, 1000};
-constexpr size_t kRows = 33;  // odd: remainder lanes down columns too.
+constexpr size_t kRows = 33;
 
 ::testing::AssertionResult BitEqual(double a, double b) {
   if (std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b)) {
@@ -62,9 +62,9 @@ Matrix RandomMatrix(Rng& rng, size_t rows, size_t cols) {
   return out;
 }
 
-/// Runs `apply` on four (layout, backend) combinations and requires all
-/// of them to agree bit for bit with the scalar row-major reference —
-/// the kernel layer's central exactness property.
+/// Runs `apply` on the SIMD path and on the forced-scalar reference and
+/// requires them to agree bit for bit — the kernel layer's central
+/// exactness property.
 template <typename Fn>
 void CheckAllPaths(const Matrix& input, Fn apply, const char* label) {
   Matrix reference = input;
@@ -75,19 +75,6 @@ void CheckAllPaths(const Matrix& input, Fn apply, const char* label) {
   Matrix simd_row = input;
   apply(simd_row);
   ExpectBitIdentical(simd_row, reference, label);
-
-  Matrix simd_col;
-  simd_col.AssignWithLayout(input, Matrix::Layout::kColMajor);
-  apply(simd_col);
-  ExpectBitIdentical(simd_col, reference, label);
-
-  Matrix scalar_col;
-  scalar_col.AssignWithLayout(input, Matrix::Layout::kColMajor);
-  {
-    simd::ScopedForceScalar forced(true);
-    apply(scalar_col);
-  }
-  ExpectBitIdentical(scalar_col, reference, label);
 }
 
 TEST(Kernels, BinarizeBitIdenticalAcrossPaths) {
@@ -185,7 +172,7 @@ TEST(Kernels, FitReductionsBitIdenticalAcrossPaths) {
     std::vector<double> means(cols);
     for (double& m : means) m = rng.Uniform(-1.0, 1.0);
 
-    // Scalar row-major reference for each reduction.
+    // Forced-scalar reference for each reduction.
     std::vector<double> ref_absmax, ref_mins, ref_maxs, ref_sums, ref_sq;
     {
       simd::ScopedForceScalar forced(true);
@@ -195,22 +182,17 @@ TEST(Kernels, FitReductionsBitIdenticalAcrossPaths) {
       kernels::ColumnSquaredDevSums(input, means, &ref_sq);
     }
 
-    Matrix col_major;
-    col_major.AssignWithLayout(input, Matrix::Layout::kColMajor);
-    const Matrix* const paths[] = {&input, &col_major};
-    for (const Matrix* m : paths) {
-      std::vector<double> absmax, mins, maxs, sums, sq;
-      kernels::ColumnAbsMax(*m, &absmax);
-      kernels::ColumnMinMax(*m, &mins, &maxs);
-      kernels::ColumnSums(*m, &sums);
-      kernels::ColumnSquaredDevSums(*m, means, &sq);
-      for (size_t c = 0; c < cols; ++c) {
-        EXPECT_TRUE(BitEqual(absmax[c], ref_absmax[c])) << "cols=" << cols;
-        EXPECT_TRUE(BitEqual(mins[c], ref_mins[c]));
-        EXPECT_TRUE(BitEqual(maxs[c], ref_maxs[c]));
-        EXPECT_TRUE(BitEqual(sums[c], ref_sums[c]));
-        EXPECT_TRUE(BitEqual(sq[c], ref_sq[c]));
-      }
+    std::vector<double> absmax, mins, maxs, sums, sq;
+    kernels::ColumnAbsMax(input, &absmax);
+    kernels::ColumnMinMax(input, &mins, &maxs);
+    kernels::ColumnSums(input, &sums);
+    kernels::ColumnSquaredDevSums(input, means, &sq);
+    for (size_t c = 0; c < cols; ++c) {
+      EXPECT_TRUE(BitEqual(absmax[c], ref_absmax[c])) << "cols=" << cols;
+      EXPECT_TRUE(BitEqual(mins[c], ref_mins[c]));
+      EXPECT_TRUE(BitEqual(maxs[c], ref_maxs[c]));
+      EXPECT_TRUE(BitEqual(sums[c], ref_sums[c]));
+      EXPECT_TRUE(BitEqual(sq[c], ref_sq[c]));
     }
   }
 }
@@ -232,7 +214,7 @@ TEST(Kernels, FitReductionsPreserveSignedZeroTies) {
   }
 }
 
-// --- Full preprocessors across layouts and backends -------------------------
+// --- Full preprocessors and pipelines ---------------------------------------
 
 TEST(Kernels, PreprocessorsFitTransformBitIdenticalAcrossPaths) {
   Rng rng(8);
@@ -250,55 +232,53 @@ TEST(Kernels, PreprocessorsFitTransformBitIdenticalAcrossPaths) {
       step->TransformInPlace(ref_apply);
     }
 
-    // SIMD row-major, and SIMD col-major fitted on a col-major copy.
-    for (Matrix::Layout layout :
-         {Matrix::Layout::kRowMajor, Matrix::Layout::kColMajor}) {
-      Matrix fit_train, fit_apply;
-      fit_train.AssignWithLayout(train, layout);
-      fit_apply.AssignWithLayout(apply, layout);
-      auto step = MakePreprocessor(kind);
-      step->Fit(fit_train);
-      step->TransformInPlace(fit_train);
-      step->TransformInPlace(fit_apply);
-      ExpectBitIdentical(fit_train, ref_train, "preprocessor train");
-      ExpectBitIdentical(fit_apply, ref_apply, "preprocessor apply");
-    }
+    Matrix fit_train = train, fit_apply = apply;
+    auto step = MakePreprocessor(kind);
+    step->Fit(fit_train);
+    step->TransformInPlace(fit_train);
+    step->TransformInPlace(fit_apply);
+    ExpectBitIdentical(fit_train, ref_train, "preprocessor train");
+    ExpectBitIdentical(fit_apply, ref_apply, "preprocessor apply");
   }
 }
 
-TEST(Kernels, ColumnarPipelineStagingBitIdenticalToScalarRowMajor) {
-  // Enough rows to trigger the columnar data plane (ChooseWorkingLayout),
-  // which stages col-major, runs the chain, and transposes back. The
-  // result must match a plain scalar row-major chain bit for bit.
+/// Touches every kernel family: shift-scale, row norms, Power, Quantile.
+PipelineSpec ReferencePipelineSpec() {
+  return PipelineSpec::FromKinds(
+      {PreprocessorKind::kStandardScaler, PreprocessorKind::kNormalizer,
+       PreprocessorKind::kPowerTransformer, PreprocessorKind::kMinMaxScaler,
+       PreprocessorKind::kQuantileTransformer});
+}
+
+/// The forced-scalar step-by-step chain every pipeline entry point must
+/// reproduce bit for bit.
+TransformedPair ScalarReferenceChain(const PipelineSpec& spec,
+                                     const Matrix& train,
+                                     const Matrix& valid) {
+  simd::ScopedForceScalar forced(true);
+  TransformedPair reference{train, valid};
+  for (const PreprocessorConfig& config : spec.steps) {
+    auto step = MakePreprocessor(config);
+    step->Fit(reference.train);
+    step->TransformInPlace(reference.train);
+    step->TransformInPlace(reference.valid);
+  }
+  return reference;
+}
+
+TEST(Kernels, PipelineEntryPointsBitIdenticalToScalarReference) {
+  // 300 rows: the shape of a search evaluation, through every way the
+  // data plane runs a pipeline.
   Rng rng(9);
   const Matrix train = RandomMatrix(rng, 300, 5);
   const Matrix valid = RandomMatrix(rng, 80, 5);
-  const PipelineSpec spec = PipelineSpec::FromKinds(
-      {PreprocessorKind::kStandardScaler, PreprocessorKind::kMinMaxScaler,
-       PreprocessorKind::kQuantileTransformer});
-  ASSERT_EQ(ChooseWorkingLayout(spec, train.rows()),
-            Matrix::Layout::kColMajor);
+  const PipelineSpec spec = ReferencePipelineSpec();
+  const TransformedPair reference = ScalarReferenceChain(spec, train, valid);
 
-  TransformedPair reference;
-  {
-    simd::ScopedForceScalar forced(true);
-    reference.train = train;
-    reference.valid = valid;
-    for (const PreprocessorConfig& config : spec.steps) {
-      auto step = MakePreprocessor(config);
-      step->Fit(reference.train);
-      step->TransformInPlace(reference.train);
-      step->TransformInPlace(reference.valid);
-    }
-  }
-  ASSERT_EQ(reference.train.layout(), Matrix::Layout::kRowMajor);
+  const TransformedPair pair = FitTransformPair(spec, train, valid);
+  ExpectBitIdentical(pair.train, reference.train, "pipeline train");
+  ExpectBitIdentical(pair.valid, reference.valid, "pipeline valid");
 
-  const TransformedPair staged = FitTransformPair(spec, train, valid);
-  EXPECT_EQ(staged.train.layout(), Matrix::Layout::kRowMajor);
-  ExpectBitIdentical(staged.train, reference.train, "pipeline train");
-  ExpectBitIdentical(staged.valid, reference.valid, "pipeline valid");
-
-  // The scratch-backed uncached path takes the same staging route.
   TransformScratch scratch;
   Result<SharedTransformedPair> shared = CheckedFitTransformPairCached(
       spec, train, valid, nullptr, "test", &scratch);
@@ -307,6 +287,48 @@ TEST(Kernels, ColumnarPipelineStagingBitIdenticalToScalarRowMajor) {
                      "scratch train");
   ExpectBitIdentical(*shared.value().valid, reference.valid,
                      "scratch valid");
+
+  // The serving route: fit once, then transform through a reused buffer.
+  const FittedPipeline fitted = FittedPipeline::Fit(spec, train);
+  Matrix out;
+  fitted.TransformInto(train, &out);
+  ExpectBitIdentical(out, reference.train, "fitted train");
+  fitted.TransformInto(valid, &out);
+  ExpectBitIdentical(out, reference.valid, "fitted valid");
+}
+
+TEST(Kernels, BorrowedInputsMatchOwnedOnUncachedScratchPath) {
+  // Dist workers hand the uncached path read-only views of the mmap'd
+  // dataset; the chain must copy them into scratch, never write through.
+  Rng rng(10);
+  const Matrix train = RandomMatrix(rng, 300, 7);
+  const Matrix valid = RandomMatrix(rng, 120, 7);
+  const Matrix train_view =
+      Matrix::WrapConstRowMajor(train.Raw(), train.rows(), train.cols(),
+                                nullptr);
+  const Matrix valid_view =
+      Matrix::WrapConstRowMajor(valid.Raw(), valid.rows(), valid.cols(),
+                                nullptr);
+  const Matrix train_before = train;
+  const Matrix valid_before = valid;
+  const PipelineSpec spec = ReferencePipelineSpec();
+
+  TransformScratch owned_scratch;
+  Result<SharedTransformedPair> owned = CheckedFitTransformPairCached(
+      spec, train_before, valid_before, nullptr, "owned", &owned_scratch);
+  ASSERT_TRUE(owned.ok());
+  TransformScratch borrowed_scratch;
+  Result<SharedTransformedPair> borrowed = CheckedFitTransformPairCached(
+      spec, train_view, valid_view, nullptr, "borrowed", &borrowed_scratch);
+  ASSERT_TRUE(borrowed.ok());
+
+  EXPECT_FALSE(borrowed.value().train->borrowed());
+  ExpectBitIdentical(*borrowed.value().train, *owned.value().train,
+                     "borrowed train");
+  ExpectBitIdentical(*borrowed.value().valid, *owned.value().valid,
+                     "borrowed valid");
+  ExpectBitIdentical(train, train_before, "train source");
+  ExpectBitIdentical(valid, valid_before, "valid source");
 }
 
 }  // namespace

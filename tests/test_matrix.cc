@@ -171,76 +171,6 @@ TEST(MatrixDeath, OutOfBoundsAborts) {
   EXPECT_DEATH(m(0, 2), "CHECK failed");
 }
 
-// --- Layouts ----------------------------------------------------------------
-
-TEST(MatrixLayout, AssignWithLayoutTransposesStorageNotMeaning) {
-  Matrix row_major = {{1, 2, 3}, {4, 5, 6}};
-  Matrix col_major;
-  col_major.AssignWithLayout(row_major, Matrix::Layout::kColMajor);
-  EXPECT_EQ(col_major.layout(), Matrix::Layout::kColMajor);
-  ASSERT_EQ(col_major.rows(), 2u);
-  ASSERT_EQ(col_major.cols(), 3u);
-  // Logical indexing is layout-independent...
-  for (size_t r = 0; r < 2; ++r) {
-    for (size_t c = 0; c < 3; ++c) {
-      EXPECT_DOUBLE_EQ(col_major(r, c), row_major(r, c));
-    }
-  }
-  // ...and so is equality.
-  EXPECT_TRUE(col_major == row_major);
-  // Storage really is transposed: columns are contiguous.
-  EXPECT_DOUBLE_EQ(col_major.ColPtr(1)[0], 2.0);
-  EXPECT_DOUBLE_EQ(col_major.ColPtr(1)[1], 5.0);
-}
-
-TEST(MatrixLayout, RoundTripThroughLayoutsIsLossless) {
-  Matrix original(37, 11);
-  for (size_t r = 0; r < original.rows(); ++r) {
-    for (size_t c = 0; c < original.cols(); ++c) {
-      original(r, c) = static_cast<double>(r * 100 + c);
-    }
-  }
-  Matrix staged;
-  staged.AssignWithLayout(original, Matrix::Layout::kColMajor);
-  Matrix back;
-  back.AssignWithLayout(staged, Matrix::Layout::kRowMajor);
-  EXPECT_EQ(back.layout(), Matrix::Layout::kRowMajor);
-  EXPECT_TRUE(back == original);
-}
-
-TEST(MatrixLayout, ColumnSpanStridesMatchLayout) {
-  Matrix m = {{1, 2}, {3, 4}, {5, 6}};
-  Matrix::ConstColumnSpan row_major_col = std::as_const(m).Col(1);
-  EXPECT_EQ(row_major_col.rows, 3u);
-  EXPECT_DOUBLE_EQ(row_major_col[0], 2.0);
-  EXPECT_DOUBLE_EQ(row_major_col[2], 6.0);
-
-  Matrix cm;
-  cm.AssignWithLayout(m, Matrix::Layout::kColMajor);
-  Matrix::ConstColumnSpan col_major_col = std::as_const(cm).Col(1);
-  EXPECT_EQ(col_major_col.stride, 1u);  // contiguous down the column
-  EXPECT_DOUBLE_EQ(col_major_col[0], 2.0);
-  EXPECT_DOUBLE_EQ(col_major_col[2], 6.0);
-}
-
-TEST(MatrixLayout, ColumnAccessorsWorkOnBothLayouts) {
-  Matrix m = {{1, 2}, {3, 4}, {5, 6}};
-  Matrix cm;
-  cm.AssignWithLayout(m, Matrix::Layout::kColMajor);
-  EXPECT_EQ(cm.Column(0), m.Column(0));
-  cm.SetColumn(0, {9.0, 8.0, 7.0});
-  EXPECT_DOUBLE_EQ(cm(1, 0), 8.0);
-  EXPECT_DOUBLE_EQ(cm(1, 1), 4.0);  // other column untouched
-}
-
-TEST(MatrixDeath, WrongLayoutPointerAccessAborts) {
-  Matrix m = {{1, 2}, {3, 4}};
-  EXPECT_DEATH(m.ColPtr(0), "CHECK failed");
-  Matrix cm;
-  cm.AssignWithLayout(m, Matrix::Layout::kColMajor);
-  EXPECT_DEATH(cm.RowPtr(0), "CHECK failed");
-}
-
 // --- Borrowed views ---------------------------------------------------------
 
 TEST(MatrixView, WrapConstRowMajorIsZeroCopy) {

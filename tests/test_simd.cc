@@ -15,7 +15,6 @@ namespace autofp {
 namespace {
 
 using simd::VecD;
-using simd::VecIdx;
 
 /// Bitwise equality — distinguishes +0.0 from -0.0 and compares NaN
 /// payloads, which EXPECT_DOUBLE_EQ cannot.
@@ -139,41 +138,6 @@ TEST(Simd, UpperAndLowerBoundMatchStdAlgorithms) {
       EXPECT_EQ(simd::LowerBoundIndex(table.data(), n, value),
                 expected_lower)
           << "n=" << n << " value=" << value;
-    }
-  }
-}
-
-TEST(Simd, VectorUpperBoundMatchesScalarPerLane) {
-  Rng rng(321);
-  for (size_t n : {1u, 2u, 3u, 8u, 17u, 1000u}) {
-    std::vector<double> table(n);
-    for (double& x : table) x = std::round(rng.Uniform(-20.0, 20.0));
-    std::sort(table.begin(), table.end());
-    for (int trial = 0; trial < 100; ++trial) {
-      std::vector<double> probes(VecD::kLanes);
-      for (double& p : probes) p = rng.Uniform(-25.0, 25.0);
-      const VecIdx result =
-          simd::UpperBoundIndexV(table.data(), n, VecD::Load(probes.data()));
-      for (size_t i = 0; i < VecD::kLanes; ++i) {
-        EXPECT_EQ(static_cast<size_t>(result.Lane(i)),
-                  simd::UpperBoundIndex(table.data(), n, probes[i]));
-      }
-    }
-  }
-}
-
-TEST(Simd, GatherAndToDoubleMatchScalar) {
-  std::vector<double> table = {10.0, 11.0, 12.0, 13.0, 14.0,
-                               15.0, 16.0, 17.0};
-  for (int64_t start = 0; start + static_cast<int64_t>(VecD::kLanes) <= 8;
-       ++start) {
-    const VecD gathered =
-        simd::Gather(table.data(), VecIdx::Set1(start));
-    const VecD converted = simd::ToDouble(VecIdx::Set1(start));
-    for (size_t i = 0; i < VecD::kLanes; ++i) {
-      EXPECT_TRUE(BitEqual(gathered.Lane(i), table[start]));
-      EXPECT_TRUE(
-          BitEqual(converted.Lane(i), static_cast<double>(start)));
     }
   }
 }
