@@ -2,10 +2,12 @@
 # Builds with -fsanitize=address and runs the data-plane-heavy suites:
 # the in-place kernel / scratch-buffer property tests, the matrix
 # storage primitives they rest on, the pipeline fit/transform paths,
-# and the parallel + serving consumers of shared cache entries. ASan
-# is the check that the zero-copy refactor's aliasing rules (in-place
-# kernels, non-owning views, adopted move storage) never read or write
-# freed or out-of-bounds memory.
+# the parallel + serving consumers of shared cache entries, and the
+# tree models' state loaders and scoring view. ASan is the check that
+# the zero-copy refactor's aliasing rules (in-place kernels, non-owning
+# views, adopted move storage) never read or write freed or
+# out-of-bounds memory, and that hostile tree blobs and tile-boundary
+# row counts stay in bounds.
 #
 # Usage: scripts/check_asan.sh [ctest-regex]
 #   ctest-regex  optional test-name filter; defaults to the data-plane
@@ -14,14 +16,14 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-asan"
-filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ParallelEvaluator|EvaluateBatch|Predictor}"
+filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ParallelEvaluator|EvaluateBatch|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAUTOFP_SANITIZE=address
 cmake --build "${build_dir}" -j \
   --target test_matrix test_inplace test_pipeline test_parallel_eval \
-  test_predictor
+  test_predictor test_models test_gbdt_details test_artifact
 
 cd "${build_dir}"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \

@@ -316,19 +316,42 @@ void DecisionTreeClassifier::SaveState(std::ostream& out) const {
 }
 
 Status DecisionTreeClassifier::LoadState(std::istream& in) {
+  const Status malformed =
+      Status::InvalidArgument("DecisionTreeClassifier: malformed state blob");
   uint64_t num_nodes = 0;
   if (!ReadPod(in, &num_nodes) || num_nodes == 0 ||
       num_nodes > kMaxSerializedElements) {
-    return Status::InvalidArgument(
-        "DecisionTreeClassifier: malformed state blob");
+    return malformed;
   }
-  std::vector<Node> nodes(num_nodes);
-  for (Node& node : nodes) {
+  // Nodes grow as their records arrive, as ReadElements does: the declared
+  // count sizes at most one kReadChunkBytes chunk ahead.
+  std::vector<Node> nodes;
+  nodes.reserve(std::min<uint64_t>(num_nodes, kReadChunkBytes / sizeof(Node)));
+  for (uint64_t i = 0; i < num_nodes; ++i) {
+    Node node;
     if (!ReadPod(in, &node.feature) || !ReadPod(in, &node.threshold) ||
         !ReadPod(in, &node.left) || !ReadPod(in, &node.right) ||
         !ReadPod(in, &node.label)) {
-      return Status::InvalidArgument(
-          "DecisionTreeClassifier: malformed state blob");
+      return malformed;
+    }
+    nodes.push_back(node);
+  }
+  // Every child Predict can follow is in range and reached once from the
+  // root, so the walk from the root is a tree walk and always ends.
+  std::vector<bool> reached(nodes.size(), false);
+  std::vector<int> pending = {0};
+  reached[0] = true;
+  while (!pending.empty()) {
+    const Node& node = nodes[pending.back()];
+    pending.pop_back();
+    if (node.feature < 0) continue;
+    for (int child : {node.left, node.right}) {
+      if (child < 0 || static_cast<uint64_t>(child) >= num_nodes ||
+          reached[child]) {
+        return malformed;
+      }
+      reached[child] = true;
+      pending.push_back(child);
     }
   }
   nodes_ = std::move(nodes);

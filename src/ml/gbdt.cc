@@ -14,16 +14,66 @@ namespace {
 
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
+/// Rows PredictBatch scores together: each tree is walked for every row
+/// of a tile while its nodes are hot in cache.
+constexpr size_t kTileRows = 64;
+
 }  // namespace
 
-double GbdtClassifier::Tree::Predict(const double* row) const {
-  int index = 0;
-  while (nodes[index].feature >= 0) {
-    index = row[nodes[index].feature] <= nodes[index].threshold
-                ? nodes[index].left
-                : nodes[index].right;
+int GbdtClassifier::Tree::Depth() const {
+  std::vector<int> depth(nodes.size(), -1);
+  depth[0] = 0;
+  int deepest = 0;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (depth[i] < 0) continue;  // unreachable from the root.
+    deepest = std::max(deepest, depth[i]);
+    if (nodes[i].feature < 0) continue;
+    for (int child : {nodes[i].left, nodes[i].right}) {
+      depth[child] = std::max(depth[child], depth[i] + 1);
+    }
   }
-  return nodes[index].weight;
+  return deepest;
+}
+
+void GbdtClassifier::ScoringView::Append(const Tree& tree) {
+  const int tree_depth = tree.Depth();
+  const size_t width = size_t{1} << tree_depth;  // leaves; splits: width-1.
+  const size_t base = leaf.size();
+  offset.push_back(base);
+  depth.push_back(tree_depth);
+  feature.resize(base + width, 0);
+  threshold.resize(base + width, 0.0);
+  leaf.resize(base + width, 0.0);
+  // A padding split keeps feature 0 and threshold 0: both its children
+  // hold the same leaf, so where it sends a row does not matter.
+  auto fill = [&](auto& self, int node, size_t heap, int level) -> void {
+    const TreeNode& n = tree.nodes[node];
+    if (level == tree_depth) {
+      leaf[base + heap - (width - 1)] = n.weight;
+      return;
+    }
+    const bool split = n.feature >= 0;
+    if (split) {
+      feature[base + heap] = n.feature;
+      threshold[base + heap] = n.threshold;
+    }
+    self(self, split ? n.left : node, 2 * heap + 1, level + 1);
+    self(self, split ? n.right : node, 2 * heap + 2, level + 1);
+  };
+  fill(fill, 0, 0, 0);
+}
+
+double GbdtClassifier::ScoringView::Score(size_t t, const double* row) const {
+  const size_t base = offset[t];
+  const int levels = depth[t];
+  const int* split_feature = feature.data() + base;
+  const double* split_threshold = threshold.data() + base;
+  size_t index = 0;
+  for (int level = 0; level < levels; ++level) {
+    index = 2 * index + 1 +
+            !(row[split_feature[index]] <= split_threshold[index]);
+  }
+  return leaf[base + index - ((size_t{1} << levels) - 1)];
 }
 
 GbdtClassifier::Tree GbdtClassifier::BuildTree(
@@ -135,10 +185,15 @@ void GbdtClassifier::Train(const Matrix& features,
                            const std::vector<int>& labels, int num_classes) {
   AUTOFP_CHECK_EQ(features.rows(), labels.size());
   AUTOFP_CHECK_GE(num_classes, 2);
+  AUTOFP_CHECK(config_.xgb_max_depth >= 0 &&
+               config_.xgb_max_depth <= kMaxTreeDepth)
+      << "xgb_max_depth " << config_.xgb_max_depth << " outside [0, "
+      << kMaxTreeDepth << "]";
   num_classes_ = num_classes;
   num_outputs_ = num_classes == 2 ? 1 : num_classes;
   num_features_ = features.cols();
   trees_.clear();
+  view_ = {};
   const size_t n = features.rows();
 
   // Quantile histogram bins per feature (computed once on training data).
@@ -166,7 +221,7 @@ void GbdtClassifier::Train(const Matrix& features,
     for (size_t r = 0; r < n; ++r) {
       // bin index = count of edges strictly below the value, so that
       // "bin <= b" at training time is exactly "value <= edges[b]" — the
-      // predicate Tree::Predict applies to raw feature values.
+      // predicate the scoring view applies to raw feature values.
       binned[f][r] = static_cast<uint16_t>(
           simd::LowerBoundIndex(edges.data(), edges.size(), column[r]));
     }
@@ -181,13 +236,14 @@ void GbdtClassifier::Train(const Matrix& features,
         grad[i] = p - (labels[i] == 1 ? 1.0 : 0.0);
         hess[i] = std::max(p * (1.0 - p), 1e-6);
       }
-      Tree tree = BuildTree(features, binned, grad, hess);
+      trees_.push_back(BuildTree(features, binned, grad, hess));
+      view_.Append(trees_.back());
+      const size_t t = trees_.size() - 1;
       for (size_t i = 0; i < n; ++i) {
         // Tree routing on binned data must match value routing; use the
         // original features for consistency with prediction time.
-        scores[i] += tree.Predict(features.RowPtr(i));
+        scores[i] += view_.Score(t, features.RowPtr(i));
       }
-      trees_.push_back(std::move(tree));
     } else {
       // Softmax probabilities for this round.
       std::vector<double> probs(n * num_outputs_);
@@ -210,11 +266,12 @@ void GbdtClassifier::Train(const Matrix& features,
           grad[i] = p - (labels[i] == k ? 1.0 : 0.0);
           hess[i] = std::max(p * (1.0 - p), 1e-6);
         }
-        Tree tree = BuildTree(features, binned, grad, hess);
+        trees_.push_back(BuildTree(features, binned, grad, hess));
+        view_.Append(trees_.back());
+        const size_t t = trees_.size() - 1;
         for (size_t i = 0; i < n; ++i) {
-          scores[i * num_outputs_ + k] += tree.Predict(features.RowPtr(i));
+          scores[i * num_outputs_ + k] += view_.Score(t, features.RowPtr(i));
         }
-        trees_.push_back(std::move(tree));
       }
     }
   }
@@ -225,7 +282,7 @@ std::vector<double> GbdtClassifier::RawScores(const double* row,
   AUTOFP_CHECK_EQ(cols, num_features_);
   std::vector<double> scores(num_outputs_, 0.0);
   for (size_t t = 0; t < trees_.size(); ++t) {
-    scores[t % num_outputs_] += trees_[t].Predict(row);
+    scores[t % num_outputs_] += view_.Score(t, row);
   }
   return scores;
 }
@@ -241,23 +298,32 @@ int GbdtClassifier::Predict(const double* row, size_t cols) const {
 std::vector<int> GbdtClassifier::PredictBatch(const Matrix& features) const {
   AUTOFP_CHECK(!trees_.empty()) << "Predict before Train";
   AUTOFP_CHECK_EQ(features.cols(), num_features_);
-  // Batch path: one scores buffer reused across every row instead of the
-  // per-row vector the default Predict loop would allocate (the delta is
-  // measured by bench_micro_models' BM_ModelPredictBatch).
-  std::vector<int> predictions(features.rows());
-  std::vector<double> scores(num_outputs_);
-  for (size_t r = 0; r < features.rows(); ++r) {
-    const double* row = features.RowPtr(r);
+  // Tree-major over row tiles: every tree is walked for all rows of a
+  // tile before the next tree, so its nodes stay in L1 and the tile's
+  // independent descents overlap. Each row still adds its trees in
+  // order t = 0..T-1, so the scores equal RawScores bit for bit.
+  const size_t n = features.rows();
+  const size_t outputs = static_cast<size_t>(num_outputs_);
+  std::vector<int> predictions(n);
+  std::vector<double> scores(kTileRows * outputs);
+  for (size_t begin = 0; begin < n; begin += kTileRows) {
+    const size_t rows = std::min(kTileRows, n - begin);
     std::fill(scores.begin(), scores.end(), 0.0);
     for (size_t t = 0; t < trees_.size(); ++t) {
-      scores[t % num_outputs_] += trees_[t].Predict(row);
+      double* slot = scores.data() + t % outputs;
+      for (size_t r = 0; r < rows; ++r) {
+        slot[r * outputs] += view_.Score(t, features.RowPtr(begin + r));
+      }
     }
-    predictions[r] =
-        num_outputs_ == 1
-            ? (scores[0] > 0.0 ? 1 : 0)
-            : static_cast<int>(
-                  std::max_element(scores.begin(), scores.end()) -
-                  scores.begin());
+    for (size_t r = 0; r < rows; ++r) {
+      const double* row_scores = scores.data() + r * outputs;
+      predictions[begin + r] =
+          outputs == 1 ? (row_scores[0] > 0.0 ? 1 : 0)
+                       : static_cast<int>(
+                             std::max_element(row_scores,
+                                              row_scores + outputs) -
+                             row_scores);
+    }
   }
   return predictions;
 }
@@ -286,29 +352,52 @@ void GbdtClassifier::SaveState(std::ostream& out) const {
 Status GbdtClassifier::LoadState(std::istream& in) {
   const Status malformed =
       Status::InvalidArgument("GbdtClassifier: malformed state blob");
+  if (config_.xgb_max_depth < 0 || config_.xgb_max_depth > kMaxTreeDepth) {
+    return malformed;
+  }
   int32_t classes = 0, outputs = 0;
   uint64_t features = 0, num_trees = 0;
   double base_score = 0.0;
   if (!ReadPod(in, &classes) || classes < 2 || !ReadPod(in, &outputs) ||
-      outputs < 1 || !ReadPod(in, &features) || !ReadPod(in, &base_score) ||
-      !ReadPod(in, &num_trees) || num_trees == 0 ||
-      num_trees > kMaxSerializedElements) {
+      outputs != (classes == 2 ? 1 : classes) || !ReadPod(in, &features) ||
+      !ReadPod(in, &base_score) || !ReadPod(in, &num_trees) ||
+      num_trees == 0 || num_trees > kMaxSerializedElements ||
+      num_trees % static_cast<uint64_t>(outputs) != 0) {
     return malformed;
   }
-  std::vector<Tree> trees(num_trees);
-  for (Tree& tree : trees) {
+  // Trees and nodes grow as their records arrive, as ReadElements does: a
+  // declared count sizes at most one kReadChunkBytes chunk ahead.
+  std::vector<Tree> trees;
+  for (uint64_t t = 0; t < num_trees; ++t) {
     uint64_t num_nodes = 0;
-    if (!ReadPod(in, &num_nodes) || num_nodes > kMaxSerializedElements) {
+    if (!ReadPod(in, &num_nodes) || num_nodes == 0 ||
+        num_nodes > kMaxSerializedElements) {
       return malformed;
     }
-    tree.nodes.resize(num_nodes);
-    for (TreeNode& node : tree.nodes) {
+    Tree tree;
+    tree.nodes.reserve(
+        std::min<uint64_t>(num_nodes, kReadChunkBytes / sizeof(TreeNode)));
+    for (uint64_t i = 0; i < num_nodes; ++i) {
+      TreeNode node;
       if (!ReadPod(in, &node.feature) || !ReadPod(in, &node.threshold) ||
           !ReadPod(in, &node.left) || !ReadPod(in, &node.right) ||
           !ReadPod(in, &node.weight)) {
         return malformed;
       }
+      // A split reads a feature the rows have, and its children follow it
+      // (so every walk from the root ends) inside this tree.
+      if (node.feature >= 0 &&
+          (static_cast<uint64_t>(node.feature) >= features ||
+           node.left <= static_cast<int64_t>(i) ||
+           node.right <= static_cast<int64_t>(i) ||
+           static_cast<uint64_t>(node.left) >= num_nodes ||
+           static_cast<uint64_t>(node.right) >= num_nodes)) {
+        return malformed;
+      }
+      tree.nodes.push_back(node);
     }
+    if (tree.Depth() > config_.xgb_max_depth) return malformed;
+    trees.push_back(std::move(tree));
   }
   num_classes_ = classes;
   num_outputs_ = outputs;
@@ -316,6 +405,8 @@ Status GbdtClassifier::LoadState(std::istream& in) {
   base_score_ = base_score;
   trees_ = std::move(trees);
   bins_.clear();  // training-only state, not part of the artifact.
+  view_ = {};
+  for (const Tree& tree : trees_) view_.Append(tree);
   return Status::OK();
 }
 

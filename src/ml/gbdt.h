@@ -35,17 +35,44 @@ class GbdtClassifier : public Classifier {
 
   size_t num_trees() const { return trees_.size(); }
 
+  /// Deepest tree LoadState accepts, and Train's limit on xgb_max_depth.
+  /// It bounds the padded scoring view at 2^kMaxTreeDepth leaves a tree.
+  static constexpr int kMaxTreeDepth = 10;
+
  private:
   struct TreeNode {
     int feature = -1;        ///< -1 = leaf.
     double threshold = 0.0;  ///< go left if value <= threshold.
-    int left = -1;
+    int left = -1;           ///< children always follow their parent.
     int right = -1;
     double weight = 0.0;     ///< leaf output.
   };
+  /// The training and SaveState form of a tree; scoring reads view_.
   struct Tree {
     std::vector<TreeNode> nodes;
-    double Predict(const double* row) const;
+    /// Depth of the deepest node reachable from the root. Relies on
+    /// children following their parent, as BuildTree appends them and
+    /// LoadState enforces.
+    int Depth() const;
+  };
+
+  /// Flat scoring view of the forest, derived from trees_ and never
+  /// stored. Tree t is padded to a complete tree of depth `depth[t]` and
+  /// laid out in heap order from `offset[t]`: internal node i (children
+  /// 2i+1 and 2i+2) at offset + i in `feature`/`threshold`, leaf j (left
+  /// to right) at offset + j in `leaf`. A leaf shallower than its tree
+  /// becomes splits whose two children are that same leaf.
+  struct ScoringView {
+    std::vector<int> feature;
+    std::vector<double> threshold;
+    std::vector<double> leaf;
+    std::vector<size_t> offset;
+    std::vector<int> depth;
+
+    void Append(const Tree& tree);
+    /// Leaf weight tree t assigns to `row`. Goes right on
+    /// !(value <= threshold), so NaN goes right.
+    double Score(size_t t, const double* row) const;
   };
 
   /// Builds one regression tree on (grad, hess) using the per-feature bin
@@ -62,6 +89,7 @@ class GbdtClassifier : public Classifier {
   double base_score_ = 0.0;
   /// trees_[round * num_outputs_ + output].
   std::vector<Tree> trees_;
+  ScoringView view_;
   /// bins_[feature] = ascending bin upper edges (histogram split points).
   std::vector<std::vector<double>> bins_;
   /// Interleaved [g, h] split histogram, reused across features and
