@@ -1,6 +1,5 @@
 /// Serving-runtime throughput: rows/sec and tail latency of
-/// Predictor::PredictSharded across thread counts and shard sizes, plus
-/// the network serving path (`autofp_serve listen`) end to end.
+/// Predictor::PredictSharded across thread counts and shard sizes.
 ///
 /// The serving runtime (src/serve/) reuses the parallel-evaluator worker
 /// pool to shard a batch of rows over threads; this bench shows where
@@ -9,30 +8,18 @@
 /// work no longer dominates. Run after changing the predictor's
 /// threading or the model PredictBatch overrides.
 ///
-/// The network section runs an in-process ServeSocketServer and
-/// closed-loop BlockingFrameClient connections (the same stack as
-/// autofp_serve listen + autofp_loadgen) at 1/4/16 connections; run it
-/// after touching the epoll front end or the micro-batcher. `--json
-/// FILE` writes the network numbers for the committed BENCH_serve.json
-/// snapshot (scripts/bench_snapshot.sh); `--net-only` skips the
-/// in-process scan.
+/// The socket front end (`autofp_serve listen`) is measured end to end
+/// by the serve_small_open and serve_bulk_dense workloads of
+/// bench/e2e/run.sh.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "preprocess/pipeline_parse.h"
 #include "serve/artifact.h"
 #include "serve/predictor.h"
-#include "serve/protocol.h"
-#include "serve/registry.h"
-#include "serve/server.h"
 #include "util/timer.h"
 
 namespace {
@@ -87,168 +74,24 @@ void RunScenario(const Dataset& data, const Scenario& scenario,
   }
 }
 
-// --- Network serving section ------------------------------------------------
-
-struct NetCell {
-  int connections = 0;
-  long requests = 0;
-  long rows = 0;
-  double rows_per_sec = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-};
-
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const size_t index = static_cast<size_t>(
-      p * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(index, sorted.size() - 1)];
-}
-
-/// Closed-loop clients against an in-process socket server: the same
-/// stack `autofp_serve listen` + `autofp_loadgen` exercise across
-/// processes, minus the process boundary.
-NetCell RunNetCell(const std::string& artifact_path, const Matrix& probe,
-                   int connections, double seconds) {
-  ArtifactRegistry registry;
-  Status swapped = registry.Swap(artifact_path);
-  AUTOFP_CHECK(swapped.ok()) << swapped.ToString();
-  ServerOptions options;
-  options.max_delay_us = 100;
-  ServeSocketServer server(&registry, options);
-  Status started = server.Start();
-  AUTOFP_CHECK(started.ok()) << started.ToString();
-  const int port = server.port();
-
-  std::string request;
-  EncodePredictDense(probe, &request);
-  std::mutex merge_mutex;
-  NetCell cell;
-  cell.connections = connections;
-  std::vector<double> latencies;
-  std::vector<std::thread> workers;
-  for (int w = 0; w < connections; ++w) {
-    workers.emplace_back([&] {
-      BlockingFrameClient client;
-      if (!client.Connect("127.0.0.1", port).ok()) return;
-      std::vector<double> local;
-      long local_rows = 0;
-      Stopwatch wall;
-      while (wall.ElapsedSeconds() < seconds) {
-        ServeResponse response;
-        Stopwatch trip;
-        if (!client.RoundTrip(request, &response).ok() || !response.ok()) {
-          return;
-        }
-        local.push_back(trip.ElapsedSeconds() * 1e3);
-        local_rows += static_cast<long>(response.predictions.size());
-      }
-      std::lock_guard<std::mutex> lock(merge_mutex);
-      latencies.insert(latencies.end(), local.begin(), local.end());
-      cell.requests += static_cast<long>(local.size());
-      cell.rows += local_rows;
-    });
-  }
-  Stopwatch wall;
-  for (std::thread& worker : workers) worker.join();
-  const double elapsed = wall.ElapsedSeconds();
-  server.Stop();
-  std::sort(latencies.begin(), latencies.end());
-  cell.rows_per_sec =
-      elapsed > 0.0 ? static_cast<double>(cell.rows) / elapsed : 0.0;
-  cell.p50_ms = Percentile(latencies, 0.50);
-  cell.p95_ms = Percentile(latencies, 0.95);
-  cell.p99_ms = Percentile(latencies, 0.99);
-  return cell;
-}
-
-std::vector<NetCell> RunNetworkSection(const Dataset& data,
-                                       const std::string& artifact_path) {
-  Result<PipelineSpec> spec =
-      ParsePipelineSpec("StandardScaler -> PowerTransformer");
-  AUTOFP_CHECK(spec.ok());
-  Result<ArtifactSchema> exported =
-      ExportArtifact(artifact_path, data, spec.value(),
-                     bench::BenchModel(ModelKind::kLogisticRegression));
-  AUTOFP_CHECK(exported.ok()) << exported.status().ToString();
-
-  const Matrix probe = [&] {
-    const size_t rows = std::min<size_t>(16, data.features.rows());
-    Matrix window(rows, data.features.cols());
-    for (size_t r = 0; r < rows; ++r) {
-      const double* src = data.features.RowPtr(r);
-      std::copy(src, src + data.features.cols(), window.RowPtr(r));
-    }
-    return window;
-  }();
-
-  std::printf("\nnetwork serving (socket round trip, %zu rows/request)\n",
-              probe.rows());
-  std::printf("%8s %10s %12s %10s %10s %10s\n", "conns", "requests",
-              "rows/s", "p50 ms", "p95 ms", "p99 ms");
-  std::vector<NetCell> cells;
-  for (int connections : {1, 4, 16}) {
-    NetCell cell = RunNetCell(artifact_path, probe, connections, 0.8);
-    std::printf("%8d %10ld %12.0f %10.3f %10.3f %10.3f\n", cell.connections,
-                cell.requests, cell.rows_per_sec, cell.p50_ms, cell.p95_ms,
-                cell.p99_ms);
-    cells.push_back(cell);
-  }
-  return cells;
-}
-
-void WriteJson(const std::string& path, const std::vector<NetCell>& cells,
-               size_t rows_per_request) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"serve_network\",\n  \"rows_per_request\": "
-      << rows_per_request << ",\n  \"scenarios\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const NetCell& cell = cells[i];
-    out << "    {\"connections\": " << cell.connections
-        << ", \"requests\": " << cell.requests
-        << ", \"rows_per_sec\": " << static_cast<long>(cell.rows_per_sec)
-        << ", \"p50_ms\": " << cell.p50_ms << ", \"p95_ms\": " << cell.p95_ms
-        << ", \"p99_ms\": " << cell.p99_ms << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  bool net_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--net-only") == 0) {
-      net_only = true;
-    }
-  }
+int main() {
   PrintHeader("Serving throughput", "the serving runtime (DESIGN.md)",
               "rows/sec and per-shard tail latency of PredictSharded vs "
-              "threads x shard size, plus the socket front end vs "
-              "connection count; percentiles are cumulative per "
+              "threads x shard size; percentiles are cumulative per "
               "thread-count row group");
   Result<Dataset> dataset = GetSuiteDataset("sylvine_syn");
   AUTOFP_CHECK(dataset.ok()) << dataset.status().ToString();
   const std::string artifact_path = "/tmp/autofp_bench_serve.afpa";
-  if (!net_only) {
-    const Scenario scenarios[] = {
-        {ModelKind::kLogisticRegression,
-         "StandardScaler -> PowerTransformer"},
-        {ModelKind::kXgboost, "QuantileTransformer -> MinMaxScaler"},
-        {ModelKind::kMlp, "Normalizer -> StandardScaler"},
-    };
-    for (const Scenario& scenario : scenarios) {
-      RunScenario(dataset.value(), scenario, artifact_path);
-    }
+  const Scenario scenarios[] = {
+      {ModelKind::kLogisticRegression, "StandardScaler -> PowerTransformer"},
+      {ModelKind::kXgboost, "QuantileTransformer -> MinMaxScaler"},
+      {ModelKind::kMlp, "Normalizer -> StandardScaler"},
+  };
+  for (const Scenario& scenario : scenarios) {
+    RunScenario(dataset.value(), scenario, artifact_path);
   }
-  std::vector<NetCell> cells =
-      RunNetworkSection(dataset.value(), artifact_path);
-  if (!json_path.empty()) WriteJson(json_path, cells, 16);
   std::remove(artifact_path.c_str());
   return 0;
 }

@@ -5,8 +5,9 @@
 /// the reference stats).
 ///
 /// What to look for: every component should sustain rows/sec orders of
-/// magnitude above the socket front end's throughput (BENCH_serve.json),
-/// i.e. the drift loop is effectively free in the batch path. Run after
+/// magnitude above the socket front end's throughput (the
+/// serve_small_open workload of bench/e2e/run.sh), i.e. the drift loop
+/// is effectively free in the batch path. Run after
 /// touching src/stream/; `--json FILE` writes the committed
 /// BENCH_stream.json snapshot (scripts/bench_snapshot.sh).
 

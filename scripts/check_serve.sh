@@ -8,6 +8,9 @@
 #   5. assert malformed rows are skipped (and only they), and that a
 #      corrupted artifact is rejected with a typed error, not a crash
 #
+# The socket front end (`autofp_serve listen`) and its SIGTERM drain are
+# checked by scripts/check_serve_net.sh.
+#
 # Usage: scripts/check_serve.sh --cli <autofp-binary> --serve <serve-binary>
 set -euo pipefail
 
@@ -83,27 +86,5 @@ rc=0
 [[ "${rc}" -eq 1 ]]
 grep -Eq "CorruptSection|Truncated|MalformedSection|BadState" \
   "${workdir}/corrupt.log"
-
-echo "--- serve mode answers requests and drains on SIGTERM"
-# Feed two requests, then keep the pipe open until the server is killed.
-request="$(head -n 2 "${rows}" | tail -n 1)"
-fifo="${workdir}/requests.fifo"
-mkfifo "${fifo}"
-"${serve}" serve --artifact "${artifact}" < "${fifo}" \
-  > "${workdir}/serve.out" 2> "${workdir}/serve.log" &
-server=$!
-exec 3> "${fifo}"
-printf '%s\n%s\n' "${request}" "${request}" >&3
-for _ in $(seq 50); do
-  [[ "$(wc -l < "${workdir}/serve.out")" -ge 2 ]] && break
-  sleep 0.1
-done
-kill -TERM "${server}"
-exec 3>&-
-rc=0
-wait "${server}" || rc=$?
-[[ "${rc}" -eq 3 || "${rc}" -eq 0 ]]
-[[ "$(wc -l < "${workdir}/serve.out")" -eq 2 ]]
-grep -q "latency" "${workdir}/serve.log"
 
 echo "serve check passed."

@@ -62,19 +62,32 @@ void QuantileTransformer::SaveState(std::ostream& out) const {
 }
 
 Status QuantileTransformer::LoadState(std::istream& in) {
+  const Status malformed =
+      Status::InvalidArgument("QuantileTransformer: malformed state blob");
   int32_t effective = 0;
   uint64_t columns = 0;
   if (!ReadPod(in, &effective) || effective < 2 || !ReadPod(in, &columns) ||
       columns > kMaxSerializedElements) {
-    return Status::InvalidArgument("QuantileTransformer: malformed state blob");
+    return malformed;
   }
-  references_.assign(columns, {});
-  for (std::vector<double>& column : references_) {
-    if (!ReadVec(in, &column)) {
-      return Status::InvalidArgument(
-          "QuantileTransformer: malformed state blob");
+  // Columns grow as their records arrive, so memory is bounded by the
+  // bytes present, not by the declared count. Every column holds exactly
+  // `effective` non-decreasing entries, as Fit and SaveState produce;
+  // `!(a <= b)` also rejects NaN.
+  std::vector<std::vector<double>> references;
+  for (uint64_t c = 0; c < columns; ++c) {
+    uint64_t count = 0;
+    std::vector<double> column;
+    if (!ReadPod(in, &count) || count != static_cast<uint64_t>(effective) ||
+        !ReadElements<double>(in, count, &column)) {
+      return malformed;
     }
+    for (size_t i = 1; i < column.size(); ++i) {
+      if (!(column[i - 1] <= column[i])) return malformed;
+    }
+    references.push_back(std::move(column));
   }
+  references_ = std::move(references);
   effective_quantiles_ = effective;
   fitted_ = true;
   return Status::OK();

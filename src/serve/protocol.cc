@@ -447,41 +447,6 @@ ServeResponse ExecutePredictRows(const Predictor& predictor,
   return response;
 }
 
-ServeResponse ExecuteRequest(const Predictor* predictor,
-                             const ServeRequest& request, size_t shard_rows) {
-  if (request.type == FrameType::kPing) {
-    return ServeResponse();
-  }
-  if (predictor == nullptr) {
-    return ServeResponse::Error(ServeError::kUnavailable,
-                                "no artifact loaded");
-  }
-  switch (request.type) {
-    case FrameType::kPredictCsv:
-    case FrameType::kPredictDense: {
-      Matrix rows = request.rows;
-      std::string reason;
-      if (!FitRowsToSchema(&rows, predictor->schema().input_cols, &reason)) {
-        return ServeResponse::Error(ServeError::kSchemaMismatch, reason);
-      }
-      return ExecutePredictRows(*predictor, rows, shard_rows);
-    }
-    case FrameType::kStats: {
-      ServeResponse response;
-      response.type = FrameType::kStatsReport;
-      response.message = FormatServeStats(predictor->stats());
-      return response;
-    }
-    case FrameType::kSwap:
-      return ServeResponse::Error(
-          ServeError::kUnavailable,
-          "this serving surface has no artifact registry to swap against");
-    default:
-      return ServeResponse::Error(ServeError::kBadType,
-                                  "unsupported request type");
-  }
-}
-
 std::string FormatServeStats(const ServeStats& stats) {
   char line[256];
   std::snprintf(line, sizeof(line),

@@ -2,8 +2,8 @@
 #define AUTOFP_SERVE_PROTOCOL_H_
 
 /// The serving wire protocol (see DESIGN.md "Network serving") — one typed
-/// request/response surface shared by the stdin serve loop, the socket
-/// front end (serve/server.h), and the load-generator client. A stream is
+/// request/response surface shared by the socket front end
+/// (serve/server.h) and the load-generator client. A stream is
 /// a sequence of length-prefixed binary frames:
 ///
 ///   u32 magic "AFPN" | u8 type | u32 payload_len | payload
@@ -54,8 +54,8 @@ enum class FrameType : uint8_t {
   kPong = 68,         ///< empty payload.
 };
 
-/// The serving error taxonomy — every failure any serve surface (stdin
-/// loop, socket server, client) can report. Wire code values are fixed:
+/// The serving error taxonomy — every failure the socket server or a
+/// client can report. Wire code values are fixed:
 /// they travel inside kError frames.
 enum class ServeError : uint16_t {
   kNone = 0,
@@ -100,7 +100,7 @@ struct Frame {
   FrameType frame_type() const { return static_cast<FrameType>(type); }
 };
 
-/// A parsed request, the unit every serve surface executes.
+/// A parsed request, the unit the socket server executes.
 struct ServeRequest {
   FrameType type = FrameType::kPing;
   Matrix rows;       ///< predict requests: one sample per row.
@@ -176,7 +176,7 @@ class FrameDecoder {
   bool bad_ = false;
 };
 
-// --- Payload parsing and execution (server and stdin-loop surface) ----------
+// --- Payload parsing and execution (server and `score` surface) -------------
 
 /// Parses one CSV line into cells. Returns false (with a reason) on an
 /// empty or non-numeric cell.
@@ -205,21 +205,13 @@ ServeError ParseRequestFrame(const Frame& frame, ServeRequest* request,
 ServeResponse ExecutePredictRows(const Predictor& predictor,
                                  const Matrix& rows, size_t shard_rows);
 
-/// Executes one request against a predictor — the shared core of the
-/// stdin loop and the socket server's single-request path. Handles
-/// predict (schema fit + score), kStats (predictor latency report) and
-/// kPing; kSwap is rejected as kUnavailable (swapping needs a registry —
-/// see serve/server.h). `predictor == nullptr` answers kUnavailable.
-ServeResponse ExecuteRequest(const Predictor* predictor,
-                             const ServeRequest& request, size_t shard_rows);
-
 /// "key=value" line block for a stats report.
 std::string FormatServeStats(const ServeStats& stats);
 
 // --- Blocking client --------------------------------------------------------
 
 /// A minimal blocking-socket frame client: the transport under the load
-/// generator, the e2e checks, and the network bench. Not thread-safe; use
+/// generator, the tests, and the end-to-end benchmark. Not thread-safe; use
 /// one per connection.
 class BlockingFrameClient {
  public:

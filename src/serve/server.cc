@@ -7,9 +7,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <cerrno>
@@ -69,7 +66,7 @@ struct ServeSocketServer::Pending {
   ServeResponse ready;
 };
 
-// --- Poller: epoll where available, poll(2) as the portable fallback --------
+// --- Poller: one poll(2) set over the listen socket, wake pipe and peers --
 
 class ServeSocketServer::Poller {
  public:
@@ -79,113 +76,51 @@ class ServeSocketServer::Poller {
     bool writable = false;
   };
 
-  explicit Poller(bool use_poll) : use_poll_(use_poll) {
-#ifdef __linux__
-    if (!use_poll_) {
-      epoll_fd_ = ::epoll_create1(0);
-      // Fall back to poll(2) if the kernel refuses an epoll instance.
-      if (epoll_fd_ < 0) use_poll_ = true;
-    }
-#else
-    use_poll_ = true;
-#endif
-  }
-
-  ~Poller() {
-#ifdef __linux__
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-#endif
-  }
-
   void Add(int fd, bool read, bool write) {
-    if (use_poll_) {
-      interest_[fd] = Mask(read, write);
-      return;
-    }
-#ifdef __linux__
-    struct epoll_event event;
-    std::memset(&event, 0, sizeof(event));
-    event.events = EpollMask(read, write);
-    event.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event);
-#endif
+    fds_.push_back({fd, Mask(read, write), 0});
   }
 
   void Update(int fd, bool read, bool write) {
-    if (use_poll_) {
-      interest_[fd] = Mask(read, write);
-      return;
-    }
-#ifdef __linux__
-    struct epoll_event event;
-    std::memset(&event, 0, sizeof(event));
-    event.events = EpollMask(read, write);
-    event.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &event);
-#endif
+    struct pollfd* entry = Find(fd);
+    if (entry != nullptr) entry->events = Mask(read, write);
   }
 
   void Remove(int fd) {
-    if (use_poll_) {
-      interest_.erase(fd);
-      return;
-    }
-#ifdef __linux__
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
+    struct pollfd* entry = Find(fd);
+    if (entry == nullptr) return;
+    *entry = fds_.back();
+    fds_.pop_back();
   }
 
   void Wait(int timeout_ms, std::vector<Event>* events) {
     events->clear();
-    if (use_poll_) {
-      pollfds_.clear();
-      for (const auto& [fd, mask] : interest_) {
-        pollfds_.push_back({fd, mask, 0});
-      }
-      const int ready =
-          ::poll(pollfds_.data(), pollfds_.size(), timeout_ms);
-      if (ready <= 0) return;
-      for (const struct pollfd& p : pollfds_) {
-        if (p.revents == 0) continue;
-        Event event;
-        event.fd = p.fd;
-        // Errors and hangups surface as readable: the next read() reports
-        // the close/error and the connection is torn down there.
-        event.readable =
-            (p.revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL)) != 0;
-        event.writable = (p.revents & POLLOUT) != 0;
-        events->push_back(event);
-      }
-      return;
-    }
-#ifdef __linux__
-    struct epoll_event raw[64];
-    const int ready = ::epoll_wait(epoll_fd_, raw, 64, timeout_ms);
-    for (int i = 0; i < ready; ++i) {
+    if (::poll(fds_.data(), fds_.size(), timeout_ms) <= 0) return;
+    for (const struct pollfd& p : fds_) {
+      if (p.revents == 0) continue;
       Event event;
-      event.fd = raw[i].data.fd;
+      event.fd = p.fd;
+      // Errors and hangups surface as readable: the next read() reports
+      // the close/error and the connection is torn down there.
       event.readable =
-          (raw[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0;
-      event.writable = (raw[i].events & EPOLLOUT) != 0;
+          (p.revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL)) != 0;
+      event.writable = (p.revents & POLLOUT) != 0;
       events->push_back(event);
     }
-#endif
   }
 
  private:
   static short Mask(bool read, bool write) {
     return static_cast<short>((read ? POLLIN : 0) | (write ? POLLOUT : 0));
   }
-#ifdef __linux__
-  static uint32_t EpollMask(bool read, bool write) {
-    return (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u);
-  }
-  int epoll_fd_ = -1;
-#endif
 
-  bool use_poll_;
-  std::map<int, short> interest_;     // poll mode
-  std::vector<struct pollfd> pollfds_;  // poll mode scratch
+  struct pollfd* Find(int fd) {
+    for (struct pollfd& p : fds_) {
+      if (p.fd == fd) return &p;
+    }
+    return nullptr;
+  }
+
+  std::vector<struct pollfd> fds_;
 };
 
 // --- Lifecycle --------------------------------------------------------------
@@ -245,7 +180,7 @@ Status ServeSocketServer::Start() {
   SetNonBlocking(wake_fds_[0]);
   SetNonBlocking(wake_fds_[1]);
 
-  poller_ = std::make_unique<Poller>(options_.use_poll);
+  poller_ = std::make_unique<Poller>();
   poller_->Add(listen_fd_, /*read=*/true, /*write=*/false);
   poller_->Add(wake_fds_[0], /*read=*/true, /*write=*/false);
 

@@ -4,8 +4,8 @@
 /// The concurrent serving front end (see DESIGN.md "Network serving").
 /// Two threads turn socket bytes into PredictSharded calls:
 ///
-///   I/O thread    epoll (poll(2) fallback / opt-in) over the listen
-///                 socket and every connection; decodes frames
+///   I/O thread    poll(2) over the listen socket, the wake pipe and
+///                 every connection; decodes frames
 ///                 (serve/protocol.h), applies admission control, and
 ///                 flushes response bytes. Never blocks on scoring.
 ///   batch thread  pops parsed requests FIFO, coalesces pending predict
@@ -75,9 +75,6 @@ struct ServerOptions {
   size_t shard_rows = 256;
   /// Listen backlog.
   int backlog = 128;
-  /// Force the portable poll(2) event loop even where epoll is available
-  /// (the fallback is always used on non-Linux builds).
-  bool use_poll = false;
   /// Optional post-scoring tap (non-owning; must outlive the server).
   ServeBatchObserver* batch_observer = nullptr;
 };

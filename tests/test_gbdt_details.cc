@@ -1,6 +1,7 @@
 /// GBDT behaviour, its flat scoring view checked against a pointer walk
 /// of the same trees, and the hostile-blob checks of both tree-model
-/// loaders (they share the allocation probe below).
+/// loaders and of QuantileTransformer's table loader (they share the
+/// allocation probe below).
 
 #include "ml/gbdt.h"
 
@@ -20,6 +21,7 @@
 #include "ml/decision_tree.h"
 #include "ml/metrics.h"
 #include "preprocess/pipeline.h"
+#include "preprocess/quantile_transformer.h"
 #include "serve/artifact.h"
 #include "util/random.h"
 #include "util/serialize.h"
@@ -642,6 +644,112 @@ TEST(DecisionTreeState, LoadRejectsHostileBlobs) {
       DtBlob({{-1, -1, -1, 0}}, kMaxSerializedElements));
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_LT(g_largest_allocation.load(), size_t{1} << 20);
+}
+
+// ---------------------------------------------------------------------------
+// QuantileTransformer::LoadState: the same guarantees for its tables.
+
+std::string QuantileBlob(int32_t effective,
+                         const std::vector<std::vector<double>>& columns,
+                         uint64_t declared = 0) {
+  std::ostringstream out(std::ios::binary);
+  WritePod<int32_t>(out, effective);
+  WritePod<uint64_t>(out, declared != 0 ? declared : columns.size());
+  for (const std::vector<double>& column : columns) WriteVec(out, column);
+  return out.str();
+}
+
+Status LoadQuantile(const std::string& bytes) {
+  QuantileTransformer step(
+      PreprocessorConfig::Defaults(PreprocessorKind::kQuantileTransformer));
+  std::istringstream in(bytes, std::ios::binary);
+  return step.LoadState(in);
+}
+
+TEST(QuantileState, LoadRejectsHostileTables) {
+  const std::vector<double> valid = {-1.0, 0.0, 0.0, 2.0};
+  {
+    QuantileTransformer step(
+        PreprocessorConfig::Defaults(PreprocessorKind::kQuantileTransformer));
+    std::istringstream in(QuantileBlob(4, {valid, valid}), std::ios::binary);
+    ASSERT_TRUE(step.LoadState(in).ok());
+    EXPECT_EQ(step.effective_quantiles(), 4);
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    std::vector<double> column;
+    const char* label;
+  } hostile[] = {
+      {{}, "empty column"},
+      {{0.0}, "1-entry column"},
+      {{-1.0, 0.0, 2.0}, "wrong-length column"},
+      {{-1.0, 0.0, 2.0, 2.0, 3.0}, "over-long column"},
+      {{2.0, 0.0, 0.0, -1.0}, "descending column"},
+      {{-1.0, nan, 0.0, 2.0}, "NaN inside a column"},
+      {{nan, 0.0, 1.0, 2.0}, "NaN leading a column"},
+      {{-1.0, 0.0, 1.0, nan}, "NaN ending a column"},
+  };
+  for (const auto& [column, label] : hostile) {
+    // The hostile column follows a valid one, so a loader that stops
+    // checking after the first column would pass it.
+    EXPECT_EQ(LoadQuantile(QuantileBlob(4, {valid, column})).code(),
+              StatusCode::kInvalidArgument)
+        << label;
+  }
+}
+
+TEST(QuantileState, LoadBoundsMemoryByTheBytesPresent) {
+  // A declared count of 2^28 columns with one column present.
+  g_largest_allocation = 0;
+  Status status = LoadQuantile(
+      QuantileBlob(2, {{0.0, 1.0}}, kMaxSerializedElements));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_LT(g_largest_allocation.load(), size_t{1} << 20);
+}
+
+/// A Quantile step whose state is a fixed byte string: writes hostile
+/// tables into otherwise valid artifacts.
+class FixedStateQuantile : public QuantileTransformer {
+ public:
+  FixedStateQuantile(const PreprocessorConfig& config, std::string state)
+      : QuantileTransformer(config), state_(std::move(state)) {}
+  void SaveState(std::ostream& out) const override {
+    out.write(state_.data(), static_cast<std::streamsize>(state_.size()));
+  }
+
+ private:
+  std::string state_;
+};
+
+TEST(QuantileState, ArtifactWithHostileTableIsBadState) {
+  const PipelineSpec spec =
+      PipelineSpec::FromKinds({PreprocessorKind::kQuantileTransformer});
+  ArtifactSchema schema;
+  schema.dataset_name = "hostile";
+  schema.input_cols = 3;
+  schema.num_classes = 2;
+  schema.transformed_cols = 3;
+  const ModelConfig config = ModelConfig::Defaults(ModelKind::kXgboost);
+  const std::string path = ::testing::TempDir() + "/quantile_hostile.afpa";
+  auto write = [&](const std::vector<std::vector<double>>& columns) {
+    std::vector<std::unique_ptr<Preprocessor>> steps;
+    steps.push_back(std::make_unique<FixedStateQuantile>(
+        spec.steps[0], QuantileBlob(3, columns)));
+    return WriteArtifact(path, schema,
+                         FittedPipeline::FromFittedSteps(spec, std::move(steps)),
+                         config, FixedStateClassifier(Blob(OneSplit())));
+  };
+
+  // The same write path with valid tables reads back: the CRCs and
+  // sections are sound, so the rejection below is the step loader's.
+  const std::vector<double> valid = {0.0, 1.0, 2.0};
+  ASSERT_TRUE(write({valid, valid, valid}).ok());
+  ASSERT_TRUE(ReadArtifact(path).ok());
+
+  ASSERT_TRUE(write({valid, {2.0, 1.0, 0.0}, valid}).ok());
+  ArtifactReadResult read = ReadArtifact(path);
+  EXPECT_EQ(read.error, ArtifactError::kBadState)
+      << ArtifactErrorName(read.error) << ": " << read.status.ToString();
 }
 
 }  // namespace

@@ -344,16 +344,5 @@ TEST(Protocol, FitRowsToSchema) {
   EXPECT_FALSE(FitRowsToSchema(&narrow, 2, &reason));
 }
 
-TEST(Protocol, ExecuteRequestWithoutPredictor) {
-  ServeRequest request;
-  request.type = FrameType::kPredictDense;
-  request.rows = Matrix{{1.0, 2.0}};
-  ServeResponse response = ExecuteRequest(nullptr, request, 16);
-  EXPECT_EQ(response.error, ServeError::kUnavailable);
-  // Ping works even with nothing loaded.
-  request.type = FrameType::kPing;
-  EXPECT_TRUE(ExecuteRequest(nullptr, request, 16).ok());
-}
-
 }  // namespace
 }  // namespace autofp

@@ -1,8 +1,8 @@
 /// Tests of the network serving stack (src/serve/server.h and
 /// src/serve/registry.h): the hot-swap registry's publish semantics, the
 /// socket round trip's bit-identity with in-process PredictSharded,
-/// admission control, pipelined request/response ordering, the poll(2)
-/// fallback, and the headline concurrency property — a SWAP landing
+/// admission control, pipelined request/response ordering, an empty
+/// registry, and the headline concurrency property — a SWAP landing
 /// under live multi-connection load yields only whole-response
 /// old-artifact or new-artifact answers, never a torn mix.
 
@@ -226,24 +226,26 @@ TEST(ServeNet, CsvAndDenseAgree) {
   EXPECT_EQ(csv_response.predictions, dense_response.predictions);
 }
 
-TEST(ServeNet, PollFallbackRoundTrips) {
-  Dataset data = TestData();
-  const std::string path = ExportTestArtifact(
-      data, PreprocessorKind::kStandardScaler, "net_poll.afpa");
-  Matrix probe = ProbeRows(data, 8);
-  const std::vector<int32_t> want = ReferencePredictions(path, probe);
-
-  ServerOptions options;
-  options.use_poll = true;
-  TestServer harness(path, options);
+TEST(ServeNet, EmptyRegistryAnswersUnavailableAndPing) {
+  // A server whose registry has never loaded an artifact still answers:
+  // PREDICT is a typed kUnavailable, and PING works on the same connection.
+  ArtifactRegistry registry;
+  ServeSocketServer server(&registry, ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
   BlockingFrameClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()).ok());
-  std::string request;
-  EncodePredictDense(probe, &request);
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  std::string predict;
+  EncodePredictDense(Matrix{{1.0, 2.0}}, &predict);
   ServeResponse response;
-  ASSERT_TRUE(client.RoundTrip(request, &response).ok());
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response.predictions, want);
+  ASSERT_TRUE(client.RoundTrip(predict, &response).ok());
+  EXPECT_EQ(response.error, ServeError::kUnavailable);
+
+  std::string ping;
+  EncodePing(&ping);
+  ASSERT_TRUE(client.RoundTrip(ping, &response).ok());
+  EXPECT_TRUE(response.ok()) << response.message;
+  EXPECT_EQ(response.type, FrameType::kPong);
 }
 
 TEST(ServeNet, PipelinedRequestsAnswerInOrder) {

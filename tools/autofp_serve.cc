@@ -4,29 +4,21 @@
 /// and serving" and "Network serving"): `autofp --export-artifact` writes
 /// the fitted pipeline plus trained model to one file; this tool loads it
 /// into an immutable Predictor and applies `transform -> predict` to
-/// rows, as a batch pass (`score`), a stdin request loop (`serve`), or a
-/// concurrent socket server (`listen`).
+/// rows, as a batch pass over a CSV file (`score`) or a concurrent socket
+/// server (`listen`).
 ///
 /// Usage:
 ///   autofp_serve score --artifact FILE --in FILE.csv --out FILE.csv
 ///                [--threads N] [--batch N] [--has-header]
-///   autofp_serve serve --artifact FILE [--threads N] [--batch N]
 ///   autofp_serve listen --artifact FILE [--threads N] [--batch N]
 ///                [--host H] [--port P] [--max-batch-rows N]
-///                [--max-delay-us N] [--max-queue-rows N] [--use-poll]
+///                [--max-delay-us N] [--max-queue-rows N]
 ///
 /// score: reads a numeric CSV and writes one prediction per input row.
 /// Rows may carry the training label as a trailing extra column (it is
 /// ignored), so `autofp --apply`-style dumps score directly. Malformed
 /// rows (non-numeric cell, wrong column count) are skipped and counted —
 /// a bad row never aborts the batch — and reported on stderr.
-///
-/// serve: reads newline-delimited requests from stdin, one CSV feature
-/// row per line, and answers each on stdout with the predicted class id
-/// (or `ERR [<code>] <reason>` from the serving error taxonomy for a
-/// malformed line). SIGINT/SIGTERM drain gracefully: the in-flight
-/// request finishes, the latency report is printed, and the process
-/// exits 3 (mirroring the search CLI).
 ///
 /// listen: binds a socket (port 0 picks an ephemeral port, announced as
 /// "listening on HOST:PORT" on stderr) and serves the framed binary
@@ -45,15 +37,14 @@
 /// any failure.
 ///
 /// Exit codes: 0 ok; 1 runtime error (unreadable/corrupt artifact, I/O);
-/// 2 usage error; 3 interrupted by signal; 4 every input row malformed.
+/// 2 usage error; 3 listen stopped by SIGINT/SIGTERM; 4 every input row
+/// malformed.
 
 #include <csignal>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
 #include <fstream>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,7 +69,7 @@ extern "C" void HandleReloadSignal(int) { g_reload_requested = 1; }
 extern "C" void HandleDumpSignal(int) { g_dump_requested = 1; }
 
 struct Options {
-  std::string mode;  ///< "score", "serve" or "listen".
+  std::string mode;  ///< "score" or "listen".
   std::string artifact;
   std::string in;
   std::string out;
@@ -91,7 +82,6 @@ struct Options {
   size_t max_batch_rows = 2048;
   long max_delay_us = 200;
   size_t max_queue_rows = 1u << 16;
-  bool use_poll = false;
   // Streaming drift + background re-search (listen mode; enabled by
   // --candidate).
   std::string candidate;
@@ -111,16 +101,12 @@ void PrintUsage() {
       "usage: autofp_serve score --artifact FILE --in FILE.csv --out "
       "FILE.csv\n"
       "                    [--threads N] [--batch N] [--has-header]\n"
-      "       autofp_serve serve --artifact FILE [--threads N] [--batch N]\n"
       "       autofp_serve listen --artifact FILE [--threads N] [--batch N]\n"
       "                    [--host H] [--port P] [--max-batch-rows N]\n"
-      "                    [--max-delay-us N] [--max-queue-rows N] "
-      "[--use-poll]\n"
+      "                    [--max-delay-us N] [--max-queue-rows N]\n"
       "  score: batch-score a CSV (one prediction per row; rows may carry\n"
       "         a trailing label column, which is ignored; malformed rows\n"
       "         are skipped and counted)\n"
-      "  serve: answer newline-delimited CSV rows on stdin until EOF or\n"
-      "         SIGINT/SIGTERM\n"
       "  listen: serve the framed binary protocol on a socket with\n"
       "         micro-batching; SWAP frames or SIGHUP hot-swap the\n"
       "         artifact; port 0 picks an ephemeral port (announced as\n"
@@ -133,7 +119,6 @@ void PrintUsage() {
       "  --max-batch-rows N micro-batch row bound (default 2048)\n"
       "  --max-delay-us N   micro-batch straggler wait (default 200)\n"
       "  --max-queue-rows N admission bound before BUSY (default 65536)\n"
-      "  --use-poll         use the portable poll(2) loop, not epoll\n"
       "  --candidate PATH   enable drift-triggered background re-search;\n"
       "                     candidate artifacts are exported to PATH and\n"
       "                     hot-swapped on success (listen mode only)\n"
@@ -158,8 +143,7 @@ void PrintUsage() {
 bool ParseArgs(int argc, char** argv, Options* options) {
   if (argc < 2) return false;
   options->mode = argv[1];
-  if (options->mode != "score" && options->mode != "serve" &&
-      options->mode != "listen") {
+  if (options->mode != "score" && options->mode != "listen") {
     std::fprintf(stderr, "error: unknown mode '%s'\n", options->mode.c_str());
     return false;
   }
@@ -200,8 +184,6 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       if (!cli::ParseSize(argc, argv, &i, "--max-queue-rows", 1,
                           &options->max_queue_rows))
         return false;
-    } else if (arg == "--use-poll") {
-      options->use_poll = true;
     } else if (arg == "--candidate") {
       if (!cli::ParseString(argc, argv, &i, "--candidate",
                             &options->candidate))
@@ -392,57 +374,13 @@ int RunScore(const Options& options, const Predictor& predictor) {
   return 0;
 }
 
-/// The stdin request loop, running each line through the same
-/// ServeRequest/ServeResponse surface as the socket server.
-int RunServe(const Options& options, const Predictor& predictor) {
-  std::fprintf(stderr,
-               "serving artifact for dataset '%s' (%" PRIu64
-               " feature columns, %d classes); one CSV row per line\n",
-               predictor.schema().dataset_name.c_str(),
-               predictor.schema().input_cols,
-               predictor.schema().num_classes);
-  std::string line;
-  std::vector<double> cells;
-  long answered = 0;
-  while (g_stop_requested == 0 && std::getline(std::cin, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    std::string reason;
-    ServeResponse response;
-    if (!ParseCsvRow(line, &cells, &reason)) {
-      response = ServeResponse::Error(ServeError::kMalformedBody, reason);
-    } else {
-      ServeRequest request;
-      request.type = FrameType::kPredictDense;
-      request.rows.Resize(1, cells.size());
-      std::copy(cells.begin(), cells.end(), request.rows.RowPtr(0));
-      response = ExecuteRequest(&predictor, request, options.batch);
-    }
-    if (!response.ok()) {
-      std::printf("ERR [%s] %s\n", ServeErrorName(response.error),
-                  response.message.c_str());
-    } else {
-      std::printf("%d\n", response.predictions[0]);
-    }
-    std::fflush(stdout);
-    if (std::ferror(stdout)) {
-      // The consumer of our answers closed its end (EPIPE, surfaced as a
-      // stream error because SIGPIPE is ignored): a connection close,
-      // not a crash. Drain like EOF and report.
-      std::fprintf(stderr, "stdout closed by peer; draining\n");
-      break;
-    }
-    ++answered;
-  }
-  // Graceful drain: the in-flight request above already finished; report
-  // and exit with the interrupt code if a signal (not EOF) stopped us.
-  std::fprintf(stderr, "served %ld requests\n", answered);
-  PrintStats(predictor);
-  return g_stop_requested != 0 ? 3 : 0;
-}
-
 /// The socket front end: registry + concurrent server, running until a
 /// stop signal drains it. SIGHUP queues an artifact reload.
 int RunListen(const Options& options) {
+  // Only listen runs until a signal stops it; `score` keeps the default
+  // dispositions so an interrupt ends it at once.
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
   Predictor::Options predictor_options;
   predictor_options.num_threads = options.threads;
   ArtifactRegistry registry(predictor_options);
@@ -488,7 +426,6 @@ int RunListen(const Options& options) {
   server_options.max_delay_us = options.max_delay_us;
   server_options.max_queue_rows = options.max_queue_rows;
   server_options.shard_rows = options.batch;
-  server_options.use_poll = options.use_poll;
   server_options.batch_observer = stream.get();
   ServeSocketServer server(&registry, server_options);
   Status started = server.Start();
@@ -542,10 +479,8 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 2;
   }
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-  // A peer (socket client, stdout consumer) closing mid-write must be a
-  // typed EPIPE we can report and survive, never a silent SIGPIPE kill.
+  // A socket peer closing mid-write must be a typed EPIPE we can report
+  // and survive, never a silent SIGPIPE kill.
   std::signal(SIGPIPE, SIG_IGN);
   if (options.mode == "listen") return RunListen(options);
 
@@ -563,6 +498,5 @@ int main(int argc, char** argv) {
                predictor.spec().ToString().c_str(),
                ModelKindName(predictor.model_config().kind).c_str());
 
-  return options.mode == "score" ? RunScore(options, predictor)
-                                 : RunServe(options, predictor);
+  return RunScore(options, predictor);
 }
