@@ -4,20 +4,21 @@
 ///
 /// `--json [path]` switches to the model-kernel roofline report instead:
 /// the SIMD primitives the model inner loops ride (Dot, Axpy, the
-/// branchless histogram binning, streaming moments accumulation) timed
-/// scalar vs vectorized, with element throughput and speedups.
+/// branchless histogram binning, the ReferenceStats Welford update) timed
+/// scalar vs vectorized, with element throughput and speedups, as median,
+/// min and max over repeats. scripts/bench_snapshot.sh commits it as
+/// BENCH_model_kernels.json.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "core/auto_fp.h"
 #include "data/synthetic.h"
-#include "stream/moments.h"
+#include "serve/artifact.h"
 #include "util/simd.h"
 
 namespace {
@@ -107,31 +108,16 @@ BENCHMARK(BM_FullEvaluation)->Arg(0)->Arg(1)->Arg(2)
 
 // --- Model-kernel roofline report (--json) ----------------------------------
 
-/// Best-of-N nanoseconds for `body()` run over the same inputs.
-template <typename Fn>
-double BestOfNs(Fn body) {
-  constexpr int kReps = 9;  // 1 warmup + best of 8
-  double best = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    body();
-    const auto stop = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration<double, std::nano>(stop - start).count();
-    if (rep == 0) continue;
-    if (best == 0.0 || ns < best) best = ns;
-  }
-  return best;
-}
-
-void PrintKernelLine(std::FILE* out, const char* name, double scalar_ns,
-                     double simd_ns, double elements, bool last) {
-  std::fprintf(out,
-               "    {\"kernel\": \"%s\", \"scalar_ns\": %.0f, "
-               "\"simd_ns\": %.0f, \"elements_per_s\": %.0f, "
-               "\"speedup\": %.2f}%s\n",
-               name, scalar_ns, simd_ns, elements * 1e9 / simd_ns,
-               scalar_ns / simd_ns, last ? "" : ",");
+/// One kernel's cell: scalar and vectorized timings plus the element rate
+/// and speedup of the medians.
+void AddKernel(bench::Snapshot* snapshot, const char* name,
+               const bench::Timing& scalar, const bench::Timing& simd,
+               double elements) {
+  snapshot->Cell(name);
+  snapshot->Time("scalar_ns", scalar);
+  snapshot->Time("simd_ns", simd);
+  snapshot->Figure("elements_per_s", elements * 1e9 / simd.median_ns);
+  snapshot->Figure("speedup", scalar.median_ns / simd.median_ns);
 }
 
 int RunModelRooflineReport(const char* path) {
@@ -143,49 +129,42 @@ int RunModelRooflineReport(const char* path) {
     a[i] = rng.Uniform(-1.0, 1.0);
     b[i] = rng.Uniform(-1.0, 1.0);
   }
-
-  std::FILE* out = path != nullptr ? std::fopen(path, "w") : stdout;
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"backend\": \"%s\",\n", simd::kBackendName);
-  std::fprintf(out, "  \"double_lanes\": %zu,\n", simd::kDoubleLanes);
-  std::fprintf(out, "  \"kernels\": [\n");
+  bench::Snapshot snapshot("model_kernels");
+  snapshot.Param("double_lanes", simd::kDoubleLanes);
 
   // Dot: the MLP/LSTM GEMM and LR logit primitive. kBatch dots of kN.
   double acc = 0.0;
-  const double dot_scalar = BestOfNs([&] {
+  const bench::Timing dot_scalar = bench::TimeRepeats([&] {
     for (size_t i = 0; i < kBatch; ++i) {
       acc += simd::DotScalar(a.data(), b.data(), kN);
     }
   });
-  const double dot_simd = BestOfNs([&] {
+  const bench::Timing dot_simd = bench::TimeRepeats([&] {
     for (size_t i = 0; i < kBatch; ++i) {
       acc += simd::Dot(a.data(), b.data(), kN);
     }
   });
   benchmark::DoNotOptimize(acc);
-  PrintKernelLine(out, "dot_1024", dot_scalar, dot_simd,
-                  static_cast<double>(kBatch * kN), false);
+  AddKernel(&snapshot, "dot_1024", dot_scalar, dot_simd,
+            static_cast<double>(kBatch * kN));
 
   // Axpy: the backward-pass gradient accumulation primitive.
   std::vector<double> y(kN, 0.0);
-  const double axpy_scalar = BestOfNs([&] {
+  const auto axpy = [&] {
+    for (size_t i = 0; i < kBatch; ++i) {
+      simd::Axpy(1e-9, a.data(), y.data(), kN);
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  };
+  bench::Timing axpy_scalar;
+  {
     simd::ScopedForceScalar forced(true);
-    for (size_t i = 0; i < kBatch; ++i) {
-      simd::Axpy(1e-9, a.data(), y.data(), kN);
-    }
-  });
-  const double axpy_simd = BestOfNs([&] {
-    for (size_t i = 0; i < kBatch; ++i) {
-      simd::Axpy(1e-9, a.data(), y.data(), kN);
-    }
-  });
-  benchmark::DoNotOptimize(y);
-  PrintKernelLine(out, "axpy_1024", axpy_scalar, axpy_simd,
-                  static_cast<double>(kBatch * kN), false);
+    axpy_scalar = bench::TimeRepeats(axpy);
+  }
+  const bench::Timing axpy_simd = bench::TimeRepeats(axpy);
+  AddKernel(&snapshot, "axpy_1024", axpy_scalar, axpy_simd,
+            static_cast<double>(kBatch * kN));
 
   // GBDT histogram binning: branchless lower-bound vs std::lower_bound
   // over a 256-edge table (the tree builder's per-row hot path).
@@ -195,40 +174,44 @@ int RunModelRooflineReport(const char* path) {
   std::vector<double> values(kBatch);
   for (double& v : values) v = rng.Uniform(-4.0, 4.0);
   size_t bins = 0;
-  const double bin_scalar = BestOfNs([&] {
+  const bench::Timing bin_scalar = bench::TimeRepeats([&] {
     for (double v : values) {
       bins += static_cast<size_t>(
           std::lower_bound(edges.begin(), edges.end(), v) - edges.begin());
     }
   });
-  const double bin_branchless = BestOfNs([&] {
+  const bench::Timing bin_branchless = bench::TimeRepeats([&] {
     for (double v : values) {
       bins += simd::LowerBoundIndex(edges.data(), edges.size(), v);
     }
   });
   benchmark::DoNotOptimize(bins);
-  PrintKernelLine(out, "histogram_binning_256", bin_scalar, bin_branchless,
-                  static_cast<double>(kBatch), false);
+  AddKernel(&snapshot, "histogram_binning_256", bin_scalar, bin_branchless,
+            static_cast<double>(kBatch));
 
-  // Streaming moments: Welford accumulate across 16 columns per row.
-  Dataset stream_data = MakeDataset(kBatch, 2);
-  const double moments_scalar = BestOfNs([&] {
+  // Streaming moments: the Welford update the export stats and the drift
+  // window share (ReferenceStats::ObserveRow), 16 columns per row.
+  const Dataset stream_data = MakeDataset(kBatch, 2);
+  const Matrix& stream_rows = stream_data.features;
+  ReferenceStats moments;
+  const auto observe = [&] {
+    moments.Reset(stream_rows.cols());
+    for (size_t r = 0; r < stream_rows.rows(); ++r) {
+      moments.ObserveRow(stream_rows.RowPtr(r), stream_rows.cols());
+    }
+    benchmark::DoNotOptimize(moments.mean.data());
+    benchmark::ClobberMemory();
+  };
+  bench::Timing moments_scalar;
+  {
     simd::ScopedForceScalar forced(true);
-    RunningMoments moments(stream_data.features.cols());
-    moments.Observe(stream_data.features);
-    benchmark::DoNotOptimize(moments);
-  });
-  const double moments_simd = BestOfNs([&] {
-    RunningMoments moments(stream_data.features.cols());
-    moments.Observe(stream_data.features);
-    benchmark::DoNotOptimize(moments);
-  });
-  PrintKernelLine(out, "running_moments_16col", moments_scalar, moments_simd,
-                  static_cast<double>(stream_data.features.size()), true);
+    moments_scalar = bench::TimeRepeats(observe);
+  }
+  const bench::Timing moments_simd = bench::TimeRepeats(observe);
+  AddKernel(&snapshot, "running_moments_16col", moments_scalar, moments_simd,
+            static_cast<double>(stream_rows.size()));
 
-  std::fprintf(out, "  ]\n}\n");
-  if (out != stdout) std::fclose(out);
-  return 0;
+  return snapshot.Write(path) ? 0 : 1;
 }
 
 }  // namespace

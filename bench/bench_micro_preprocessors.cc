@@ -5,15 +5,15 @@
 ///
 /// `--json [path]` switches to the kernel roofline report instead: each
 /// preprocessor's TransformInPlace timed on the forced-scalar reference
-/// and on the SIMD path, with rows/s, GB/s and the speedup. scripts/bench_snapshot.sh commits it as
+/// and on the SIMD path, with rows/s, GB/s and the speedup, as median, min
+/// and max over repeats. scripts/bench_snapshot.sh commits it as
 /// BENCH_kernels.json.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "core/auto_fp.h"
 #include "util/simd.h"
 
@@ -182,71 +182,48 @@ BENCHMARK(BM_SpaceMutation);
 
 // --- Kernel roofline report (--json) ----------------------------------------
 
-/// Best-of-N wall time of one TransformInPlace over `source`, in
-/// nanoseconds. The refresh copy is outside the timed region, so the
-/// number is the kernel alone.
-double TimeTransformNs(const Preprocessor& step, const Matrix& source,
-                       bool force_scalar) {
-  constexpr int kReps = 9;  // 1 warmup + best of 8
+/// Wall time of one TransformInPlace over `source`. The refresh copy is
+/// outside the timed region, so the number is the kernel alone.
+bench::Timing TimeTransform(const Preprocessor& step, const Matrix& source,
+                            bool force_scalar) {
   Matrix buffer;
   simd::ScopedForceScalar forced(force_scalar);
-  double best = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    buffer = source;
-    const auto start = std::chrono::steady_clock::now();
-    step.TransformInPlace(buffer);
-    const auto stop = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration<double, std::nano>(stop - start).count();
-    benchmark::DoNotOptimize(buffer);
-    if (rep == 0) continue;
-    if (best == 0.0 || ns < best) best = ns;
-  }
-  return best;
+  return bench::TimeRepeats([&] { buffer = source; },
+                            [&] {
+                              step.TransformInPlace(buffer);
+                              benchmark::DoNotOptimize(buffer.data().data());
+                              benchmark::ClobberMemory();
+                            });
 }
 
 int RunRooflineReport(const char* path) {
   constexpr size_t kRooflineRows = 8192;
   constexpr size_t kRooflineCols = 16;
   const Matrix data = MakeData(kRooflineRows, kRooflineCols, 17);
+  bench::Snapshot snapshot("preprocessor_kernels");
+  snapshot.Param("double_lanes", simd::kDoubleLanes);
+  snapshot.Param("rows", kRooflineRows);
+  snapshot.Param("cols", kRooflineCols);
 
-  std::FILE* out = path != nullptr ? std::fopen(path, "w") : stdout;
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"backend\": \"%s\",\n", simd::kBackendName);
-  std::fprintf(out, "  \"double_lanes\": %zu,\n", simd::kDoubleLanes);
-  std::fprintf(out, "  \"rows\": %zu,\n", kRooflineRows);
-  std::fprintf(out, "  \"cols\": %zu,\n", kRooflineCols);
-  std::fprintf(out, "  \"kernels\": [\n");
-
-  const auto kinds = AllPreprocessorKinds();
   // Read + write of the whole buffer per pass: the elementwise kernels'
   // minimum traffic, making gb_per_s comparable across kernels.
   const double bytes_per_pass =
       2.0 * static_cast<double>(kRooflineRows * kRooflineCols) *
       sizeof(double);
-  for (size_t i = 0; i < kinds.size(); ++i) {
-    const PreprocessorKind kind = kinds[i];
+  for (PreprocessorKind kind : AllPreprocessorKinds()) {
     auto step = MakePreprocessor(kind);
     step->Fit(data);
-    const double scalar_ns = TimeTransformNs(*step, data, true);
-    const double simd_row_ns = TimeTransformNs(*step, data, false);
-    std::fprintf(
-        out,
-        "    {\"kernel\": \"%s\", \"scalar_row_major_ns\": %.0f, "
-        "\"simd_row_major_ns\": %.0f, \"rows_per_s\": %.0f, "
-        "\"gb_per_s\": %.2f, \"speedup_simd_row\": %.2f}%s\n",
-        KindName(kind).c_str(), scalar_ns, simd_row_ns,
-        static_cast<double>(kRooflineRows) * 1e9 / simd_row_ns,
-        bytes_per_pass / simd_row_ns,  // bytes/ns == GB/s
-        scalar_ns / simd_row_ns, i + 1 < kinds.size() ? "," : "");
+    const bench::Timing scalar = TimeTransform(*step, data, true);
+    const bench::Timing simd = TimeTransform(*step, data, false);
+    snapshot.Cell(KindName(kind));
+    snapshot.Time("scalar_ns", scalar);
+    snapshot.Time("simd_ns", simd);
+    snapshot.Figure("rows_per_s",
+                    static_cast<double>(kRooflineRows) * 1e9 / simd.median_ns);
+    snapshot.Figure("gb_per_s", bytes_per_pass / simd.median_ns);
+    snapshot.Figure("speedup", scalar.median_ns / simd.median_ns);
   }
-  std::fprintf(out, "  ]\n}\n");
-  if (out != stdout) std::fclose(out);
-  return 0;
+  return snapshot.Write(path) ? 0 : 1;
 }
 
 }  // namespace

@@ -8,12 +8,31 @@
 /// every table and figure at laptop scale by (a) capping training rows,
 /// (b) using lighter model training configurations, and (c) using
 /// evaluation-count budgets (machine-independent). See DESIGN.md.
+///
+/// It also holds the one writer of the committed kernel-level snapshots
+/// (BENCH_kernels.json, BENCH_model_kernels.json, BENCH_stream.json; see
+/// scripts/bench_snapshot.sh): TimeRepeats and Snapshot.
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/auto_fp.h"
+#include "util/simd.h"
+
+// Set per snapshot binary by bench/CMakeLists.txt at configure time.
+#ifndef AUTOFP_BENCH_BUILD_TYPE
+#define AUTOFP_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef AUTOFP_BENCH_GIT_SHA
+#define AUTOFP_BENCH_GIT_SHA "unknown"
+#endif
 
 namespace autofp {
 namespace bench {
@@ -94,6 +113,105 @@ inline void PrintHeader(const char* experiment, const char* paper_ref,
   std::printf("%s\n", note);
   std::printf("==============================================================\n");
 }
+
+/// Wall time of one snapshot cell over its repeats, in nanoseconds.
+struct Timing {
+  double median_ns = 0.0;
+  double min_ns = 0.0;
+  double max_ns = 0.0;
+};
+
+/// Timed repeats per snapshot cell, after one untimed warm-up run. Odd, so
+/// the median is one of the runs.
+inline constexpr int kSnapshotRepeats = 9;
+
+/// Runs `setup(); body();` once to warm up, then kSnapshotRepeats times
+/// timing only `body`.
+template <typename Setup, typename Body>
+Timing TimeRepeats(Setup&& setup, Body&& body) {
+  std::vector<double> ns;
+  setup();
+  body();
+  for (int rep = 0; rep < kSnapshotRepeats; ++rep) {
+    setup();
+    const auto start = std::chrono::steady_clock::now();
+    body();
+    const auto stop = std::chrono::steady_clock::now();
+    ns.push_back(
+        std::chrono::duration<double, std::nano>(stop - start).count());
+  }
+  std::sort(ns.begin(), ns.end());
+  return {ns[ns.size() / 2], ns.front(), ns.back()};
+}
+
+template <typename Body>
+Timing TimeRepeats(Body&& body) {
+  return TimeRepeats([] {}, body);
+}
+
+/// One committed snapshot file: the host it ran on (cores, SIMD backend,
+/// build type, commit), the repeat count, the bench's fixed parameters,
+/// and one object per cell. A cell's timings carry median/min/max; its
+/// figures (rates, speedups) are derived from the medians by the caller.
+class Snapshot {
+ public:
+  explicit Snapshot(std::string bench) : bench_(std::move(bench)) {}
+
+  void Param(const std::string& key, double value) {
+    params_ += (params_.empty() ? "" : ", ") + Field(key, value);
+  }
+  /// Starts a cell; Time and Figure add fields to the latest cell.
+  void Cell(const std::string& name) {
+    cells_.push_back("{\"name\": \"" + name + "\"");
+  }
+  void Time(const std::string& key, const Timing& timing) {
+    cells_.back() += ", \"" + key + "\": {" +
+                     Field("median", timing.median_ns) + ", " +
+                     Field("min", timing.min_ns) + ", " +
+                     Field("max", timing.max_ns) + "}";
+  }
+  void Figure(const std::string& key, double value) {
+    cells_.back() += ", " + Field(key, value);
+  }
+
+  /// Writes the JSON to `path`, or to stdout when `path` is null. False
+  /// when the file cannot be opened.
+  bool Write(const char* path) const {
+    std::FILE* out = path != nullptr ? std::fopen(path, "w") : stdout;
+    if (out == nullptr) {
+      std::fprintf(stderr, "cannot open %s\n", path);
+      return false;
+    }
+    std::fprintf(out,
+                 "{\n  \"bench\": \"%s\",\n  \"host\": {\"nproc\": %ld, "
+                 "\"simd\": \"%s\", \"build_type\": \"%s\", "
+                 "\"git_sha\": \"%s\"},\n  \"repeats\": %d,\n"
+                 "  \"params\": {%s},\n  \"cells\": [\n",
+                 bench_.c_str(), ::sysconf(_SC_NPROCESSORS_ONLN),
+                 simd::kBackendName, AUTOFP_BENCH_BUILD_TYPE,
+                 AUTOFP_BENCH_GIT_SHA, kSnapshotRepeats, params_.c_str());
+    for (size_t i = 0; i < cells_.size(); ++i) {
+      std::fprintf(out, "    %s}%s\n", cells_[i].c_str(),
+                   i + 1 < cells_.size() ? "," : "");
+    }
+    std::fprintf(out, "  ]\n}\n");
+    return out == stdout || std::fclose(out) == 0;
+  }
+
+ private:
+  /// `"key": value`; whole numbers from 10^4 up, 4 significant digits
+  /// below.
+  static std::string Field(const std::string& key, double value) {
+    char number[64];
+    std::snprintf(number, sizeof(number),
+                  std::fabs(value) >= 1e4 ? "%.0f" : "%.4g", value);
+    return "\"" + key + "\": " + number;
+  }
+
+  std::string bench_;
+  std::string params_;
+  std::vector<std::string> cells_;
+};
 
 }  // namespace bench
 }  // namespace autofp

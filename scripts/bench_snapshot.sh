@@ -1,15 +1,21 @@
 #!/usr/bin/env bash
 # Regenerates the committed kernel-level perf baselines:
 #   BENCH_stream.json — rows/sec through each streaming-observer
-#     component (running moments, P2 quantile sketches, reservoir,
-#     drift monitor); all should dwarf the serving workloads'
-#     throughput (bench_stream_overhead).
+#     component (the ReferenceStats Welford update, reservoir, drift
+#     monitor); all should dwarf the serving workloads' throughput
+#     (bench_stream_overhead).
 #   BENCH_kernels.json — preprocessor-kernel roofline: each
 #     TransformInPlace timed forced-scalar vs SIMD, with rows/s, GB/s
 #     and the speedup (bench_micro_preprocessors --json).
 #   BENCH_model_kernels.json — the model-side SIMD primitives (Dot,
-#     Axpy, histogram binning, running moments), scalar vs vectorized
-#     (bench_micro_models --json).
+#     Axpy, histogram binning, the ReferenceStats Welford update),
+#     scalar vs vectorized (bench_micro_models --json).
+#
+# All three go through one writer (bench::Snapshot in
+# bench/bench_util.h): a host block (nproc, SIMD backend, build type,
+# git sha) and the median, min and max of every cell over its repeats.
+# The build directory is reconfigured first so the recorded sha is the
+# checkout's current one.
 #
 # Numbers are machine-dependent; the committed files are reference
 # points for spotting order-of-magnitude regressions after touching the
@@ -22,6 +28,7 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-${repo_root}/build}"
 
+cmake -B "${build_dir}" -S "${repo_root}"
 cmake --build "${build_dir}" -j \
   --target bench_stream_overhead bench_micro_preprocessors bench_micro_models
 

@@ -6,8 +6,9 @@
 # tree models' state loaders and scoring view. ASan is the check that
 # the zero-copy refactor's aliasing rules (in-place kernels, non-owning
 # views, adopted move storage) never read or write freed or
-# out-of-bounds memory, and that hostile tree blobs and tile-boundary
-# row counts stay in bounds.
+# out-of-bounds memory, that hostile tree blobs and tile-boundary row
+# counts stay in bounds, and that the Welford accumulator and drift
+# window that ingest untrusted serving rows stay inside their columns.
 #
 # Usage: scripts/check_asan.sh [ctest-regex]
 #   ctest-regex  optional test-name filter; defaults to the data-plane
@@ -16,14 +17,14 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-asan"
-filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ParallelEvaluator|EvaluateBatch|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState}"
+filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ParallelEvaluator|EvaluateBatch|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAUTOFP_SANITIZE=address
 cmake --build "${build_dir}" -j \
   --target test_matrix test_inplace test_pipeline test_parallel_eval \
-  test_predictor test_models test_gbdt_details test_artifact
+  test_predictor test_models test_gbdt_details test_artifact test_stream
 
 cd "${build_dir}"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \

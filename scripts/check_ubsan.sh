@@ -2,7 +2,8 @@
 # Builds with -fsanitize=undefined and runs the kernel-layer suites:
 # the SIMD wrapper primitives, the vectorized preprocessor kernels,
 # the matrix storage and borrowed views, the pipeline data plane built
-# on them, and the tree models' state loaders and scoring view. UBSan
+# on them, the tree models' state loaders and scoring view, and the
+# Welford accumulator and drift window that ingest serving rows. UBSan
 # is the check that the vectorized remainder handling, the branchless
 # table lookups and tree descents (index arithmetic) and the
 # borrowed-view aliasing never rely on undefined behavior — misaligned
@@ -15,14 +16,14 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-ubsan"
-filter="${1:-Simd|Kernels|Matrix|InPlace|Pipeline|Preprocessor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState}"
+filter="${1:-Simd|Kernels|Matrix|InPlace|Pipeline|Preprocessor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAUTOFP_SANITIZE=undefined
 cmake --build "${build_dir}" -j \
   --target test_simd test_kernels test_matrix test_inplace test_pipeline \
-  test_preprocessors test_models test_gbdt_details test_artifact
+  test_preprocessors test_models test_gbdt_details test_artifact test_stream
 
 cd "${build_dir}"
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \

@@ -3,23 +3,11 @@
 #include "preprocess/kernels.h"
 #include "util/serialize.h"
 
-#include <cmath>
-
 namespace autofp {
 
 void MaxAbsScaler::Fit(const Matrix& data) {
   kernels::ColumnAbsMax(data, &scales_);
   for (double& scale : scales_) {
-    if (scale == 0.0) scale = 1.0;
-  }
-  fitted_ = true;
-}
-
-void MaxAbsScaler::FitFromScales(const std::vector<double>& max_abs) {
-  AUTOFP_CHECK_GT(max_abs.size(), 0u);
-  scales_ = max_abs;
-  for (double& scale : scales_) {
-    scale = std::abs(scale);
     if (scale == 0.0) scale = 1.0;
   }
   fitted_ = true;

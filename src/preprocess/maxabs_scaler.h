@@ -19,10 +19,6 @@ class MaxAbsScaler : public Preprocessor {
 
   const PreprocessorConfig& config() const override { return config_; }
   void Fit(const Matrix& data) override;
-  /// Incremental-refit hook (see src/stream/): installs streamed per-column
-  /// max-absolute-value scales. All-zero columns get the Fit guard
-  /// (scale = 1). Leaves the scaler fitted.
-  void FitFromScales(const std::vector<double>& max_abs);
   void TransformInPlace(Matrix& data) const override;
   std::unique_ptr<Preprocessor> Clone() const override {
     return std::make_unique<MaxAbsScaler>(config_);

@@ -19,19 +19,6 @@ void MinMaxScaler::Fit(const Matrix& data) {
   fitted_ = true;
 }
 
-void MinMaxScaler::FitFromRanges(const std::vector<double>& mins,
-                                 const std::vector<double>& maxs) {
-  AUTOFP_CHECK_EQ(mins.size(), maxs.size());
-  AUTOFP_CHECK_GT(mins.size(), 0u);
-  mins_ = mins;
-  ranges_.resize(maxs.size());
-  for (size_t c = 0; c < maxs.size(); ++c) {
-    double range = maxs[c] - mins[c];
-    ranges_[c] = range == 0.0 ? 1.0 : range;
-  }
-  fitted_ = true;
-}
-
 void MinMaxScaler::TransformInPlace(Matrix& data) const {
   AUTOFP_CHECK(fitted_) << "MinMaxScaler::Transform before Fit";
   AUTOFP_CHECK_EQ(data.cols(), mins_.size());

@@ -19,11 +19,6 @@ class MinMaxScaler : public Preprocessor {
 
   const PreprocessorConfig& config() const override { return config_; }
   void Fit(const Matrix& data) override;
-  /// Incremental-refit hook (see src/stream/): installs streamed per-column
-  /// minima/maxima. Zero ranges get the Fit guard (range = 1). Leaves the
-  /// scaler fitted.
-  void FitFromRanges(const std::vector<double>& mins,
-                     const std::vector<double>& maxs);
   void TransformInPlace(Matrix& data) const override;
   std::unique_ptr<Preprocessor> Clone() const override {
     return std::make_unique<MinMaxScaler>(config_);

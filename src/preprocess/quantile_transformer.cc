@@ -30,20 +30,6 @@ void QuantileTransformer::Fit(const Matrix& data) {
   fitted_ = true;
 }
 
-void QuantileTransformer::FitFromReferences(
-    std::vector<std::vector<double>> references) {
-  AUTOFP_CHECK_GT(references.size(), 0u);
-  const size_t table_size = references[0].size();
-  AUTOFP_CHECK_GE(table_size, 2u);
-  for (std::vector<double>& table : references) {
-    AUTOFP_CHECK_EQ(table.size(), table_size);
-    std::sort(table.begin(), table.end());
-  }
-  references_ = std::move(references);
-  effective_quantiles_ = static_cast<int>(table_size);
-  fitted_ = true;
-}
-
 void QuantileTransformer::TransformInPlace(Matrix& data) const {
   AUTOFP_CHECK(fitted_) << "QuantileTransformer::Transform before Fit";
   AUTOFP_CHECK_EQ(data.cols(), references_.size());

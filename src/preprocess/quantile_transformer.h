@@ -24,11 +24,6 @@ class QuantileTransformer : public Preprocessor {
 
   const PreprocessorConfig& config() const override { return config_; }
   void Fit(const Matrix& data) override;
-  /// Incremental-refit hook (see src/stream/): installs reference quantile
-  /// tables produced by streaming quantile sketches, one ascending table
-  /// per column (all tables the same size >= 2; non-ascending input is
-  /// sorted defensively). Leaves the transformer fitted.
-  void FitFromReferences(std::vector<std::vector<double>> references);
   void TransformInPlace(Matrix& data) const override;
   std::unique_ptr<Preprocessor> Clone() const override {
     return std::make_unique<QuantileTransformer>(config_);

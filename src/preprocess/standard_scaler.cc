@@ -21,18 +21,6 @@ void StandardScaler::Fit(const Matrix& data) {
   fitted_ = true;
 }
 
-void StandardScaler::FitFromMoments(const std::vector<double>& means,
-                                    const std::vector<double>& stddevs) {
-  AUTOFP_CHECK_EQ(means.size(), stddevs.size());
-  AUTOFP_CHECK_GT(means.size(), 0u);
-  means_ = means;
-  stddevs_ = stddevs;
-  for (double& stddev : stddevs_) {
-    if (!(stddev > 0.0)) stddev = 1.0;
-  }
-  fitted_ = true;
-}
-
 void StandardScaler::TransformInPlace(Matrix& data) const {
   AUTOFP_CHECK(fitted_) << "StandardScaler::Transform before Fit";
   AUTOFP_CHECK_EQ(data.cols(), means_.size());

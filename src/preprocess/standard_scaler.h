@@ -20,12 +20,6 @@ class StandardScaler : public Preprocessor {
 
   const PreprocessorConfig& config() const override { return config_; }
   void Fit(const Matrix& data) override;
-  /// Incremental-refit hook (see src/stream/): installs column statistics
-  /// accumulated by a streaming source (Welford running moments) instead
-  /// of a batch Fit pass. Zero/negative stddevs get the same guard as
-  /// Fit (scale = 1, column only centered). Leaves the scaler fitted.
-  void FitFromMoments(const std::vector<double>& means,
-                      const std::vector<double>& stddevs);
   void TransformInPlace(Matrix& data) const override;
   std::unique_ptr<Preprocessor> Clone() const override {
     return std::make_unique<StandardScaler>(config_);

@@ -11,6 +11,7 @@
 #include "preprocess/pipeline_parse.h"
 #include "util/fs.h"
 #include "util/serialize.h"
+#include "util/simd.h"
 
 namespace autofp {
 namespace {
@@ -113,25 +114,54 @@ const char* ArtifactErrorName(ArtifactError error) {
   return "?";
 }
 
+void ReferenceStats::Reset(size_t cols) {
+  rows = 0;
+  mean.assign(cols, 0.0);
+  m2.assign(cols, 0.0);
+  min.assign(cols, std::numeric_limits<double>::infinity());
+  max.assign(cols, -std::numeric_limits<double>::infinity());
+}
+
+void ReferenceStats::ObserveRow(const double* row, size_t cols) {
+  AUTOFP_CHECK_EQ(cols, mean.size());
+  const double n = static_cast<double>(++rows);
+  using simd::VecD;
+  size_t c = 0;
+  if (simd::kDoubleLanes > 1 && !simd::ForceScalarEnabled()) {
+    // Each lane performs the scalar op sequence on its own column (the
+    // division is correctly rounded, like the scalar one), and the
+    // strict-comparison Selects keep the scalar min/max tie behavior.
+    const VecD v_n = VecD::Set1(n);
+    for (; c + simd::kDoubleLanes <= cols; c += simd::kDoubleLanes) {
+      const VecD value = VecD::Load(row + c);
+      VecD mu = VecD::Load(mean.data() + c);
+      const VecD delta = value - mu;
+      mu = mu + delta / v_n;
+      mu.Store(mean.data() + c);
+      (VecD::Load(m2.data() + c) + delta * (value - mu)).Store(m2.data() + c);
+      const VecD lo = VecD::Load(min.data() + c);
+      const VecD hi = VecD::Load(max.data() + c);
+      VecD::Select(VecD::Gt(lo, value), value, lo).Store(min.data() + c);
+      VecD::Select(VecD::Gt(value, hi), value, hi).Store(max.data() + c);
+    }
+  }
+  for (; c < cols; ++c) {
+    const double value = row[c];
+    const double delta = value - mean[c];
+    mean[c] += delta / n;
+    m2[c] += delta * (value - mean[c]);
+    if (value < min[c]) min[c] = value;
+    if (value > max[c]) max[c] = value;
+  }
+}
+
 ReferenceStats ComputeReferenceStats(const Matrix& features) {
   ReferenceStats stats;
   const size_t cols = features.cols();
   if (cols == 0) return stats;
-  stats.mean.assign(cols, 0.0);
-  stats.m2.assign(cols, 0.0);
-  stats.min.assign(cols, std::numeric_limits<double>::infinity());
-  stats.max.assign(cols, -std::numeric_limits<double>::infinity());
+  stats.Reset(cols);
   for (size_t r = 0; r < features.rows(); ++r) {
-    const double* row = features.RowPtr(r);
-    const double n = static_cast<double>(++stats.rows);
-    for (size_t c = 0; c < cols; ++c) {
-      const double value = row[c];
-      const double delta = value - stats.mean[c];
-      stats.mean[c] += delta / n;
-      stats.m2[c] += delta * (value - stats.mean[c]);
-      if (value < stats.min[c]) stats.min[c] = value;
-      if (value > stats.max[c]) stats.max[c] = value;
-    }
+    stats.ObserveRow(features.RowPtr(r), cols);
   }
   if (stats.rows == 0) {
     stats.min.assign(cols, 0.0);

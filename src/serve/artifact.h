@@ -96,11 +96,11 @@ struct ArtifactSchema {
 uint64_t SchemaFingerprint(const ArtifactSchema& schema);
 
 /// Per-column reference moments of the features the artifact was exported
-/// on, in Welford form (count, mean, sum of squared deviations, min, max)
-/// so a streaming accumulator can resume from — or be compared against —
-/// them exactly (src/stream/moments.h converts both ways). An empty value
-/// (no columns) means "no stats recorded"; drift monitoring is then
-/// unavailable for the artifact.
+/// on, in Welford form (count, mean, sum of squared deviations, min, max).
+/// The same type is the drift monitor's live window (src/stream/drift.h),
+/// so the baseline and the window are accumulated by one loop and compared
+/// field for field. An empty value (no columns) means "no stats recorded";
+/// drift monitoring is then unavailable for the artifact.
 struct ReferenceStats {
   uint64_t rows = 0;
   /// Parallel per-column vectors, all of length input_cols (or all empty).
@@ -115,10 +115,21 @@ struct ReferenceStats {
   double Variance(size_t c) const {
     return rows > 0 ? m2[c] / static_cast<double>(rows) : 0.0;
   }
+
+  /// Drops all rows and fixes the column count. min/max start at +/-inf
+  /// so the first observed row sets them.
+  void Reset(size_t cols);
+  /// One Welford update per column: mean += delta / n, then
+  /// m2 += delta * (value - mean). `cols` must equal cols(). Columns are
+  /// independent, so the vector lanes reproduce the scalar loop (taken
+  /// under simd::ForceScalarEnabled()) bit for bit, ties and signed zeros
+  /// included.
+  void ObserveRow(const double* row, size_t cols);
 };
 
-/// One exact pass over `features` (Welford's update per column), producing
-/// the stats ExportArtifact stamps into the kStatsSection.
+/// One exact pass over `features` (Reset, then ObserveRow per row),
+/// producing the stats ExportArtifact stamps into the kStatsSection. With
+/// no rows, min and max are 0 rather than the accumulator's +/-inf.
 ReferenceStats ComputeReferenceStats(const Matrix& features);
 
 /// Writer knobs. The fingerprint override exists only so tests can

@@ -48,23 +48,24 @@ void StreamController::OnBatchScored(const Matrix& rows,
       reservoir_->ObserveRow(rows.RowPtr(r), rows.cols(), predictions[r]);
     }
     if (monitor_.has_value()) {
-      std::optional<DriftReport> report = monitor_->ObserveBatch(rows);
-      if (report.has_value()) {
+      // A micro-batch can close several windows; each is counted, and the
+      // first triggering one takes the batch's single research snapshot.
+      for (const DriftReport& report : monitor_->ObserveBatch(rows)) {
         ++counters_.windows_compared;
         counters_.zero_variance_skips +=
-            static_cast<long>(report->skipped_zero_variance);
-        if (report->triggered) {
-          ++counters_.drift_triggers;
+            static_cast<long>(report.skipped_zero_variance);
+        if (!report.triggered) continue;
+        ++counters_.drift_triggers;
+        std::fprintf(stderr,
+                     "drift: window of %llu rows triggered "
+                     "(%zu/%zu columns over threshold, max statistic "
+                     "%.3f, %zu zero-variance skips)\n",
+                     static_cast<unsigned long long>(report.window_rows),
+                     report.drifted_columns, report.columns.size(),
+                     report.max_statistic, report.skipped_zero_variance);
+        if (!trigger) {
           trigger = true;
           snapshot = reservoir_->Snapshot("drift-snapshot", num_classes_);
-          std::fprintf(stderr,
-                       "drift: window of %llu rows triggered "
-                       "(%zu/%zu columns over threshold, max statistic "
-                       "%.3f, %zu zero-variance skips)\n",
-                       static_cast<unsigned long long>(report->window_rows),
-                       report->drifted_columns, report->columns.size(),
-                       report->max_statistic,
-                       report->skipped_zero_variance);
         }
       }
     }

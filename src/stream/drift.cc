@@ -21,7 +21,7 @@ DriftMonitor::DriftMonitor(ReferenceStats reference, DriftConfig config)
 
 DriftReport DriftMonitor::Compare() const {
   DriftReport report;
-  report.window_rows = window_.rows();
+  report.window_rows = window_.rows;
   report.columns.resize(reference_.cols());
   for (size_t c = 0; c < reference_.cols(); ++c) {
     ColumnDrift& column = report.columns[c];
@@ -33,9 +33,9 @@ DriftReport DriftMonitor::Compare() const {
       continue;
     }
     const double mean_shift =
-        std::fabs(window_.Mean(c) - reference_.mean[c]) / sigma0;
+        std::fabs(window_.mean[c] - reference_.mean[c]) / sigma0;
     const double scale_shift =
-        std::fabs(window_.StdDev(c) - sigma0) / sigma0;
+        std::fabs(std::sqrt(window_.Variance(c)) - sigma0) / sigma0;
     column.statistic = std::max(mean_shift, scale_shift);
     if (column.statistic > report.max_statistic) {
       report.max_statistic = column.statistic;
@@ -49,18 +49,18 @@ DriftReport DriftMonitor::Compare() const {
   return report;
 }
 
-std::optional<DriftReport> DriftMonitor::ObserveBatch(const Matrix& rows) {
-  if (rows.rows() == 0) return std::nullopt;
+std::vector<DriftReport> DriftMonitor::ObserveBatch(const Matrix& rows) {
+  std::vector<DriftReport> reports;
+  if (rows.rows() == 0) return reports;
   AUTOFP_CHECK_EQ(rows.cols(), reference_.cols());
-  std::optional<DriftReport> report;
   for (size_t r = 0; r < rows.rows(); ++r) {
     window_.ObserveRow(rows.RowPtr(r), rows.cols());
-    if (window_.rows() >= config_.window_rows) {
-      report = Compare();
+    if (window_.rows >= config_.window_rows) {
+      reports.push_back(Compare());
       ResetWindow();
     }
   }
-  return report;
+  return reports;
 }
 
 }  // namespace autofp

@@ -3,8 +3,9 @@
 
 /// Windowed drift detection against an artifact's reference stats (see
 /// DESIGN.md "Streaming and drift"). The monitor accumulates serving
-/// rows into a RunningMoments window; every full window is compared
-/// per-column against the ReferenceStats the artifact was exported with:
+/// rows into a ReferenceStats window (the same Welford loop that stamped
+/// the artifact's baseline); every full window is compared per-column
+/// against the ReferenceStats the artifact was exported with:
 ///
 ///   statistic(c) = max(|mu_w - mu_0| / sigma_0, |sigma_w - sigma_0| / sigma_0)
 ///
@@ -16,11 +17,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "serve/artifact.h"
-#include "stream/moments.h"
 #include "util/matrix.h"
 
 namespace autofp {
@@ -70,17 +69,17 @@ class DriftMonitor {
   /// `reference` must be non-empty; its column count fixes the monitor's.
   DriftMonitor(ReferenceStats reference, DriftConfig config);
 
-  /// Feeds a scored batch. Returns a report for each window boundary the
-  /// batch crossed (the report of the *last* completed window when a
-  /// batch spans several); nullopt while the window is still filling.
-  std::optional<DriftReport> ObserveBatch(const Matrix& rows);
+  /// Feeds a scored batch. Returns one report per window the batch
+  /// completed, in window order (several when a batch spans several
+  /// windows; empty while the window is still filling).
+  std::vector<DriftReport> ObserveBatch(const Matrix& rows);
 
   /// Drops the partial window (used after a swap installs a new baseline).
   void ResetWindow() { window_.Reset(reference_.cols()); }
 
   const ReferenceStats& reference() const { return reference_; }
   const DriftConfig& config() const { return config_; }
-  uint64_t rows_in_window() const { return window_.rows(); }
+  uint64_t rows_in_window() const { return window_.rows; }
 
   /// Scores the current window against the reference without waiting for
   /// it to fill (used by tests and the final flush).
@@ -91,7 +90,7 @@ class DriftMonitor {
   /// Reference stddev per column, precomputed once.
   std::vector<double> reference_stddev_;
   DriftConfig config_;
-  RunningMoments window_;
+  ReferenceStats window_;
 };
 
 }  // namespace autofp

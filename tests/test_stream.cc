@@ -1,33 +1,27 @@
-/// Tests of the streaming statistics layer (src/stream/): Welford running
-/// moments vs batch moments, Chan's merge, the P² quantile sketch against
-/// exact empirical quantiles on uniform/normal/heavy-tailed streams,
-/// sketch merge associativity (within sketch tolerance — each merge is
-/// itself a sketching step), state round-trips, the incremental-refit
-/// hooks against batch Fit, and the drift monitor — including the
-/// zero-variance-column regression (a constant reference column must be
-/// a typed skip, never a division by zero).
+/// Tests of the streaming statistics layer: the one Welford accumulator
+/// (ReferenceStats::ObserveRow, shared by the artifact export and the
+/// drift window) against batch moments, its vector lanes against its
+/// forced-scalar loop and the export stats against the pre-vectorization
+/// loop, byte for byte; the drift monitor, including a batch that spans
+/// several windows and the zero-variance-column regression (a constant
+/// reference column must be a typed skip, never a division by zero); and
+/// the reservoir sampler.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <optional>
-#include <sstream>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "preprocess/maxabs_scaler.h"
-#include "preprocess/minmax_scaler.h"
-#include "preprocess/quantile_transformer.h"
-#include "preprocess/standard_scaler.h"
 #include "serve/artifact.h"
 #include "stream/drift.h"
-#include "stream/moments.h"
-#include "stream/quantile_sketch.h"
 #include "stream/reservoir.h"
 #include "util/random.h"
-#include "util/stats.h"
+#include "util/simd.h"
 
 namespace autofp {
 namespace {
@@ -45,23 +39,13 @@ Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   return data;
 }
 
-/// Rank of `value` in the sorted stream, as a CDF position in [0, 1] —
-/// the scale-free error metric for quantile estimates (value-space error
-/// is meaningless across a heavy tail).
-double EmpiricalCdf(const std::vector<double>& sorted, double value) {
-  const auto it = std::upper_bound(sorted.begin(), sorted.end(), value);
-  return static_cast<double>(it - sorted.begin()) /
-         static_cast<double>(sorted.size());
-}
-
 // ---------------------------------------------------------------------------
-// Running moments.
+// Reference-stats accumulator.
 
-TEST(RunningMoments, MatchesBatchMoments) {
+TEST(ReferenceStats, MatchesBatchMoments) {
   const Matrix data = RandomMatrix(999, 4, /*seed=*/7);
-  RunningMoments moments(data.cols());
-  moments.Observe(data);
-  ASSERT_EQ(moments.rows(), data.rows());
+  const ReferenceStats moments = ComputeReferenceStats(data);
+  ASSERT_EQ(moments.rows, data.rows());
   for (size_t c = 0; c < data.cols(); ++c) {
     const std::vector<double> column = data.Column(c);
     double mean = 0.0;
@@ -69,395 +53,129 @@ TEST(RunningMoments, MatchesBatchMoments) {
     mean /= static_cast<double>(column.size());
     double m2 = 0.0;
     for (double v : column) m2 += (v - mean) * (v - mean);
-    EXPECT_NEAR(moments.Mean(c), mean, 1e-9 * (1.0 + std::fabs(mean)));
-    EXPECT_NEAR(moments.M2(c), m2, 1e-7 * (1.0 + m2));
-    EXPECT_EQ(moments.Min(c), *std::min_element(column.begin(), column.end()));
-    EXPECT_EQ(moments.Max(c), *std::max_element(column.begin(), column.end()));
+    EXPECT_NEAR(moments.mean[c], mean, 1e-9 * (1.0 + std::fabs(mean)));
+    EXPECT_NEAR(moments.m2[c], m2, 1e-7 * (1.0 + m2));
+    EXPECT_EQ(moments.min[c], *std::min_element(column.begin(), column.end()));
+    EXPECT_EQ(moments.max[c], *std::max_element(column.begin(), column.end()));
   }
 }
 
-TEST(RunningMoments, MergeMatchesSequentialPass) {
-  const Matrix data = RandomMatrix(1000, 3, /*seed=*/11);
-  RunningMoments sequential(data.cols());
-  sequential.Observe(data);
-
-  // Three uneven chunks accumulated independently, then merged.
-  RunningMoments a(data.cols()), b(data.cols()), c(data.cols());
-  for (size_t r = 0; r < data.rows(); ++r) {
-    RunningMoments& part = r < 100 ? a : (r < 700 ? b : c);
-    part.ObserveRow(data.RowPtr(r), data.cols());
-  }
-  RunningMoments merged(data.cols());
-  merged.Merge(a);
-  merged.Merge(b);
-  merged.Merge(c);
-
-  ASSERT_EQ(merged.rows(), sequential.rows());
-  for (size_t col = 0; col < data.cols(); ++col) {
-    EXPECT_NEAR(merged.Mean(col), sequential.Mean(col), 1e-9);
-    EXPECT_NEAR(merged.Variance(col), sequential.Variance(col),
-                1e-7 * (1.0 + sequential.Variance(col)));
-    EXPECT_EQ(merged.Min(col), sequential.Min(col));
-    EXPECT_EQ(merged.Max(col), sequential.Max(col));
-  }
-}
-
-TEST(RunningMoments, MergeWithEmptySides) {
-  const Matrix data = RandomMatrix(50, 2, /*seed=*/3);
-  RunningMoments full(data.cols());
-  full.Observe(data);
-
-  RunningMoments into_empty(data.cols());
-  into_empty.Merge(full);
-  EXPECT_EQ(into_empty.rows(), full.rows());
-  EXPECT_EQ(into_empty.Mean(0), full.Mean(0));
-
-  RunningMoments from_empty = full;
-  from_empty.Merge(RunningMoments(data.cols()));
-  EXPECT_EQ(from_empty.rows(), full.rows());
-  EXPECT_EQ(from_empty.Mean(1), full.Mean(1));
-}
-
-TEST(RunningMoments, StateRoundTripIsExact) {
-  const Matrix data = RandomMatrix(123, 5, /*seed=*/19);
-  RunningMoments moments(data.cols());
-  moments.Observe(data);
-
-  std::ostringstream out(std::ios::binary);
-  moments.SaveState(out);
-  RunningMoments loaded;
-  std::istringstream in(out.str(), std::ios::binary);
-  ASSERT_TRUE(loaded.LoadState(in).ok());
-  EXPECT_EQ(in.peek(), EOF) << "trailing bytes";
-
-  ASSERT_EQ(loaded.rows(), moments.rows());
-  for (size_t c = 0; c < data.cols(); ++c) {
-    // Bit-exact: the blob is the raw doubles.
-    EXPECT_EQ(loaded.Mean(c), moments.Mean(c));
-    EXPECT_EQ(loaded.M2(c), moments.M2(c));
-    EXPECT_EQ(loaded.Min(c), moments.Min(c));
-    EXPECT_EQ(loaded.Max(c), moments.Max(c));
-  }
-}
-
-TEST(RunningMoments, LoadRejectsGarbage) {
-  RunningMoments loaded;
-  std::istringstream truncated(std::string("\x02\x00\x01", 3),
-                               std::ios::binary);
-  EXPECT_FALSE(loaded.LoadState(truncated).ok());
-}
-
-TEST(RunningMoments, ReferenceStatsConversionAgreesWithExport) {
-  const Matrix data = RandomMatrix(200, 3, /*seed=*/23);
-  RunningMoments moments(data.cols());
-  moments.Observe(data);
-  const ReferenceStats streamed = moments.ToReferenceStats();
-  const ReferenceStats batch = ComputeReferenceStats(data);
-
-  ASSERT_EQ(streamed.cols(), batch.cols());
-  EXPECT_EQ(streamed.rows, batch.rows);
-  for (size_t c = 0; c < batch.cols(); ++c) {
-    EXPECT_NEAR(streamed.mean[c], batch.mean[c], 1e-12);
-    EXPECT_NEAR(streamed.m2[c], batch.m2[c], 1e-9 * (1.0 + batch.m2[c]));
-    EXPECT_EQ(streamed.min[c], batch.min[c]);
-    EXPECT_EQ(streamed.max[c], batch.max[c]);
-  }
-
-  // Round-trip through the artifact representation is exact.
-  const RunningMoments back = RunningMoments::FromReferenceStats(streamed);
-  EXPECT_EQ(back.rows(), moments.rows());
-  EXPECT_EQ(back.Mean(0), moments.Mean(0));
-  EXPECT_EQ(back.M2(2), moments.M2(2));
-}
-
-// ---------------------------------------------------------------------------
-// P² quantile sketch.
-
-std::vector<double> UniformStream(size_t n, uint64_t seed) {
+/// Lognormal values with planted ties and signed zeros: repeated values
+/// exercise the strict min/max comparisons, and -0.0 next to +0.0 shows
+/// whether a lane picks a different zero than the scalar loop.
+Matrix AwkwardMatrix(size_t rows, size_t cols, uint64_t seed) {
   Rng rng(seed);
-  std::vector<double> out(n);
-  for (double& v : out) v = rng.Uniform(-5.0, 13.0);
-  return out;
-}
-
-std::vector<double> NormalStream(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> out(n);
-  for (double& v : out) v = rng.Gaussian(2.0, 3.0);
-  return out;
-}
-
-/// Lognormal: the heavy-tailed case where value-space tolerances explode
-/// and only rank-space error is meaningful.
-std::vector<double> HeavyTailStream(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> out(n);
-  for (double& v : out) v = std::exp(rng.Gaussian(0.0, 1.5));
-  return out;
-}
-
-void ExpectSketchTracksExactQuantiles(const std::vector<double>& stream,
-                                      double rank_tolerance,
-                                      const char* label) {
-  P2QuantileSketch sketch;
-  for (double v : stream) sketch.Observe(v);
-  std::vector<double> sorted = stream;
-  std::sort(sorted.begin(), sorted.end());
-  for (double p : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-    const double estimate = sketch.Quantile(p);
-    const double rank = EmpiricalCdf(sorted, estimate);
-    EXPECT_NEAR(rank, p, rank_tolerance)
-        << label << ": p=" << p << " estimate=" << estimate;
+  Matrix data(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      double value = std::exp(rng.Gaussian(0.0, 1.5));
+      if (rng.Bernoulli(0.5)) value = -value;
+      switch ((r + c) % 7) {
+        case 0: value = 0.0; break;
+        case 1: value = -0.0; break;
+        case 2: value = 2.5; break;  // a tie repeated down every column.
+        default: break;
+      }
+      data(r, c) = value;
+    }
   }
-  // Extremes are tracked exactly.
-  EXPECT_EQ(sketch.Quantile(0.0), sorted.front()) << label;
-  EXPECT_EQ(sketch.Quantile(1.0), sorted.back()) << label;
+  return data;
 }
 
-TEST(P2QuantileSketch, TracksUniformStream) {
-  ExpectSketchTracksExactQuantiles(UniformStream(20000, 5), 0.02, "uniform");
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-TEST(P2QuantileSketch, TracksNormalStream) {
-  ExpectSketchTracksExactQuantiles(NormalStream(20000, 6), 0.02, "normal");
+void ExpectSameBytes(const ReferenceStats& a, const ReferenceStats& b) {
+  EXPECT_EQ(a.rows, b.rows);
+  EXPECT_TRUE(SameBytes(a.mean, b.mean));
+  EXPECT_TRUE(SameBytes(a.m2, b.m2));
+  EXPECT_TRUE(SameBytes(a.min, b.min));
+  EXPECT_TRUE(SameBytes(a.max, b.max));
 }
 
-TEST(P2QuantileSketch, TracksHeavyTailedStream) {
-  // The lognormal tail is where P² earns a looser (but still tight in
-  // rank space) bound.
-  ExpectSketchTracksExactQuantiles(HeavyTailStream(20000, 8), 0.035,
-                                   "heavy-tailed");
-}
+/// Column counts covering every lane tail of the 2- and 4-lane backends.
+constexpr size_t kLaneTailColumns[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 13};
 
-TEST(P2QuantileSketch, ExactWhileWarmingUp) {
-  std::vector<double> values = NormalStream(20, 9);  // < default markers.
-  P2QuantileSketch sketch;
-  for (double v : values) sketch.Observe(v);
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  for (double p : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    EXPECT_NEAR(sketch.Quantile(p), QuantileSorted(sorted, p), 1e-12);
+/// Alternating -0.0/+0.0 columns: whichever zero the scalar loop keeps
+/// as min/max, the lanes must keep the same one.
+Matrix SignedZeroMatrix(size_t rows, size_t cols) {
+  Matrix data(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      data(r, c) = (r + c) % 2 == 0 ? -0.0 : 0.0;
+    }
   }
+  return data;
 }
 
-TEST(P2QuantileSketch, ConstantStreamIsDegenerateButSane) {
-  P2QuantileSketch sketch;
-  for (int i = 0; i < 1000; ++i) sketch.Observe(4.25);
-  for (double p : {0.0, 0.5, 1.0}) {
-    EXPECT_EQ(sketch.Quantile(p), 4.25);
+TEST(ReferenceStats, VectorLanesMatchForcedScalarByteForByte) {
+  for (size_t cols : kLaneTailColumns) {
+    SCOPED_TRACE("cols=" + std::to_string(cols));
+    for (const Matrix& data : {AwkwardMatrix(301, cols, /*seed=*/90 + cols),
+                               SignedZeroMatrix(6, cols)}) {
+      ReferenceStats scalar, vector;
+      {
+        simd::ScopedForceScalar forced(true);
+        scalar = ComputeReferenceStats(data);
+      }
+      {
+        simd::ScopedForceScalar forced(false);
+        vector = ComputeReferenceStats(data);
+      }
+      ExpectSameBytes(scalar, vector);
+    }
   }
 }
 
-TEST(P2QuantileSketch, MergeApproximatesUnionStream) {
-  const std::vector<double> a = NormalStream(6000, 21);
-  const std::vector<double> b = UniformStream(9000, 22);
-  P2QuantileSketch sketch_a, sketch_b;
-  for (double v : a) sketch_a.Observe(v);
-  for (double v : b) sketch_b.Observe(v);
-
-  P2QuantileSketch merged = sketch_a;
-  merged.Merge(sketch_b);
-  EXPECT_EQ(merged.count(), a.size() + b.size());
-
-  std::vector<double> all = a;
-  all.insert(all.end(), b.begin(), b.end());
-  std::sort(all.begin(), all.end());
-  for (double p : {0.1, 0.25, 0.5, 0.75, 0.9}) {
-    EXPECT_NEAR(EmpiricalCdf(all, merged.Quantile(p)), p, 0.04)
-        << "p=" << p;
+/// Plain scalar Welford with `delta / n`: the loop exported artifacts'
+/// stats sections were written with. ComputeReferenceStats must reproduce
+/// its bytes, so re-exporting never changes an artifact.
+ReferenceStats PinnedScalarReferenceStats(const Matrix& features) {
+  ReferenceStats stats;
+  const size_t cols = features.cols();
+  if (cols == 0) return stats;
+  stats.mean.assign(cols, 0.0);
+  stats.m2.assign(cols, 0.0);
+  stats.min.assign(cols, std::numeric_limits<double>::infinity());
+  stats.max.assign(cols, -std::numeric_limits<double>::infinity());
+  for (size_t r = 0; r < features.rows(); ++r) {
+    const double* row = features.RowPtr(r);
+    const double n = static_cast<double>(++stats.rows);
+    for (size_t c = 0; c < cols; ++c) {
+      const double value = row[c];
+      const double delta = value - stats.mean[c];
+      stats.mean[c] += delta / n;
+      stats.m2[c] += delta * (value - stats.mean[c]);
+      if (value < stats.min[c]) stats.min[c] = value;
+      if (value > stats.max[c]) stats.max[c] = value;
+    }
   }
-}
-
-TEST(P2QuantileSketch, MergeIsAssociativeWithinTolerance) {
-  // A merge is itself a sketching step, so differently-shaped merge trees
-  // cannot agree bit-for-bit; they must agree within sketch tolerance in
-  // rank space.
-  const std::vector<double> a = NormalStream(4000, 31);
-  const std::vector<double> b = HeavyTailStream(4000, 32);
-  const std::vector<double> c = UniformStream(4000, 33);
-  auto sketch_of = [](const std::vector<double>& stream) {
-    P2QuantileSketch s;
-    for (double v : stream) s.Observe(v);
-    return s;
-  };
-
-  P2QuantileSketch left = sketch_of(a);
-  left.Merge(sketch_of(b));
-  left.Merge(sketch_of(c));
-
-  P2QuantileSketch right_tail = sketch_of(b);
-  right_tail.Merge(sketch_of(c));
-  P2QuantileSketch right = sketch_of(a);
-  right.Merge(right_tail);
-
-  EXPECT_EQ(left.count(), right.count());
-  std::vector<double> all = a;
-  all.insert(all.end(), b.begin(), b.end());
-  all.insert(all.end(), c.begin(), c.end());
-  std::sort(all.begin(), all.end());
-  for (double p : {0.1, 0.25, 0.5, 0.75, 0.9}) {
-    const double rank_left = EmpiricalCdf(all, left.Quantile(p));
-    const double rank_right = EmpiricalCdf(all, right.Quantile(p));
-    EXPECT_NEAR(rank_left, rank_right, 0.05) << "p=" << p;
-    EXPECT_NEAR(rank_left, p, 0.06) << "p=" << p;
+  if (stats.rows == 0) {
+    stats.min.assign(cols, 0.0);
+    stats.max.assign(cols, 0.0);
   }
+  return stats;
 }
 
-TEST(P2QuantileSketch, MergeWithEmptyAndSmallSketches) {
-  P2QuantileSketch empty;
-  P2QuantileSketch small;
-  small.Observe(1.0);
-  small.Observe(3.0);
-
-  P2QuantileSketch merged = empty;
-  merged.Merge(small);
-  EXPECT_EQ(merged.count(), 2u);
-  EXPECT_EQ(merged.Quantile(0.0), 1.0);
-  EXPECT_EQ(merged.Quantile(1.0), 3.0);
-
-  // Two warm-up sketches whose union still fits the buffer stay exact.
-  P2QuantileSketch other;
-  other.Observe(2.0);
-  merged.Merge(other);
-  EXPECT_EQ(merged.count(), 3u);
-  EXPECT_NEAR(merged.Quantile(0.5), 2.0, 1e-12);
-}
-
-TEST(P2QuantileSketch, StateRoundTripBothModes) {
-  // Warm-up mode.
-  P2QuantileSketch warm;
-  for (double v : UniformStream(10, 41)) warm.Observe(v);
-  std::ostringstream warm_out(std::ios::binary);
-  warm.SaveState(warm_out);
-  P2QuantileSketch warm_loaded;
-  std::istringstream warm_in(warm_out.str(), std::ios::binary);
-  ASSERT_TRUE(warm_loaded.LoadState(warm_in).ok());
-  EXPECT_EQ(warm_loaded.count(), warm.count());
-  EXPECT_EQ(warm_loaded.Quantile(0.5), warm.Quantile(0.5));
-
-  // Marker mode.
-  P2QuantileSketch full;
-  for (double v : NormalStream(5000, 42)) full.Observe(v);
-  std::ostringstream out(std::ios::binary);
-  full.SaveState(out);
-  P2QuantileSketch loaded;
-  std::istringstream in(out.str(), std::ios::binary);
-  ASSERT_TRUE(loaded.LoadState(in).ok());
-  EXPECT_EQ(in.peek(), EOF) << "trailing bytes";
-  EXPECT_EQ(loaded.count(), full.count());
-  for (double p : {0.1, 0.5, 0.9}) {
-    EXPECT_EQ(loaded.Quantile(p), full.Quantile(p));
+TEST(ReferenceStats, ExportStatsMatchPinnedScalarLoopByteForByte) {
+  for (size_t cols : kLaneTailColumns) {
+    SCOPED_TRACE("cols=" + std::to_string(cols));
+    const Matrix awkward = AwkwardMatrix(257, cols, /*seed=*/70 + cols);
+    ExpectSameBytes(ComputeReferenceStats(awkward),
+                    PinnedScalarReferenceStats(awkward));
+    const Matrix gaussian = RandomMatrix(500, cols, /*seed=*/80 + cols);
+    ExpectSameBytes(ComputeReferenceStats(gaussian),
+                    PinnedScalarReferenceStats(gaussian));
   }
-}
-
-TEST(P2QuantileSketch, LoadRejectsGarbage) {
-  P2QuantileSketch loaded;
-  std::istringstream truncated(std::string("\x20\x00\x00\x00\x05", 5),
-                               std::ios::binary);
-  EXPECT_FALSE(loaded.LoadState(truncated).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Incremental-refit hooks: a scaler refit from streamed statistics must
-// transform like one batch-fitted on the same data.
-
-TEST(RefitHooks, StandardScalerFromMoments) {
-  const Matrix data = RandomMatrix(300, 4, /*seed=*/51);
-  StandardScaler batch(
-      PreprocessorConfig::Defaults(PreprocessorKind::kStandardScaler));
-  batch.Fit(data);
-
-  RunningMoments moments(data.cols());
-  moments.Observe(data);
-  StandardScaler streamed(
-      PreprocessorConfig::Defaults(PreprocessorKind::kStandardScaler));
-  streamed.FitFromMoments(moments.Means(), moments.StdDevs());
-
-  Matrix expected = data, actual = data;
-  batch.TransformInPlace(expected);
-  streamed.TransformInPlace(actual);
-  for (size_t i = 0; i < expected.data().size(); ++i) {
-    EXPECT_NEAR(actual.data()[i], expected.data()[i], 1e-9);
-  }
-}
-
-TEST(RefitHooks, StandardScalerGuardsZeroStdDev) {
-  StandardScaler streamed(
-      PreprocessorConfig::Defaults(PreprocessorKind::kStandardScaler));
-  streamed.FitFromMoments({5.0}, {0.0});
-  Matrix rows(2, 1);
-  rows(0, 0) = 5.0;
-  rows(1, 0) = 7.0;
-  streamed.TransformInPlace(rows);
-  // Zero stddev -> centered only (scale 1), never a division by zero.
-  EXPECT_EQ(rows(0, 0), 0.0);
-  EXPECT_EQ(rows(1, 0), 2.0);
-}
-
-TEST(RefitHooks, MinMaxScalerFromStreamedRanges) {
-  const Matrix data = RandomMatrix(300, 3, /*seed=*/52);
-  MinMaxScaler batch(
-      PreprocessorConfig::Defaults(PreprocessorKind::kMinMaxScaler));
-  batch.Fit(data);
-
-  RunningMoments moments(data.cols());
-  moments.Observe(data);
-  MinMaxScaler streamed(
-      PreprocessorConfig::Defaults(PreprocessorKind::kMinMaxScaler));
-  streamed.FitFromRanges(moments.Mins(), moments.Maxs());
-
-  // Min/max stream exactly, so the refit transform is bit-identical.
-  Matrix expected = data, actual = data;
-  batch.TransformInPlace(expected);
-  streamed.TransformInPlace(actual);
-  EXPECT_TRUE(actual == expected);
-}
-
-TEST(RefitHooks, MaxAbsScalerFromStreamedScales) {
-  const Matrix data = RandomMatrix(300, 3, /*seed=*/53);
-  MaxAbsScaler batch(
-      PreprocessorConfig::Defaults(PreprocessorKind::kMaxAbsScaler));
-  batch.Fit(data);
-
-  RunningMoments moments(data.cols());
-  moments.Observe(data);
-  MaxAbsScaler streamed(
-      PreprocessorConfig::Defaults(PreprocessorKind::kMaxAbsScaler));
-  streamed.FitFromScales(moments.MaxAbses());
-
-  Matrix expected = data, actual = data;
-  batch.TransformInPlace(expected);
-  streamed.TransformInPlace(actual);
-  EXPECT_TRUE(actual == expected);
-}
-
-TEST(RefitHooks, QuantileTransformerFromSketchReferences) {
-  const Matrix data = RandomMatrix(100, 2, /*seed=*/54);
-  PreprocessorConfig config =
-      PreprocessorConfig::Defaults(PreprocessorKind::kQuantileTransformer);
-  QuantileTransformer batch(config);
-  batch.Fit(data);
-  const int k = batch.effective_quantiles();
-
-  // Oversized sketches stay in their exact warm-up buffer, so the
-  // streamed reference tables match batch Fit's to interpolation
-  // round-off.
-  std::vector<std::vector<double>> references;
-  for (size_t c = 0; c < data.cols(); ++c) {
-    P2QuantileSketch sketch(/*markers=*/256);
-    for (double v : data.Column(c)) sketch.Observe(v);
-    references.push_back(sketch.References(k));
-  }
-  QuantileTransformer streamed(config);
-  streamed.FitFromReferences(std::move(references));
-  EXPECT_EQ(streamed.effective_quantiles(), k);
-
-  Matrix expected = data, actual = data;
-  batch.TransformInPlace(expected);
-  streamed.TransformInPlace(actual);
-  for (size_t i = 0; i < expected.data().size(); ++i) {
-    EXPECT_NEAR(actual.data()[i], expected.data()[i], 1e-9);
-  }
+  // No rows: finite 0 sentinels for min/max, not the accumulator's inf.
+  const Matrix empty(0, 5);
+  const ReferenceStats none = ComputeReferenceStats(empty);
+  ExpectSameBytes(none, PinnedScalarReferenceStats(empty));
+  EXPECT_EQ(none.min, std::vector<double>(5, 0.0));
+  // No columns: no stats at all.
+  EXPECT_TRUE(ComputeReferenceStats(Matrix(4, 0)).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -475,8 +193,9 @@ TEST(DriftMonitor, QuietOnInDistributionData) {
   DriftMonitor monitor(ReferenceFor(reference_data), config);
 
   const Matrix live = RandomMatrix(500, 3, /*seed=*/62);  // same distribution.
-  std::optional<DriftReport> report = monitor.ObserveBatch(live);
-  ASSERT_TRUE(report.has_value());
+  const std::vector<DriftReport> reports = monitor.ObserveBatch(live);
+  ASSERT_EQ(reports.size(), 1u);
+  const DriftReport* report = &reports[0];
   EXPECT_FALSE(report->triggered);
   EXPECT_EQ(report->drifted_columns, 0u);
   EXPECT_EQ(report->window_rows, 500u);
@@ -494,8 +213,9 @@ TEST(DriftMonitor, TriggersOnMeanShift) {
   for (size_t r = 0; r < shifted.rows(); ++r) {
     shifted(r, 0) += 50.0;  // many reference stddevs on column 0.
   }
-  std::optional<DriftReport> report = monitor.ObserveBatch(shifted);
-  ASSERT_TRUE(report.has_value());
+  const std::vector<DriftReport> reports = monitor.ObserveBatch(shifted);
+  ASSERT_EQ(reports.size(), 1u);
+  const DriftReport* report = &reports[0];
   EXPECT_TRUE(report->triggered);
   EXPECT_GE(report->drifted_columns, 1u);
   EXPECT_EQ(report->columns[0].state, ColumnDriftState::kDrifted);
@@ -510,17 +230,40 @@ TEST(DriftMonitor, WindowBoundariesAndReset) {
 
   // 200 rows: window still filling, no report.
   Matrix part = RandomMatrix(200, 2, /*seed=*/66);
-  EXPECT_FALSE(monitor.ObserveBatch(part).has_value());
+  EXPECT_TRUE(monitor.ObserveBatch(part).empty());
   EXPECT_EQ(monitor.rows_in_window(), 200u);
 
   // 150 more rows: crosses the boundary, reports, and the window restarts
   // with the 50-row remainder.
   Matrix more = RandomMatrix(150, 2, /*seed=*/67);
-  EXPECT_TRUE(monitor.ObserveBatch(more).has_value());
+  EXPECT_EQ(monitor.ObserveBatch(more).size(), 1u);
   EXPECT_EQ(monitor.rows_in_window(), 50u);
 
   monitor.ResetWindow();
   EXPECT_EQ(monitor.rows_in_window(), 0u);
+}
+
+TEST(DriftMonitor, BatchSpanningWindowsReportsEveryWindow) {
+  // One micro-batch of 4 windows whose first window is mean-shifted: the
+  // triggered window must be reported even though quiet ones follow it.
+  const Matrix reference_data = RandomMatrix(2000, 3, /*seed=*/71);
+  DriftConfig config;
+  config.window_rows = 100;
+  config.threshold = 0.5;
+  DriftMonitor monitor(ReferenceFor(reference_data), config);
+
+  Matrix live = RandomMatrix(4 * config.window_rows + 30, 3, /*seed=*/72);
+  for (size_t r = 0; r < config.window_rows; ++r) live(r, 0) += 50.0;
+  const std::vector<DriftReport> reports = monitor.ObserveBatch(live);
+  ASSERT_EQ(reports.size(), 4u);
+  EXPECT_TRUE(reports[0].triggered);
+  for (size_t w = 1; w < reports.size(); ++w) {
+    EXPECT_FALSE(reports[w].triggered) << "window " << w;
+  }
+  for (const DriftReport& report : reports) {
+    EXPECT_EQ(report.window_rows, config.window_rows);
+  }
+  EXPECT_EQ(monitor.rows_in_window(), 30u);
 }
 
 TEST(DriftMonitor, ConstantReferenceColumnIsTypedSkipNotDivision) {
@@ -544,8 +287,9 @@ TEST(DriftMonitor, ConstantReferenceColumnIsTypedSkipNotDivision) {
   // undefined on constant reference columns, so skipping is the only
   // honest answer.
   Matrix live = RandomMatrix(50, 3, /*seed=*/68);
-  std::optional<DriftReport> report = monitor.ObserveBatch(live);
-  ASSERT_TRUE(report.has_value());
+  const std::vector<DriftReport> reports = monitor.ObserveBatch(live);
+  ASSERT_EQ(reports.size(), 1u);
+  const DriftReport* report = &reports[0];
   EXPECT_FALSE(report->triggered);
   EXPECT_EQ(report->skipped_zero_variance, 3u);
   EXPECT_EQ(report->drifted_columns, 0u);
@@ -571,8 +315,9 @@ TEST(DriftMonitor, MixedConstantAndDriftingColumns) {
 
   Matrix live = RandomMatrix(200, 2, /*seed=*/70);
   for (size_t r = 0; r < live.rows(); ++r) live(r, 0) += 100.0;
-  std::optional<DriftReport> report = monitor.ObserveBatch(live);
-  ASSERT_TRUE(report.has_value());
+  const std::vector<DriftReport> reports = monitor.ObserveBatch(live);
+  ASSERT_EQ(reports.size(), 1u);
+  const DriftReport* report = &reports[0];
   EXPECT_TRUE(report->triggered);
   EXPECT_EQ(report->columns[0].state, ColumnDriftState::kDrifted);
   EXPECT_EQ(report->columns[1].state,

@@ -228,6 +228,43 @@ TEST(StreamSwap, InDistributionTrafficNeverTriggers) {
   EXPECT_EQ(registry.Info().generation, 1);
 }
 
+TEST(StreamSwap, BatchSpanningWindowsCountsEveryWindow) {
+  // One micro-batch of 4 windows whose first window drifted: every window
+  // is compared, the early trigger is not lost behind the quiet windows
+  // after it, and the batch hands off exactly one snapshot.
+  const std::string baseline = WriteTestArtifact("span_base.afpa",
+                                                 BaselineSpec());
+  ArtifactRegistry registry;
+  ASSERT_TRUE(registry.Swap(baseline).ok());
+
+  const StreamConfig config =
+      SmallStreamConfig(TempPath("span_candidate.afpa"));
+  StreamController controller(&registry, config);
+  int rigged_calls = 0;
+  controller.researcher().set_search_export_fn(
+      [&rigged_calls](const Dataset&, const std::string&) {
+        ++rigged_calls;
+        return Status::Internal("rigged search failure");
+      });
+
+  const size_t window = config.drift.window_rows;
+  DriftedBatch batch = MakeDriftedBatch(4 * window, /*shift=*/0.0);
+  for (size_t r = 0; r < window; ++r) {
+    for (size_t c = 0; c < batch.rows.cols(); ++c) batch.rows(r, c) += 500.0;
+  }
+  std::shared_ptr<const Predictor> live = registry.Acquire();
+  controller.OnBatchScored(batch.rows, batch.predictions, *live);
+  controller.WaitForResearch();
+
+  StreamCounters counters = controller.counters();
+  EXPECT_EQ(counters.windows_compared, 4);
+  EXPECT_EQ(counters.drift_triggers, 1);
+  EXPECT_EQ(counters.research_started, 1);
+  EXPECT_EQ(counters.research_dropped, 0);
+  EXPECT_EQ(rigged_calls, 1);
+  EXPECT_EQ(registry.Info().generation, 1);
+}
+
 TEST(StreamSwap, ResearcherRefusesTinySnapshots) {
   const std::string baseline = WriteTestArtifact("tiny_base.afpa",
                                                  BaselineSpec());
