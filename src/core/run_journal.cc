@@ -6,6 +6,8 @@
 #include <array>
 #include <bit>
 #include <cerrno>
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -367,6 +369,29 @@ JournalReadResult ReadRunJournal(const std::string& path) {
     result.records.push_back(std::move(record));
   }
   return result;
+}
+
+std::string JournalListing(const JournalReadResult& read) {
+  char line[256];
+  std::snprintf(line, sizeof(line),
+                "journal version %u\noptions_fp %016" PRIx64
+                " dataset_fp %016" PRIx64 "\n",
+                read.header.version, read.header.options_fingerprint,
+                read.header.dataset_fingerprint);
+  std::string out = line;
+  out += "meta " + read.header.meta + "\n";
+  out += "records " + std::to_string(read.records.size()) + "\n";
+  for (size_t i = 0; i < read.records.size(); ++i) {
+    const JournalRecord& record = read.records[i];
+    std::snprintf(line, sizeof(line),
+                  "%06zu seed=%016" PRIx64
+                  " frac=%.17g acc=%.17g failure=%s attempts=%d | ",
+                  i, record.seed, record.budget_fraction, record.accuracy,
+                  EvalFailureName(record.failure), record.attempts);
+    out += line;
+    out += record.pipeline + "\n";
+  }
+  return out;
 }
 
 JournalError ValidateJournalHeader(const JournalHeader& header,

@@ -153,6 +153,14 @@ struct JournalReadResult {
 /// (ValidateJournalHeader) so tools can inspect foreign journals.
 JournalReadResult ReadRunJournal(const std::string& path);
 
+/// Canonical, machine-comparable listing of a journal read: the header
+/// fields, the record count and one line per record. Timing fields are
+/// deliberately omitted: they are wall-clock noise, and everything listed
+/// must be byte-identical between runs of one configuration at any thread
+/// count, worker count, resume point or SIMD path (`autofp
+/// --dump-journal` prints it; tests/test_exactness.cc compares it).
+std::string JournalListing(const JournalReadResult& read);
+
 /// Checks a journal header against the fingerprints of the run about to
 /// resume. Returns kNone when compatible; kOptionsMismatch /
 /// kDatasetMismatch (with detail in `*detail` when non-null) otherwise.

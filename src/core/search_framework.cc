@@ -29,15 +29,20 @@ SearchContext::SearchContext(const SearchSpace* space,
   // per-request deadline rides in each EvalRequest, so no decorator needs
   // mutable configuration.
   EvaluatorInterface* top = evaluator;
+  auto* pipeline_evaluator = dynamic_cast<PipelineEvaluator*>(evaluator);
   if (options.cache_bytes > 0) {
-    transform_cache_ = std::make_shared<TransformCache>(options.cache_bytes);
-    auto* pipeline_evaluator = dynamic_cast<PipelineEvaluator*>(evaluator);
     if (pipeline_evaluator != nullptr &&
         pipeline_evaluator->transform_cache() == nullptr) {
-      pipeline_evaluator->AttachTransformCache(transform_cache_);
+      pipeline_evaluator->AttachTransformCache(
+          std::make_shared<TransformCache>(options.cache_bytes));
     }
     result_cache_ = std::make_unique<CachingEvaluator>(top);
     top = result_cache_.get();
+  }
+  // Attached here or earlier (by the caller, or by a previous two-step
+  // round), the evaluator keeps its prefix cache across runs.
+  if (pipeline_evaluator != nullptr) {
+    transform_cache_ = pipeline_evaluator->transform_cache();
   }
   if (options.num_threads > 1) {
     pool_ = std::make_unique<ParallelEvaluator>(top, options.num_threads);
@@ -345,6 +350,11 @@ SearchResult RunSearch(SearchAlgorithm* algorithm,
                        const SearchOptions& options) {
   AUTOFP_CHECK(algorithm != nullptr);
   SearchContext context(&space, evaluator, options);
+  // The prefix cache's counters outlive the run: report this run's share.
+  TransformCache* transform_cache = context.transform_cache();
+  const TransformCache::Stats cache_before =
+      transform_cache != nullptr ? transform_cache->stats()
+                                 : TransformCache::Stats{};
   algorithm->Initialize(&context);
   // Guard against algorithms that stop making progress before the budget
   // is exhausted (would otherwise spin forever under time budgets).
@@ -377,18 +387,10 @@ SearchResult RunSearch(SearchAlgorithm* algorithm,
     result.result_cache_hits = context.result_cache()->hits();
     result.result_cache_misses = context.result_cache()->misses();
   }
-  TransformCache* transform_cache = context.transform_cache();
-  if (transform_cache == nullptr) {
-    // The caller may have attached its own prefix cache to the evaluator.
-    auto* pipeline_evaluator = dynamic_cast<PipelineEvaluator*>(evaluator);
-    if (pipeline_evaluator != nullptr) {
-      transform_cache = pipeline_evaluator->transform_cache();
-    }
-  }
   if (transform_cache != nullptr) {
     TransformCache::Stats stats = transform_cache->stats();
-    result.transform_cache_hits = stats.hits;
-    result.transform_cache_misses = stats.misses;
+    result.transform_cache_hits = stats.hits - cache_before.hits;
+    result.transform_cache_misses = stats.misses - cache_before.misses;
   }
   if (context.has_best()) {
     result.best_pipeline = context.best().pipeline;

@@ -162,9 +162,10 @@ class SearchContext {
   const FaultPolicy& fault_policy() const { return policy_; }
   const SearchOptions& options() const { return options_; }
 
-  /// The caches the context created (null when cache_bytes == 0).
+  /// The result cache the context created (null when cache_bytes == 0)
+  /// and the prefix cache its evaluator uses (null when it has none).
   CachingEvaluator* result_cache() { return result_cache_.get(); }
-  TransformCache* transform_cache() { return transform_cache_.get(); }
+  TransformCache* transform_cache() { return transform_cache_; }
 
  private:
   /// Builds the canonical request for (pipeline, fraction, attempt).
@@ -191,8 +192,9 @@ class SearchContext {
   Budget budget_;
   Rng rng_;
   FaultPolicy policy_;
+  /// Owned by the evaluator; may be null.
+  TransformCache* transform_cache_ = nullptr;
   /// Decorators owned by the context (outermost first); may be null.
-  std::shared_ptr<TransformCache> transform_cache_;
   std::unique_ptr<CachingEvaluator> result_cache_;
   std::unique_ptr<ParallelEvaluator> pool_;
   /// Reusable transform buffers for the sequential (no-pool) evaluation

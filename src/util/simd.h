@@ -9,7 +9,8 @@
 ///     on x86-64 hosts whose compiler supports it) — 4 double lanes.
 ///   - NEON on AArch64 (implied by the baseline ISA) — 2 double lanes.
 ///   - Scalar fallback otherwise, or when AUTOFP_DISABLE_SIMD is defined
-///     (CI's forced-scalar leg) — 1 lane, plain IEEE arithmetic.
+///     (only the test_simd_scalar target defines it) — 1 lane, plain
+///     IEEE arithmetic.
 ///
 /// Exactness contract: every lane op here maps to a single IEEE-754
 /// correctly-rounded operation (add/sub/mul/div/sqrt/abs/compare/
@@ -23,6 +24,7 @@
 /// Loads and stores are unaligned-safe; Matrix storage is 64-byte
 /// aligned (util/aligned.h) purely as a performance property.
 
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 
@@ -53,11 +55,18 @@ inline constexpr const char* kBackendName = "scalar";
 
 /// Runtime escape hatch: when set, the dispatching kernel entry points
 /// (preprocess/kernels.h, Dot/Axpy below) take their scalar reference
-/// path even in a SIMD build. Used by the property tests to compare both
-/// paths inside one binary and by the micro-bench roofline report to
-/// measure the scalar baseline. Not for production call sites.
-bool ForceScalarEnabled();
-void SetForceScalar(bool force);
+/// path even in a SIMD build. The one runtime switch: the property tests
+/// and the exactness oracle (tests/test_exactness.cc) compare both paths
+/// inside one binary, and the micro-bench roofline report measures the
+/// scalar baseline with it. Not for production call sites. Relaxed is
+/// enough: the flag is flipped while no kernels run concurrently.
+inline std::atomic<bool> g_force_scalar{false};
+inline bool ForceScalarEnabled() {
+  return g_force_scalar.load(std::memory_order_relaxed);
+}
+inline void SetForceScalar(bool force) {
+  g_force_scalar.store(force, std::memory_order_relaxed);
+}
 
 /// RAII form for tests.
 class ScopedForceScalar {

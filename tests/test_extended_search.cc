@@ -88,6 +88,29 @@ TEST(TwoStep, WorksOnHighCardinalitySpace) {
   EXPECT_GE(result.best_accuracy, 0.0);
 }
 
+TEST(TwoStep, ReportsTheEngineWorkOfEveryRound) {
+  // Round 0 attaches the prefix cache to the evaluator and every later
+  // round reuses it, so the report must count each of its lookups once —
+  // and carry the thread count like a one-step report does.
+  PipelineEvaluator evaluator = MakeEvaluator(77);
+  TwoStepConfig config;
+  config.algorithm = "RS";
+  config.inner_budget = Budget::Evaluations(10);
+  config.max_pipeline_length = 4;
+  SearchOptions options{Budget::Evaluations(40), 8};
+  options.num_threads = 4;
+  options.cache_bytes = 16u << 20;
+  SearchResult result = RunTwoStep(config, &evaluator,
+                                   ParameterSpace::LowCardinality(), options);
+  EXPECT_EQ(result.num_threads, 4);
+  ASSERT_NE(evaluator.transform_cache(), nullptr);
+  const TransformCache::Stats stats = evaluator.transform_cache()->stats();
+  EXPECT_GT(stats.hits + stats.misses, 0);
+  EXPECT_EQ(result.transform_cache_hits, stats.hits);
+  EXPECT_EQ(result.transform_cache_misses, stats.misses);
+  EXPECT_GT(result.result_cache_hits + result.result_cache_misses, 0);
+}
+
 TEST(OneStepVsTwoStep, HighCardinalityOneStepIsQuantileHeavy) {
   // Structural check of the Figure 9 mechanism: One-step on the
   // high-cardinality space overwhelmingly explores QuantileTransformer.

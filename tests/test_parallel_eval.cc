@@ -20,7 +20,6 @@
 #include "data/splits.h"
 #include "data/synthetic.h"
 #include "preprocess/transform_cache.h"
-#include "search/random_search.h"
 
 namespace autofp {
 namespace {
@@ -526,103 +525,6 @@ TEST(EvaluateBatch, AllDuplicateSpecsMatchSequential) {
   ASSERT_TRUE(batch_context.has_best());
   EXPECT_EQ(batch_context.best().pipeline.Key(),
             seq_context.best().pipeline.Key());
-}
-
-// ---------------------------------------------------------------------------
-// Thread-count invariance: 4 workers produce the same search as 1.
-
-TEST(ThreadInvariance, FourThreadSearchMatchesOneThread) {
-  SearchSpace space = SearchSpace::Default();
-  SearchResult results[2];
-  std::vector<std::pair<std::string, double>> histories[2];
-  const int thread_counts[2] = {1, 4};
-  for (int variant = 0; variant < 2; ++variant) {
-    CountingLandscape evaluator;
-    RandomSearch rs(/*batch_size=*/8);
-    SearchOptions options;
-    options.budget = Budget::Evaluations(64);
-    options.seed = 91;
-    options.num_threads = thread_counts[variant];
-    // Capture the history through a context-driving run.
-    SearchContext context(&space, &evaluator, options);
-    rs.Initialize(&context);
-    while (!context.BudgetExhausted()) rs.Iterate(&context);
-    histories[variant] = HistoryMultiset(context.history());
-    ASSERT_TRUE(context.has_best());
-    results[variant].best_pipeline = context.best().pipeline;
-    results[variant].best_accuracy = context.best().accuracy;
-  }
-  EXPECT_TRUE(results[0].best_pipeline == results[1].best_pipeline);
-  EXPECT_DOUBLE_EQ(results[0].best_accuracy, results[1].best_accuracy);
-  ASSERT_EQ(histories[0].size(), histories[1].size());
-  EXPECT_TRUE(histories[0] == histories[1]);
-}
-
-TEST(ThreadInvariance, RealEvaluatorWithCacheMatchesSingleThread) {
-  // The full decorator chain (transform cache + result cache + pool)
-  // reproduces the plain single-threaded search exactly.
-  TrainValidSplit split = MakeSplit(64, /*rows=*/100);
-  SearchSpace space = SearchSpace::Default();
-  SearchResult plain, engine;
-  {
-    PipelineEvaluator evaluator(split.train, split.valid, FastLr());
-    RandomSearch rs(/*batch_size=*/4);
-    plain = RunSearch(&rs, &evaluator, space,
-                      SearchOptions{Budget::Evaluations(12), 17});
-  }
-  {
-    PipelineEvaluator evaluator(split.train, split.valid, FastLr());
-    RandomSearch rs(/*batch_size=*/4);
-    SearchOptions options{Budget::Evaluations(12), 17};
-    options.num_threads = 4;
-    options.cache_bytes = 32 << 20;
-    engine = RunSearch(&rs, &evaluator, space, options);
-  }
-  EXPECT_TRUE(plain.best_pipeline == engine.best_pipeline);
-  EXPECT_DOUBLE_EQ(plain.best_accuracy, engine.best_accuracy);
-  EXPECT_EQ(plain.num_evaluations, engine.num_evaluations);
-  EXPECT_EQ(engine.num_threads, 4);
-  EXPECT_GT(engine.transform_cache_hits + engine.transform_cache_misses, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Fault semantics are unchanged under the parallel engine.
-
-TEST(ParallelFaults, RetryAndQuarantineCountsMatchSequential) {
-  SearchSpace space = SearchSpace::Default();
-  long failures[2], retries[2], quarantined[2], quarantine_hits[2];
-  std::vector<std::pair<std::string, double>> histories[2];
-  const int thread_counts[2] = {1, 4};
-  for (int variant = 0; variant < 2; ++variant) {
-    PermanentFailLandscape inner;
-    FaultInjectorConfig injector_config;
-    injector_config.fault_rate = 0.3;
-    injector_config.seed = 99;
-    FaultInjectingEvaluator evaluator(&inner, injector_config);
-    RandomSearch rs(/*batch_size=*/8);
-    FaultPolicy policy;
-    policy.max_retries = 3;
-    SearchOptions options;
-    options.budget = Budget::Evaluations(64);
-    options.seed = 23;
-    options.fault_policy = policy;
-    options.num_threads = thread_counts[variant];
-    SearchContext context(&space, &evaluator, options);
-    rs.Initialize(&context);
-    while (!context.BudgetExhausted()) rs.Iterate(&context);
-    failures[variant] = context.num_failures();
-    retries[variant] = context.num_retries();
-    quarantined[variant] = context.num_quarantined();
-    quarantine_hits[variant] = context.num_quarantine_hits();
-    histories[variant] = HistoryMultiset(context.history());
-  }
-  EXPECT_GT(failures[0], 0);  // the injector actually fired.
-  EXPECT_GT(retries[0], 0);
-  EXPECT_EQ(failures[0], failures[1]);
-  EXPECT_EQ(retries[0], retries[1]);
-  EXPECT_EQ(quarantined[0], quarantined[1]);
-  EXPECT_EQ(quarantine_hits[0], quarantine_hits[1]);
-  EXPECT_TRUE(histories[0] == histories[1]);
 }
 
 // ---------------------------------------------------------------------------

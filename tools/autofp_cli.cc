@@ -367,11 +367,9 @@ int RunWorkerMode(const Options& options) {
                        evaluator.get(), hooks);
 }
 
-/// Canonical, machine-comparable journal listing. Timing fields are
-/// deliberately omitted: they are wall-clock noise, and everything printed
-/// here must be byte-identical between an uninterrupted run and a
-/// crash+resume of the same configuration (scripts/check_crash.sh diffs
-/// two of these dumps).
+/// Prints a journal's canonical listing (JournalListing): byte-identical
+/// between an uninterrupted run and a crash+resume of the same
+/// configuration (scripts/check_dist.sh diffs two of these dumps).
 int DumpJournal(const std::string& path) {
   JournalReadResult read = ReadRunJournal(path);
   if (!read.ok()) {
@@ -380,24 +378,11 @@ int DumpJournal(const std::string& path) {
                  read.status.message().c_str());
     return 1;
   }
-  std::printf("journal version %u\n", read.header.version);
-  std::printf("options_fp %016" PRIx64 " dataset_fp %016" PRIx64 "\n",
-              read.header.options_fingerprint,
-              read.header.dataset_fingerprint);
-  std::printf("meta %s\n", read.header.meta.c_str());
-  std::printf("records %zu\n", read.records.size());
   if (read.dropped_tail_bytes > 0) {
     std::fprintf(stderr, "note: dropped %zu torn-tail bytes\n",
                  read.dropped_tail_bytes);
   }
-  for (size_t i = 0; i < read.records.size(); ++i) {
-    const JournalRecord& record = read.records[i];
-    std::printf("%06zu seed=%016" PRIx64
-                " frac=%.17g acc=%.17g failure=%s attempts=%d | %s\n",
-                i, record.seed, record.budget_fraction, record.accuracy,
-                EvalFailureName(record.failure), record.attempts,
-                record.pipeline.c_str());
-  }
+  std::fputs(JournalListing(read).c_str(), stdout);
   return 0;
 }
 
