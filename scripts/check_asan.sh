@@ -17,7 +17,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-asan"
-filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ParallelEvaluator|EvaluateBatch|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor}"
+filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ThreadPool|EvaluateBatch|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

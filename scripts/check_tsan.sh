@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Builds with -fsanitize=thread and runs the concurrency-sensitive tests:
-# the parallel evaluation engine (ParallelEvaluator, TransformCache,
-# CachingEvaluator, EvaluateBatch), the exactness oracle's 4-thread
-# cases (a fault-injected search through the full cache + pool chain;
-# its forked-worker cases stay out, check_dist.sh --quick runs workers
-# under TSan), the fault-injection suite that shares its
-# retry/quarantine paths, the serving runtime's worker
-# pool (Predictor sharded scoring + latency histogram), the
+# the one worker pool (ThreadPool) and the evaluation engine built on it
+# (TransformCache, CachingEvaluator, EvaluateBatch), the exactness
+# oracle's 4-thread cases (a fault-injected search through the full
+# cache + pool chain; its forked-worker cases stay out, check_dist.sh
+# --quick runs workers under TSan), the fault-injection suite that
+# shares its retry/quarantine paths, the serving runtime's sharded
+# scoring on the same pool (Predictor + latency histogram), the
 # zero-copy data plane (shared cache entries read while evicting,
 # per-worker scratch reuse, in-place kernel equivalence), and the
 # network serving stack (socket server I/O + batch threads, hot-swap
@@ -19,7 +19,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-tsan"
-filter="${1:-TransformCache|PrefixCache|CachingEvaluator|ParallelEvaluator|EvaluateBatch|Exactness.*threads4|FaultInjector|Quarantine|Retry|Predictor|ScratchEval|InPlace|Protocol|ServeNet|Registry|HotSwap}"
+filter="${1:-TransformCache|PrefixCache|CachingEvaluator|ThreadPool|EvaluateBatch|Exactness.*threads4|FaultInjector|Quarantine|Retry|Predictor|ScratchEval|InPlace|Protocol|ServeNet|Registry|HotSwap}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -74,8 +74,8 @@ struct Evaluation {
 /// evaluation backend. The production implementation is PipelineEvaluator;
 /// tests substitute synthetic reward landscapes.
 ///
-/// Thread-safety contract: implementations used under a ParallelEvaluator
-/// must tolerate concurrent Evaluate() calls. Because every request
+/// Thread-safety contract: implementations used with num_threads > 1 must
+/// tolerate concurrent Evaluate() calls from the search's ThreadPool. Because every request
 /// carries its own fraction, deadline and seed, a correct implementation
 /// needs no per-call mutable state.
 class EvaluatorInterface {
@@ -89,8 +89,8 @@ class EvaluatorInterface {
 
   /// Scratch-aware form: `scratch` (may be null) lends the evaluator
   /// reusable transform buffers. The caller owns them and must not lend
-  /// the same buffers to concurrent evaluations — the engine keeps one
-  /// per worker thread (see core/parallel_evaluator.h). The default
+  /// the same buffers to concurrent evaluations — SearchContext keeps one
+  /// per pool worker (see util/thread_pool.h). The default
   /// ignores the scratch and forwards, so synthetic evaluators that do no
   /// transform work only implement the one-argument form; decorators
   /// should override this and pass the scratch through.
@@ -102,9 +102,9 @@ class EvaluatorInterface {
 
   /// Batch form: evaluates every request and returns results in request
   /// order. The default runs the batch sequentially through Evaluate();
-  /// engines that can overlap work (thread pools, distributed workers)
-  /// override it and report so via SupportsConcurrentBatches(), letting
-  /// the search framework hand them whole generations at once.
+  /// engines that overlap work themselves (distributed workers) override
+  /// it and report so via SupportsConcurrentBatches(), letting the search
+  /// framework hand them whole generations at once.
   virtual std::vector<Evaluation> EvaluateAll(
       const std::vector<EvalRequest>& requests) {
     std::vector<Evaluation> results;

@@ -25,9 +25,9 @@ SearchContext::SearchContext(const SearchSpace* space,
       << "distributed workers and in-process evaluation threads are "
          "mutually exclusive (the coordinator submits from one thread)";
 
-  // Decorator chain: user evaluator -> result cache -> thread pool. The
-  // per-request deadline rides in each EvalRequest, so no decorator needs
-  // mutable configuration.
+  // Decorator chain: user evaluator -> result cache. The per-request
+  // deadline rides in each EvalRequest, so no decorator needs mutable
+  // configuration.
   EvaluatorInterface* top = evaluator;
   auto* pipeline_evaluator = dynamic_cast<PipelineEvaluator*>(evaluator);
   if (options.cache_bytes > 0) {
@@ -44,11 +44,11 @@ SearchContext::SearchContext(const SearchSpace* space,
   if (pipeline_evaluator != nullptr) {
     transform_cache_ = pipeline_evaluator->transform_cache();
   }
-  if (options.num_threads > 1) {
-    pool_ = std::make_unique<ParallelEvaluator>(top, options.num_threads);
-    top = pool_.get();
-  }
   evaluator_ = top;
+  if (options.num_threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(options.num_threads);
+  }
+  scratch_.resize(static_cast<size_t>(options.num_threads));
 }
 
 SearchContext::~SearchContext() = default;
@@ -94,14 +94,21 @@ void SearchContext::EvaluateWithRetries(std::vector<EvalRequest> requests,
     for (size_t index : active) round.push_back(requests[index]);
     std::vector<Evaluation> round_results;
     if (evaluator_->SupportsConcurrentBatches()) {
-      // Concurrent engine at the top of the chain (thread pool, caching
-      // over a pool, or a distributed coordinator): hand it the whole
+      // The evaluator overlaps evaluations itself (a distributed
+      // coordinator, possibly behind the result cache): hand it the whole
       // round at once.
       round_results = evaluator_->EvaluateAll(round);
+    } else if (pool_ != nullptr) {
+      // Results are slotted by index, so they do not depend on which
+      // worker ran which request.
+      round_results.resize(round.size());
+      pool_->ParallelFor(round.size(), [&](size_t i, int worker) {
+        round_results[i] = evaluator_->Evaluate(round[i], &scratch_[worker]);
+      });
     } else {
       round_results.reserve(round.size());
       for (const EvalRequest& request : round) {
-        round_results.push_back(evaluator_->Evaluate(request, &scratch_));
+        round_results.push_back(evaluator_->Evaluate(request, &scratch_[0]));
       }
     }
 

@@ -14,10 +14,10 @@
 #include "core/eval_cache.h"
 #include "core/evaluator.h"
 #include "core/fault.h"
-#include "core/parallel_evaluator.h"
 #include "core/search_space.h"
 #include "preprocess/transform_cache.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace autofp {
@@ -171,10 +171,10 @@ class SearchContext {
   /// Builds the canonical request for (pipeline, fraction, attempt).
   EvalRequest MakeRequest(const PipelineSpec& pipeline,
                           double budget_fraction, int attempt) const;
-  /// Runs `requests` through the pool (or inline when single-threaded)
-  /// with transient-failure retry rounds; on return, `results[i]` is the
-  /// final outcome of request i and `retries[i]` the retry attempts it
-  /// consumed.
+  /// Runs `requests` through the evaluator's own batch engine, the pool,
+  /// or inline when single-threaded, with transient-failure retry rounds;
+  /// on return, `results[i]` is the final outcome of request i and
+  /// `retries[i]` the retry attempts it consumed.
   void EvaluateWithRetries(std::vector<EvalRequest> requests,
                            std::vector<Evaluation>* results,
                            std::vector<int>* retries);
@@ -194,12 +194,15 @@ class SearchContext {
   FaultPolicy policy_;
   /// Owned by the evaluator; may be null.
   TransformCache* transform_cache_ = nullptr;
-  /// Decorators owned by the context (outermost first); may be null.
+  /// The result-cache decorator owned by the context; may be null.
   std::unique_ptr<CachingEvaluator> result_cache_;
-  std::unique_ptr<ParallelEvaluator> pool_;
-  /// Reusable transform buffers for the sequential (no-pool) evaluation
-  /// path; the pool's workers each keep their own.
-  TransformScratch scratch_;
+  /// Reusable transform buffers, one per pool worker (index 0 serves the
+  /// sequential path): a worker runs one evaluation at a time, so its
+  /// buffers never cross threads.
+  std::vector<TransformScratch> scratch_;
+  /// Evaluation workers; null when num_threads == 1. Declared after what
+  /// they use, so they are joined first.
+  std::unique_ptr<ThreadPool> pool_;
   std::vector<Evaluation> history_;
   /// Pipeline key -> the permanent failure that quarantined it.
   std::unordered_map<std::string, EvalFailure> quarantine_;

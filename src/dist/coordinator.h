@@ -98,7 +98,7 @@ struct DistStats {
 /// poll(2) event loop over the worker pipes on the calling thread, so it
 /// composes with the journal choke point exactly like the sequential
 /// engine (journaling happens caller-side, after EvaluateAll returns).
-/// Mutually exclusive with ParallelEvaluator by construction (the
+/// Mutually exclusive with the search's thread pool by construction (the
 /// SearchContext CHECK enforces num_threads == 1 when workers are on).
 class DistributedEvaluator : public EvaluatorInterface {
  public:

@@ -110,7 +110,7 @@ struct SharedTransformedPair {
 };
 
 /// Reusable working buffers for the uncached fit/transform path. One per
-/// worker thread (see core/parallel_evaluator.h): the chain runs in place
+/// pool worker (see util/thread_pool.h): the chain runs in place
 /// through `train` and `valid`, so after the first evaluation the buffers
 /// have seen their largest shape and the steady state allocates nothing.
 struct TransformScratch {

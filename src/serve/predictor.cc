@@ -83,38 +83,9 @@ Predictor::Predictor(LoadedArtifact artifact, const Options& options)
       model_(std::move(artifact.model)),
       reference_stats_(std::move(artifact.reference_stats)) {
   AUTOFP_CHECK(model_ != nullptr);
-  const int num_workers = std::max(options.num_threads, 1) - 1;
-  workers_.reserve(static_cast<size_t>(num_workers));
-  for (int i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-Predictor::~Predictor() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  work_available_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void Predictor::WorkerLoop() {
-  // Per-worker shard scratch, reused across every task this worker runs:
-  // after the first few shards it has seen the largest shard shape and
-  // scoring stops allocating.
-  Matrix scratch;
-  for (;;) {
-    std::function<void(Matrix*)> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_available_.wait(lock,
-                           [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task(&scratch);
+  if (options.num_threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(options.num_threads);
+    shard_scratch_.resize(static_cast<size_t>(options.num_threads));
   }
 }
 
@@ -166,36 +137,18 @@ Result<std::vector<int>> Predictor::PredictSharded(const Matrix& rows,
   if (batch_rows == 0) batch_rows = 1;
   std::vector<int> predictions(rows.rows());
   if (rows.rows() == 0) return predictions;
-  if (workers_.empty() || rows.rows() <= batch_rows) {
+  if (pool_ == nullptr || rows.rows() <= batch_rows) {
     Matrix scratch;
     ScoreRange(rows, 0, rows.rows(), &predictions, &scratch);
     return predictions;
   }
-
-  // Per-call barrier (the parallel_evaluator pattern): enqueue one task
-  // per shard, help is not needed — the caller blocks until the last
-  // shard signals completion.
-  struct Barrier {
-    std::mutex mutex;
-    std::condition_variable done;
-    size_t remaining = 0;
-  } barrier;
-  barrier.remaining = (rows.rows() + batch_rows - 1) / batch_rows;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t begin = 0; begin < rows.rows(); begin += batch_rows) {
-      const size_t end = std::min(begin + batch_rows, rows.rows());
-      queue_.emplace_back([this, &rows, begin, end, &predictions,
-                           &barrier](Matrix* scratch) {
-        ScoreRange(rows, begin, end, &predictions, scratch);
-        std::lock_guard<std::mutex> barrier_lock(barrier.mutex);
-        if (--barrier.remaining == 0) barrier.done.notify_one();
-      });
-    }
-  }
-  work_available_.notify_all();
-  std::unique_lock<std::mutex> lock(barrier.mutex);
-  barrier.done.wait(lock, [&barrier] { return barrier.remaining == 0; });
+  const size_t num_shards = (rows.rows() + batch_rows - 1) / batch_rows;
+  pool_->ParallelFor(num_shards, [&](size_t shard, int worker) {
+    const size_t begin = shard * batch_rows;
+    const size_t end = std::min(begin + batch_rows, rows.rows());
+    ScoreRange(rows, begin, end, &predictions,
+               &shard_scratch_[static_cast<size_t>(worker)]);
+  });
   return predictions;
 }
 

@@ -3,23 +3,18 @@
 
 /// The inference runtime (see DESIGN.md "Artifacts and serving"): loads a
 /// pipeline artifact into an immutable Predictor that applies
-/// `transform -> predict` to row batches, optionally sharded over a fixed
-/// worker pool (the parallel_evaluator pattern: tasks are enqueued, a
-/// per-call barrier waits, results land in input order). Every serving
+/// `transform -> predict` to row batches, optionally sharded over a
+/// ThreadPool (results land in input order). Every serving
 /// row is validated against the artifact schema with a typed error —
 /// nothing downstream of the schema guard ever sees a misshapen row —
 /// and every scored batch feeds a latency histogram (count, rows/sec,
 /// p50/p95/p99).
 
 #include <array>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ml/model.h"
@@ -27,6 +22,7 @@
 #include "serve/artifact.h"
 #include "util/matrix.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace autofp {
 
@@ -65,16 +61,18 @@ class LatencyRecorder {
   double busy_seconds_ = 0.0;
 };
 
-/// An immutable, thread-safe serving unit: fitted pipeline + trained
-/// model + the schema they were exported with. All scoring methods are
-/// const and safe to call concurrently; the only mutable state (latency
-/// histogram, task queue) is internally synchronized.
 /// Options for assembling a Predictor.
 struct PredictorOptions {
-  /// Worker threads for sharded scoring; 1 scores inline on the caller.
+  /// Pool threads for sharded scoring: `num_threads` workers score the
+  /// shards while the caller waits. 1 scores inline on the caller.
   int num_threads = 1;
 };
 
+/// An immutable, thread-safe serving unit: fitted pipeline + trained
+/// model + the schema they were exported with. All scoring methods are
+/// const and safe to call concurrently; the only mutable state is the
+/// latency histogram (locked) and the pool's per-worker shard buffers
+/// (each touched by its own worker only).
 class Predictor {
  public:
   using Options = PredictorOptions;
@@ -127,7 +125,6 @@ class Predictor {
   static std::unique_ptr<Predictor> FromArtifact(
       LoadedArtifact artifact, const Options& options = Options());
 
-  ~Predictor();
   Predictor(const Predictor&) = delete;
   Predictor& operator=(const Predictor&) = delete;
 
@@ -137,8 +134,8 @@ class Predictor {
   Result<std::vector<int>> Predict(const Matrix& rows) const;
 
   /// Sharded scoring: splits `rows` into shards of `batch_rows` and
-  /// scores them concurrently on the worker pool (inline when the pool
-  /// has one thread). Results are in row order and identical to
+  /// scores them concurrently on the worker pool (inline when
+  /// num_threads is 1). Results are in row order and identical to
   /// Predict()'s at any thread count.
   Result<std::vector<int>> PredictSharded(const Matrix& rows,
                                           size_t batch_rows) const;
@@ -149,7 +146,7 @@ class Predictor {
   /// Drift baseline stamped at export time (empty = none recorded; drift
   /// monitoring is then unavailable for this artifact).
   const ReferenceStats& reference_stats() const { return reference_stats_; }
-  int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
+  int num_threads() const { return pool_ ? pool_->num_threads() : 1; }
 
   /// Latency histogram over every batch scored so far.
   ServeStats stats() const { return latency_.Snapshot(); }
@@ -166,7 +163,6 @@ class Predictor {
   /// allocates nothing per shard.
   void ScoreRange(const Matrix& rows, size_t begin, size_t end,
                   std::vector<int>* predictions, Matrix* scratch) const;
-  void WorkerLoop();
 
   ArtifactSchema schema_;
   FittedPipeline pipeline_;
@@ -175,14 +171,13 @@ class Predictor {
   ReferenceStats reference_stats_;
   mutable LatencyRecorder latency_;
 
-  // Fixed worker pool (parallel_evaluator pattern). The queue holds
-  // closures invoked with the worker's reusable shard scratch; each
-  // PredictSharded call carries its own barrier.
-  mutable std::mutex mutex_;
-  mutable std::condition_variable work_available_;
-  mutable std::deque<std::function<void(Matrix*)>> queue_;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
+  /// One reusable shard buffer per pool worker: a worker scores one shard
+  /// at a time, so after the first few shards its buffer has seen the
+  /// largest shard shape and scoring stops allocating.
+  mutable std::vector<Matrix> shard_scratch_;
+  /// Sharded-scoring workers; null when num_threads == 1. Declared after
+  /// what they use, so they are joined first.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace autofp

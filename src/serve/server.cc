@@ -712,7 +712,9 @@ void ServeSocketServer::ExecuteAdmin(const Pending& item) {
           "\ncoalesced_requests=" + std::to_string(counts.coalesced_requests) +
           "\nbusy_shed=" + std::to_string(counts.busy_shed) +
           "\nprotocol_errors=" + std::to_string(counts.protocol_errors) +
-          "\nswaps=" + std::to_string(counts.swaps) + "\n";
+          "\nswaps=" + std::to_string(counts.swaps) +
+          "\npeer_disconnects=" + std::to_string(counts.peer_disconnects) +
+          "\n";
       ServeResponse response;
       response.type = FrameType::kStatsReport;
       response.message = std::move(report);

@@ -70,15 +70,9 @@ void StreamController::OnBatchScored(const Matrix& rows,
       }
     }
   }
-  if (!trigger) return;
   // Hand off outside the lock: TriggerAsync may join a finished worker.
-  if (researcher_.TriggerAsync(std::move(snapshot))) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.research_started;
-  } else {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.research_dropped;
-  }
+  // The researcher counts the trigger as accepted or dropped.
+  if (trigger) researcher_.TriggerAsync(std::move(snapshot));
 }
 
 StreamCounters StreamController::counters() const {
@@ -88,6 +82,8 @@ StreamCounters StreamController::counters() const {
     out = counters_;
   }
   const BackgroundResearcher::Counters research = researcher_.counters();
+  out.research_started = research.triggers_accepted;
+  out.research_dropped = research.triggers_dropped;
   out.research_succeeded = research.runs_succeeded;
   out.research_failed = research.runs_failed;
   return out;

@@ -37,7 +37,9 @@ struct StreamConfig {
 };
 
 /// Monotonic counters over the controller's lifetime (all producer-side,
-/// read via CountersJson/counters from any thread).
+/// read via CountersJson/counters from any thread). The research_* fields
+/// are the BackgroundResearcher's own counters, so each event is counted
+/// once.
 struct StreamCounters {
   long rows_observed = 0;
   long windows_compared = 0;   ///< full windows scored against the baseline.

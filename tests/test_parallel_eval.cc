@@ -1,12 +1,18 @@
 /// Tests of the batch evaluation engine: TransformCache LRU behaviour,
 /// cached-vs-uncached evaluation equivalence, the CachingEvaluator result
-/// cache, ParallelEvaluator ordering/determinism, EvaluateBatch bookkeeping
-/// parity with sequential Evaluate, and fault semantics under concurrency.
+/// cache, ThreadPool scheduling and ordering/determinism, EvaluateBatch
+/// bookkeeping parity with sequential Evaluate, and fault semantics under
+/// concurrency.
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -15,11 +21,11 @@
 #include <gtest/gtest.h>
 
 #include "core/eval_cache.h"
-#include "core/parallel_evaluator.h"
 #include "core/search_framework.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
 #include "preprocess/transform_cache.h"
+#include "util/thread_pool.h"
 
 namespace autofp {
 namespace {
@@ -295,32 +301,132 @@ TEST(CachingEvaluator, DifferentFractionSeedOrDeadlineMiss) {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelEvaluator: ordering and equivalence to sequential evaluation.
+// ThreadPool: every index runs once, on a worker in range, and evaluations
+// fanned out over it are slotted by index and equal the sequential ones.
 
-TEST(ParallelEvaluator, ResultsArriveInRequestOrder) {
-  CountingLandscape inner;
-  ParallelEvaluator pool(&inner, 4);
-  std::vector<EvalRequest> requests;
-  for (int length = 1; length <= 7; ++length) {
-    EvalRequest request;
-    request.pipeline = PipelineSpec::FromKinds(std::vector<PreprocessorKind>(
-        static_cast<size_t>(length), PreprocessorKind::kBinarizer));
-    requests.push_back(request);
-  }
-  std::vector<Evaluation> results = pool.EvaluateAll(requests);
-  ASSERT_EQ(results.size(), requests.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_TRUE(results[i].pipeline == requests[i].pipeline) << "slot " << i;
-    Evaluation sequential = inner.Evaluate(requests[i]);
-    EXPECT_DOUBLE_EQ(results[i].accuracy, sequential.accuracy);
+TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
+  ThreadPool pool(4);
+  for (size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{1000}}) {
+    std::vector<std::atomic<int>> runs(count);
+    std::atomic<bool> workers_in_range{true};
+    pool.ParallelFor(count, [&](size_t index, int worker) {
+      runs[index].fetch_add(1);
+      if (worker < 0 || worker >= pool.num_threads()) {
+        workers_in_range = false;
+      }
+    });
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "count " << count << ", index " << i;
+    }
+    EXPECT_TRUE(workers_in_range) << "count " << count;
   }
 }
 
-TEST(ParallelEvaluator, RealEvaluatorMatchesSequential) {
+TEST(ThreadPool, AllWorkersRunConcurrently) {
+  // num_threads tasks that each wait until all of them have started: only
+  // a pool running num_threads workers at once gets past the rendezvous.
+  constexpr int kThreads = 4;
+  ThreadPool pool(kThreads);
+  std::mutex mutex;
+  std::condition_variable all_started;
+  int started = 0;
+  int timed_out = 0;
+  std::vector<int> runs_per_worker(kThreads, 0);
+  pool.ParallelFor(kThreads, [&](size_t, int worker) {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++runs_per_worker[static_cast<size_t>(worker)];
+    if (++started == kThreads) all_started.notify_all();
+    if (!all_started.wait_for(lock, std::chrono::seconds(30),
+                              [&] { return started == kThreads; })) {
+      ++timed_out;
+    }
+  });
+  EXPECT_EQ(timed_out, 0) << "fewer than " << kThreads
+                          << " tasks ever ran at once";
+  for (int worker = 0; worker < kThreads; ++worker) {
+    EXPECT_EQ(runs_per_worker[static_cast<size_t>(worker)], 1)
+        << "worker " << worker;
+  }
+}
+
+TEST(ThreadPool, ConcurrentCallersShareWorkers) {
+  constexpr int kThreads = 3;
+  constexpr int kCallers = 4;
+  constexpr size_t kCount = 300;
+  ThreadPool pool(kThreads);
+  // A worker runs one call at a time, whichever caller it serves: that is
+  // what makes one scratch buffer per worker safe.
+  std::vector<std::atomic<int>> in_use(kThreads);
+  std::atomic<bool> worker_overlap{false};
+  std::vector<std::vector<int>> runs(kCallers, std::vector<int>(kCount, 0));
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      pool.ParallelFor(kCount, [&](size_t index, int worker) {
+        std::atomic<int>& busy = in_use[static_cast<size_t>(worker)];
+        if (busy.fetch_add(1) != 0) worker_overlap = true;
+        ++runs[static_cast<size_t>(c)][index];
+        busy.fetch_sub(1);
+      });
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_FALSE(worker_overlap);
+  for (int c = 0; c < kCallers; ++c) {
+    for (size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(runs[static_cast<size_t>(c)][i], 1)
+          << "caller " << c << ", index " << i;
+    }
+  }
+}
+
+/// Evaluates `requests` on `pool` the way SearchContext does: results
+/// slotted by index, each worker lending its own scratch.
+std::vector<Evaluation> EvaluateOnPool(ThreadPool* pool,
+                                       EvaluatorInterface* evaluator,
+                                       const std::vector<EvalRequest>& requests,
+                                       std::vector<TransformScratch>* scratch) {
+  std::vector<Evaluation> results(requests.size());
+  pool->ParallelFor(requests.size(), [&](size_t i, int worker) {
+    results[i] = evaluator->Evaluate(requests[i],
+                                     &(*scratch)[static_cast<size_t>(worker)]);
+  });
+  return results;
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+TEST(ThreadPool, ResultsArriveInRequestOrder) {
+  TrainValidSplit split = MakeSplit(29);
+  PipelineEvaluator evaluator(split.train, split.valid, FastLr());
+  ThreadPool pool(4);
+  std::vector<TransformScratch> scratch(4);
+  // Prefixes of increasing length: every slot holds a distinct pipeline.
+  std::vector<EvalRequest> requests;
+  std::vector<PreprocessorKind> kinds;
+  for (PreprocessorKind kind : kAllKinds) {
+    kinds.push_back(kind);
+    EvalRequest request;
+    request.pipeline = PipelineSpec::FromKinds(kinds);
+    requests.push_back(request);
+  }
+  std::vector<Evaluation> results =
+      EvaluateOnPool(&pool, &evaluator, requests, &scratch);
+  ASSERT_EQ(results.size(), requests.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_TRUE(results[i].pipeline == requests[i].pipeline) << "slot " << i;
+    EXPECT_EQ(Bits(results[i].accuracy),
+              Bits(evaluator.Evaluate(requests[i]).accuracy))
+        << "slot " << i;
+  }
+}
+
+TEST(ThreadPool, RealEvaluatorMatchesSequential) {
   TrainValidSplit split = MakeSplit(63);
   PipelineEvaluator sequential(split.train, split.valid, FastLr());
   PipelineEvaluator concurrent(split.train, split.valid, FastLr());
-  ParallelEvaluator pool(&concurrent, 4);
+  ThreadPool pool(4);
+  std::vector<TransformScratch> scratch(4);
   std::vector<EvalRequest> requests;
   for (PreprocessorKind kind : kAllKinds) {
     EvalRequest request;
@@ -328,12 +434,16 @@ TEST(ParallelEvaluator, RealEvaluatorMatchesSequential) {
     request.seed = static_cast<uint64_t>(kind) * 17 + 1;
     requests.push_back(request);
   }
-  std::vector<Evaluation> results = pool.EvaluateAll(requests);
-  ASSERT_EQ(results.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_DOUBLE_EQ(results[i].accuracy,
-                     sequential.Evaluate(requests[i]).accuracy)
-        << "slot " << i;
+  // The second round reuses scratch the first one grew.
+  for (int round = 0; round < 2; ++round) {
+    std::vector<Evaluation> results =
+        EvaluateOnPool(&pool, &concurrent, requests, &scratch);
+    ASSERT_EQ(results.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(Bits(results[i].accuracy),
+                Bits(sequential.Evaluate(requests[i]).accuracy))
+          << "round " << round << ", slot " << i;
+    }
   }
 }
 

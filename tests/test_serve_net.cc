@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -285,6 +286,20 @@ TEST(ServeNet, PipelinedRequestsAnswerInOrder) {
       ServeResponse response;
       ASSERT_TRUE(DecodeResponseFrame(frame, &response));
       EXPECT_NE(response.message.find("generation="), std::string::npos);
+      // Every ServerCounters field gets a line; the size check fails when
+      // a field is added without a name here.
+      const char* const kCounterNames[] = {
+          "connections_accepted", "frames_received", "predict_requests",
+          "predict_rows",         "micro_batches",   "coalesced_requests",
+          "busy_shed",            "protocol_errors", "swaps",
+          "peer_disconnects"};
+      static_assert(sizeof(ServerCounters) ==
+                    std::size(kCounterNames) * sizeof(long));
+      for (const char* name : kCounterNames) {
+        EXPECT_NE(response.message.find("\n" + std::string(name) + "="),
+                  std::string::npos)
+            << name << " missing from:\n" << response.message;
+      }
     }
   }
 }
