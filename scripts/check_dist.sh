@@ -98,9 +98,10 @@ run_scenario() {
   echo "ok: ${tag}"
 }
 
-# 1. Worker crashes at injected kill points: every worker hard-exits
-#    after N results, repeatedly, including a batch that exhausts its
-#    lease attempts into local fallback.
+# 1. Worker crashes at injected kill points: every worker hard-exits as
+#    it takes its next leased request after N results, so each crash
+#    strands that request; repeatedly, including a request that exhausts
+#    its lease attempts into local fallback.
 run_scenario "crash-every-5" AUTOFP_WORKER_CRASH_AFTER_EVALS=5 \
     -- --workers 4
 run_scenario "crash-staggered" AUTOFP_WORKER_CRASH_AFTER_EVALS="0=3,2=7" \

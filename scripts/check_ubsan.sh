@@ -7,7 +7,9 @@
 # is the check that the vectorized remainder handling, the branchless
 # table lookups and tree descents (index arithmetic) and the
 # borrowed-view aliasing never rely on undefined behavior — misaligned
-# casts, signed overflow, out-of-range shifts.
+# casts, signed overflow, out-of-range shifts — and that neither does the
+# word-at-a-time CRC or any decoder that calls it (serve frames,
+# artifacts, run journals, the dist wire and lease table).
 #
 # Usage: scripts/check_ubsan.sh [ctest-regex]
 #   ctest-regex  optional test-name filter; defaults to the kernel
@@ -16,14 +18,15 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-ubsan"
-filter="${1:-Simd|Kernels|Matrix|InPlace|Pipeline|Preprocessor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor}"
+filter="${1:-Simd|Kernels|Matrix|InPlace|Pipeline|Preprocessor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAUTOFP_SANITIZE=undefined
 cmake --build "${build_dir}" -j \
   --target test_simd test_kernels test_matrix test_inplace test_pipeline \
-  test_preprocessors test_models test_gbdt_details test_artifact test_stream
+  test_preprocessors test_models test_gbdt_details test_artifact test_stream \
+  test_checksum test_protocol test_run_journal test_dist
 
 cd "${build_dir}"
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \

@@ -3,18 +3,17 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
 #include <bit>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "core/search_framework.h"
 #include "preprocess/pipeline_parse.h"
+#include "util/checksum.h"
 #include "util/fs.h"
 
 namespace autofp {
@@ -99,39 +98,6 @@ JournalReadResult ReadError(JournalError error, std::string message) {
 }
 
 }  // namespace
-
-uint32_t Crc32(const void* data, size_t size, uint32_t crc) {
-  static const std::array<uint32_t, 256> kTable = [] {
-    std::array<uint32_t, 256> table{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t value = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        value = (value >> 1) ^ ((value & 1u) ? 0xEDB88320u : 0u);
-      }
-      table[i] = value;
-    }
-    return table;
-  }();
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  crc = ~crc;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ kTable[(crc ^ bytes[i]) & 0xFFu];
-  }
-  return ~crc;
-}
-
-uint64_t Fnv1a64(const void* data, size_t size, uint64_t hash) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-uint64_t HashCombine(uint64_t h, uint64_t value) {
-  return Fnv1a64(&value, sizeof(value), h);
-}
 
 uint64_t DatasetFingerprint(const Dataset& dataset) {
   uint64_t hash = Fnv1a64(dataset.name.data(), dataset.name.size());
@@ -262,14 +228,11 @@ Evaluation EvaluationFromRecord(const JournalRecord& record) {
 }
 
 JournalReadResult ReadRunJournal(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return ReadError(JournalError::kIoError,
-                     "cannot open journal '" + path + "'");
+  std::string bytes;
+  Status read = ReadFileBytes(path, &bytes);
+  if (!read.ok()) {
+    return ReadError(JournalError::kIoError, "journal: " + read.message());
   }
-  std::string bytes((std::istreambuf_iterator<char>(file)),
-                    std::istreambuf_iterator<char>());
-  file.close();
 
   JournalReadResult result;
   ByteReader reader{bytes.data(), bytes.size()};

@@ -36,16 +36,6 @@ inline constexpr uint32_t kRunJournalVersion = 1;
 /// injected crash from a real failure.
 inline constexpr int kCrashPointExitCode = 86;
 
-/// CRC-32 (IEEE 802.3) over `size` bytes, seeded with `crc` so calls can
-/// be chained. Used for the per-record and header checksums.
-uint32_t Crc32(const void* data, size_t size, uint32_t crc = 0);
-
-/// FNV-1a 64-bit over raw bytes, seeded so hashes combine/chain.
-uint64_t Fnv1a64(const void* data, size_t size,
-                 uint64_t hash = 0xcbf29ce484222325ull);
-/// Folds `value` into hash `h` (order-sensitive).
-uint64_t HashCombine(uint64_t h, uint64_t value);
-
 /// Fingerprint of the dataset a journal belongs to: name, shape, class
 /// count and every feature/label byte. Resuming against a different
 /// dataset is rejected (the recorded outcomes would be meaningless).

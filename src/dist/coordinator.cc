@@ -92,7 +92,6 @@ DistributedEvaluator::DistributedEvaluator(EvaluatorInterface* local,
                                            DistOptions options)
     : local_(local), spawner_(std::move(spawner)), options_(options) {
   options_.num_workers = std::max(1, options_.num_workers);
-  options_.lease_size = std::max<size_t>(1, options_.lease_size);
   respawn_budget_ =
       options_.num_workers + (options_.max_respawns < 0
                                   ? 64 + 16 * options_.num_workers
@@ -424,14 +423,11 @@ std::vector<Evaluation> DistributedEvaluator::EvaluateAll(
   round.results = &results;
   round.done.assign(requests.size(), 0);
   round.remaining = requests.size();
-  for (size_t begin = 0; begin < requests.size();
-       begin += options_.lease_size) {
+  // One request per lease, in request order: each idle worker pulls the
+  // next one, so a round keeps every live worker busy until its tail.
+  for (size_t slot = 0; slot < requests.size(); ++slot) {
     PendingBatch batch;
-    const size_t end =
-        std::min(requests.size(), begin + options_.lease_size);
-    for (size_t slot = begin; slot < end; ++slot) {
-      batch.slots.push_back(slot);
-    }
+    batch.slots.push_back(slot);
     round.queue.push_back(std::move(batch));
   }
 

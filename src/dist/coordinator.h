@@ -3,18 +3,18 @@
 
 /// The distributed-evaluation coordinator (see DESIGN.md "Distributed
 /// search"): a DistributedEvaluator behind EvaluatorInterface that leases
-/// EvalRequest batches to a fleet of spawned worker processes over
-/// CRC-framed socketpairs and merges their streamed outcomes back into
-/// request order. Because every evaluation is a pure function of its
-/// request (EvalRequest::DeriveSeed), a re-leased batch reproduces the
-/// crashed worker's missing outcomes exactly — so worker death, straggler
+/// EvalRequests one at a time to whichever worker process is idle, over
+/// CRC-framed socketpairs, and merges their outcomes back into request
+/// order. Because every evaluation is a pure function of its request
+/// (EvalRequest::DeriveSeed), a re-leased request reproduces the crashed
+/// worker's missing outcome exactly — so worker death, straggler
 /// revocation and corrupt frames cost wall-clock, never determinism, and
 /// the coordinator-side journal (SearchContext's single choke point, one
 /// layer up) is byte-identical to a single-process run.
 ///
 /// Failure policy per lease: a worker that crashes (EOF), straggles past
-/// the lease deadline, or desyncs its frame stream loses the lease; the
-/// unanswered slots are re-leased up to max_lease_attempts times, then
+/// the lease deadline, or desyncs its frame stream loses the lease; its
+/// unanswered request is re-leased up to max_lease_attempts times, then
 /// resolved locally (allow_local_fallback) or reported as the transient
 /// EvalFailure::kWorkerLost so the search framework's existing
 /// retry/quarantine taxonomy decides the terminal outcome.
@@ -53,17 +53,16 @@ WorkerSpawner ExecWorkerSpawner(std::vector<std::string> argv_prefix);
 WorkerSpawner InProcessWorkerSpawner(
     std::function<int(int fd, int worker_index)> worker_main);
 
-/// Coordinator tuning knobs.
+/// Coordinator tuning knobs. There is no lease size: every lease carries
+/// one request, pulled by the next idle worker, so a round's requests
+/// spread over the whole fleet and a crash strands at most one of them.
 struct DistOptions {
   int num_workers = 2;
-  /// Requests per lease. Smaller leases lose less to a crash; larger
-  /// leases amortize framing. Round remainders lease short.
-  size_t lease_size = 4;
   /// Seconds a worker may hold a lease before it is revoked as a
-  /// straggler (the worker is killed and the batch re-leased).
+  /// straggler (the worker is killed and the request re-leased).
   double lease_deadline_seconds = 30.0;
-  /// Times one batch may be leased before its requests resolve without
-  /// workers (locally, or as kWorkerLost).
+  /// Times one request may be leased before it resolves without workers
+  /// (locally, or as kWorkerLost).
   int max_lease_attempts = 3;
   /// When nonzero, a worker HELLO carrying a different dataset
   /// fingerprint is refused (killed and counted as a spawn failure).
@@ -139,7 +138,8 @@ class DistributedEvaluator : public EvaluatorInterface {
     std::unique_ptr<FrameDecoder> decoder;  ///< fresh per spawn.
   };
 
-  /// One queued batch of round slots awaiting a lease.
+  /// Round slots awaiting a lease: one fresh request, or what a revoked
+  /// lease left unanswered.
   struct PendingBatch {
     std::vector<size_t> slots;
     int attempts = 0;  ///< times this content has been leased so far.

@@ -4,7 +4,8 @@
 /// The coordinator's lease bookkeeping (see DESIGN.md "Distributed
 /// search"), kept free of processes and sockets so the state machine is
 /// unit-testable: a Lease grants one worker responsibility for a batch of
-/// round slots until a deadline; results are accepted only under the
+/// round slots until a deadline (the coordinator leases one slot at a
+/// time; the table accepts any count); results are accepted only under the
 /// lease's (id, generation) stamp, so answers from a revoked straggler
 /// arriving after re-lease are discarded instead of double-counted.
 

@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "core/run_journal.h"
+#include "util/checksum.h"
 #include "util/fs.h"
 
 namespace autofp {

@@ -106,6 +106,12 @@ int RunDistWorker(int fd, int worker_index, uint64_t dataset_fingerprint,
       // A revoked worker whose replacement already took the lease should
       // not keep burning CPU once its coordinator is gone.
       if (channel.PeerClosed()) return 0;
+      // The crash point fires as the worker takes a request, so the
+      // simulated crash always strands a leased, unanswered request.
+      if (hooks.crash_after_results > 0 &&
+          results_sent >= hooks.crash_after_results) {
+        std::_Exit(kWorkerCrashExitCode);
+      }
       const EvalRequest& request = lease.requests[i];
 
       const double start = MonotonicSeconds();
@@ -127,11 +133,6 @@ int RunDistWorker(int fd, int worker_index, uint64_t dataset_fingerprint,
       EncodeResultFrame(result, &bytes);
       if (!channel.Send(bytes)) return 0;  // coordinator died mid-lease.
       ++results_sent;
-
-      if (hooks.crash_after_results > 0 &&
-          results_sent >= hooks.crash_after_results) {
-        std::_Exit(kWorkerCrashExitCode);
-      }
     }
 
     DistLeaseDone done;

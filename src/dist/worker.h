@@ -22,7 +22,8 @@ namespace autofp {
 /// RESULT frames successfully sent by this worker process.
 struct WorkerHooks {
   /// Hard-exit (std::_Exit(kWorkerCrashExitCode), a simulated crash)
-  /// once this many results were sent. < 0 disables.
+  /// when taking the next leased request after this many results were
+  /// sent, so the crash strands that request. <= 0 disables.
   long crash_after_results = -1;
   /// Stall (simulated straggler) before sending result N+1; the stall
   /// polls for coordinator death so a revoked worker still exits.

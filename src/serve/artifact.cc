@@ -2,13 +2,13 @@
 
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <utility>
 
-#include "core/run_journal.h"  // Crc32, Fnv1a64, HashCombine, DatasetFingerprint
+#include "core/run_journal.h"  // DatasetFingerprint
 #include "preprocess/pipeline_parse.h"
+#include "util/checksum.h"
 #include "util/fs.h"
 #include "util/serialize.h"
 #include "util/simd.h"
@@ -72,6 +72,20 @@ bool DecodeModelConfig(std::istream& in, ModelConfig* config) {
          ReadPod(in, &config->mlp_hidden) &&
          ReadPod(in, &config->mlp_epochs) && ReadPod(in, &config->mlp_step) &&
          ReadPod(in, &config->mlp_batch) && ReadPod(in, &config->seed);
+}
+
+// Loads a SaveState blob into `target` the way ReadArtifact does: LoadState
+// must accept it and consume every byte. WriteArtifact runs the same check
+// on a fresh object before writing, so it never ships a blob that fails.
+template <typename T>
+Status LoadStateBlob(const std::string& blob, const std::string& what,
+                     T* target) {
+  std::istringstream in(blob, std::ios::binary);
+  Status loaded = target->LoadState(in);
+  if (loaded.ok() && in.peek() != EOF) {
+    loaded = Status::InvalidArgument(what + ": trailing bytes in state blob");
+  }
+  return loaded;
 }
 
 ArtifactReadResult Fail(ArtifactError error, std::string message) {
@@ -209,19 +223,39 @@ Status WriteArtifact(const std::string& path, const ArtifactSchema& schema,
   WriteString(pipeline_payload, pipeline.spec().ToString());
   WritePod<uint32_t>(pipeline_payload,
                      static_cast<uint32_t>(pipeline.steps().size()));
-  for (const std::unique_ptr<Preprocessor>& step : pipeline.steps()) {
-    std::ostringstream blob(std::ios::binary);
-    step->SaveState(blob);
-    WriteString(pipeline_payload, blob.str());
+  for (size_t i = 0; i < pipeline.steps().size(); ++i) {
+    const Preprocessor& step = *pipeline.steps()[i];
+    std::ostringstream out(std::ios::binary);
+    step.SaveState(out);
+    const std::string blob = out.str();
+    // A fitted state LoadState refuses (e.g. a NaN quantile from a column
+    // whose range overflows) would export fine and never load.
+    std::unique_ptr<Preprocessor> fresh =
+        MakePreprocessor(pipeline.spec().steps[i]);
+    Status loads = LoadStateBlob(blob, step.name(), fresh.get());
+    if (!loads.ok()) {
+      return Status::InvalidArgument(
+          "pipeline step " + std::to_string(i) + " (" + step.name() +
+          ") would not load back from the artifact: " + loads.message());
+    }
+    WriteString(pipeline_payload, blob);
   }
 
   std::ostringstream model_payload(std::ios::binary);
   WritePod<uint64_t>(model_payload, section_fp);
   EncodeModelConfig(model_payload, model_config);
   {
-    std::ostringstream blob(std::ios::binary);
-    model.SaveState(blob);
-    WriteString(model_payload, blob.str());
+    std::ostringstream out(std::ios::binary);
+    model.SaveState(out);
+    const std::string blob = out.str();
+    std::unique_ptr<Classifier> fresh = MakeClassifier(model_config);
+    Status loads = LoadStateBlob(blob, "model", fresh.get());
+    if (!loads.ok()) {
+      return Status::InvalidArgument(
+          "the model would not load back from the artifact: " +
+          loads.message());
+    }
+    WriteString(model_payload, blob);
   }
 
   std::ostringstream stats_payload(std::ios::binary);
@@ -256,14 +290,10 @@ Status WriteArtifact(const std::string& path, const ArtifactSchema& schema,
 }
 
 ArtifactReadResult ReadArtifact(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file.good()) {
-    return Fail(ArtifactError::kIoError, "cannot open artifact: " + path);
-  }
-  std::string bytes((std::istreambuf_iterator<char>(file)),
-                    std::istreambuf_iterator<char>());
-  if (file.bad()) {
-    return Fail(ArtifactError::kIoError, "cannot read artifact: " + path);
+  std::string bytes;
+  Status read = ReadFileBytes(path, &bytes);
+  if (!read.ok()) {
+    return Fail(ArtifactError::kIoError, "artifact: " + read.message());
   }
 
   // Preamble: magic, version, section count, CRC.
@@ -418,15 +448,9 @@ ArtifactReadResult ReadArtifact(const std::string& path) {
       }
       std::unique_ptr<Preprocessor> step =
           MakePreprocessor(artifact.spec.steps[i]);
-      std::istringstream blob_in(blob, std::ios::binary);
-      Status loaded = step->LoadState(blob_in);
-      if (loaded.ok() && blob_in.peek() != EOF) {
-        loaded = Status::InvalidArgument(step->name() +
-                                         ": trailing bytes in state blob");
-      }
+      Status loaded = LoadStateBlob(blob, step->name(), step.get());
       if (!loaded.ok()) {
-        result = Fail(ArtifactError::kBadState, loaded.message());
-        return result;
+        return Fail(ArtifactError::kBadState, loaded.message());
       }
       artifact.fitted_steps.push_back(std::move(step));
     }
@@ -461,12 +485,7 @@ ArtifactReadResult ReadArtifact(const std::string& path) {
                   "model section does not parse");
     }
     artifact.model = MakeClassifier(artifact.model_config);
-    std::istringstream blob_in(blob, std::ios::binary);
-    Status loaded = artifact.model->LoadState(blob_in);
-    if (loaded.ok() && blob_in.peek() != EOF) {
-      loaded = Status::InvalidArgument(
-          "model state blob carries trailing bytes");
-    }
+    Status loaded = LoadStateBlob(blob, "model", artifact.model.get());
     if (!loaded.ok()) {
       return Fail(ArtifactError::kBadState, loaded.message());
     }

@@ -143,7 +143,10 @@ struct ArtifactWriteOptions {
 /// Serializes (schema, fitted pipeline, model config, trained model,
 /// reference stats) to `path`, overwriting it. The pipeline must be fitted
 /// and the model trained; both are only read. `reference_stats` must be
-/// empty or have exactly schema.input_cols columns.
+/// empty or have exactly schema.input_cols columns. Every step's state
+/// blob and the model's go through a fresh LoadState first: a state that
+/// ReadArtifact would reject returns InvalidArgument naming the step, and
+/// nothing is written.
 Status WriteArtifact(const std::string& path, const ArtifactSchema& schema,
                      const FittedPipeline& pipeline,
                      const ModelConfig& model_config, const Classifier& model,
@@ -179,9 +182,10 @@ ArtifactReadResult ReadArtifact(const std::string& path);
 
 /// End-to-end export (the CLI's --export-artifact body): fits `spec` on
 /// all of `data`, trains `model_config`'s classifier on the transformed
-/// features, and writes the artifact. Returns the schema it stamped, or
-/// OutOfRange/InvalidArgument when the pipeline output is non-finite (a
-/// model trained on it would be garbage).
+/// features, and writes the artifact. Returns the schema it stamped,
+/// OutOfRange when the pipeline output is non-finite (a model trained on
+/// it would be garbage), or InvalidArgument when a fitted state would not
+/// load back (see WriteArtifact).
 Result<ArtifactSchema> ExportArtifact(const std::string& path,
                                       const Dataset& data,
                                       const PipelineSpec& spec,

@@ -12,7 +12,7 @@
 #include <cstring>
 #include <string>
 
-#include "core/run_journal.h"  // Crc32
+#include "util/checksum.h"
 
 #ifndef MSG_NOSIGNAL
 #define MSG_NOSIGNAL 0

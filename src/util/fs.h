@@ -1,7 +1,7 @@
 #ifndef AUTOFP_UTIL_FS_H_
 #define AUTOFP_UTIL_FS_H_
 
-/// Durable-file helpers shared by the run journal, the artifact writer
+/// File helpers shared by the run journal, the artifact writer/reader
 /// and the distributed shared-dataset file. POSIX gives two separate
 /// durability promises: fsync(fd) persists a file's *content*, but the
 /// file's *existence* (its directory entry) lives in the parent
@@ -9,6 +9,7 @@
 /// creating a freshly fsync'd file can otherwise lose the file itself.
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -90,6 +91,45 @@ inline Status WriteFileAtomic(const std::string& path,
                            "': " + std::strerror(saved_errno));
   }
   return FsyncParentDirectory(path);
+}
+
+/// Reads all of `path` into `*bytes` (replacing its content): one buffer
+/// sized from fstat, then read(2) until EOF, so a file that grows while
+/// it is read (a journal being appended) comes back whole up to the EOF
+/// the last read saw.
+inline Status ReadFileBytes(const std::string& path, std::string* bytes) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IoError("cannot open '" + path +
+                           "': " + std::strerror(errno));
+  }
+  struct stat st;
+  size_t capacity = 0;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    capacity = static_cast<size_t>(st.st_size);
+  }
+  bytes->clear();
+  // One spare byte, so a file that did not grow ends on a 0-byte read
+  // instead of a resize.
+  bytes->resize(capacity + 1);
+  size_t size = 0;
+  for (;;) {
+    if (size == bytes->size()) bytes->resize(bytes->size() * 2);
+    ssize_t n = ::read(fd, bytes->data() + size, bytes->size() - size);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      int saved_errno = errno;
+      ::close(fd);
+      bytes->clear();
+      return Status::IoError("cannot read '" + path +
+                             "': " + std::strerror(saved_errno));
+    }
+    if (n == 0) break;
+    size += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  bytes->resize(size);
+  return Status::OK();
 }
 
 }  // namespace autofp

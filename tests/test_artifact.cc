@@ -16,6 +16,7 @@
 #include "ml/knn.h"
 #include "ml/lda.h"
 #include "ml/naive_bayes.h"
+#include "preprocess/pipeline_parse.h"
 #include "serve/artifact.h"
 #include "util/serialize.h"
 
@@ -299,6 +300,35 @@ TEST(Artifact, ExportRefusesNonFinitePipelineOutput) {
   if (!exported.ok()) {
     EXPECT_EQ(exported.status().code(), StatusCode::kOutOfRange)
         << exported.status().ToString();
+  }
+}
+
+TEST(Artifact, ExportRefusesStateThatWouldNotLoad) {
+  Dataset data = TestData();
+  // The two smallest values are -1e308 and +1e308, so the q=0 quantile
+  // interpolates 0 * inf = NaN, which QuantileTransformer::LoadState
+  // rejects; the transform output itself stays finite.
+  for (size_t r = 0; r < data.features.rows(); ++r) {
+    data.features(r, 0) = r == 0 ? -1e308 : 1e308;
+  }
+  for (const char* text :
+       {"QuantileTransformer(output_distribution=uniform)",
+        "QuantileTransformer(output_distribution=normal)"}) {
+    Result<PipelineSpec> spec = ParsePipelineSpec(text);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    const std::string path = TempPath("artifact_unloadable.afpa");
+    std::remove(path.c_str());
+    Result<ArtifactSchema> exported = ExportArtifact(
+        path, data, spec.value(),
+        ModelConfig::Defaults(ModelKind::kLogisticRegression));
+    ASSERT_FALSE(exported.ok()) << text;
+    EXPECT_EQ(exported.status().code(), StatusCode::kInvalidArgument)
+        << exported.status().ToString();
+    EXPECT_NE(exported.status().message().find("QuantileTransformer"),
+              std::string::npos)
+        << exported.status().ToString();
+    // Nothing was written: a registry watching the path sees no file.
+    EXPECT_EQ(ReadArtifact(path).error, ArtifactError::kIoError) << text;
   }
 }
 

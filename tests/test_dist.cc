@@ -25,6 +25,7 @@
 #include "dist/wire.h"
 #include "dist/worker.h"
 #include "serve/protocol.h"
+#include "util/checksum.h"
 
 namespace autofp {
 namespace {
@@ -392,14 +393,14 @@ TEST(DistributedEvaluator, MatchesLocalSequentialResultsInOrder) {
 
   DistOptions options;
   options.num_workers = 3;
-  options.lease_size = 4;
   DistHarness harness(options);
   const std::vector<Evaluation> got = harness.evaluator->EvaluateAll(requests);
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(Canonical(got), Canonical(want));
   EXPECT_EQ(harness.evaluator->stats().worker_crashes, 0);
   EXPECT_EQ(harness.evaluator->stats().local_fallback_evals, 0);
-  EXPECT_GE(harness.evaluator->stats().leases_issued, 6l);
+  // One lease per request when nothing fails.
+  EXPECT_EQ(harness.evaluator->stats().leases_issued, 23l);
 
   // A second batch reuses the same fleet.
   const std::vector<Evaluation> again =
@@ -416,9 +417,9 @@ TEST(DistributedEvaluator, WorkerCrashesCostNothingButTime) {
 
   DistOptions options;
   options.num_workers = 2;
-  options.lease_size = 3;
   WorkerHooks hooks;
-  hooks.crash_after_results = 2;  // every worker dies after two results
+  // Every worker dies taking its third request, stranding that lease.
+  hooks.crash_after_results = 2;
   DistHarness harness(options, hooks);
   const std::vector<Evaluation> got = harness.evaluator->EvaluateAll(requests);
   EXPECT_EQ(Canonical(got), Canonical(want));
@@ -436,7 +437,6 @@ TEST(DistributedEvaluator, StragglersAreRevokedAndWorkIsRecovered) {
 
   DistOptions options;
   options.num_workers = 2;
-  options.lease_size = 3;
   options.lease_deadline_seconds = 0.3;
   options.max_lease_attempts = 2;
   WorkerHooks hooks;

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <new>
 #include <sstream>
@@ -23,6 +24,8 @@
 #include "preprocess/pipeline.h"
 #include "preprocess/quantile_transformer.h"
 #include "serve/artifact.h"
+#include "util/checksum.h"
+#include "util/fs.h"
 #include "util/random.h"
 #include "util/serialize.h"
 
@@ -545,6 +548,32 @@ class FixedStateClassifier : public Classifier {
   std::string state_;
 };
 
+/// Swaps `hostile` in for the equally long `valid` state blob inside the
+/// artifact at `path` and re-seals every section CRC, so the framing is
+/// sound and only the state loader can reject the file. WriteArtifact
+/// refuses to write such a state itself, hence the splice.
+void SpliceStateBlob(const std::string& path, const std::string& valid,
+                     const std::string& hostile) {
+  ASSERT_EQ(valid.size(), hostile.size());
+  std::string bytes;
+  ASSERT_TRUE(ReadFileBytes(path, &bytes).ok());
+  const size_t at = bytes.find(valid);
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, valid.size(), hostile);
+  // Preamble: magic, version, section count, CRC (4 bytes each); then
+  // sections of id | payload_len | payload | crc(id, len, payload).
+  size_t pos = 16;
+  while (pos < bytes.size()) {
+    uint32_t length = 0;
+    std::memcpy(&length, bytes.data() + pos + 4, sizeof(length));
+    const size_t frame = 8 + static_cast<size_t>(length);
+    const uint32_t crc = Crc32(bytes.data() + pos, frame);
+    std::memcpy(bytes.data() + pos + frame, &crc, sizeof(crc));
+    pos += frame + sizeof(crc);
+  }
+  ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+}
+
 TEST(GbdtDetails, ArtifactWithHostileForestIsBadState) {
   Matrix train(40, 3);
   for (size_t r = 0; r < train.rows(); ++r) {
@@ -569,9 +598,11 @@ TEST(GbdtDetails, ArtifactWithHostileForestIsBadState) {
 
   RefForest self_loop = OneSplit();
   self_loop.trees[0][0].right = 0;
-  ASSERT_TRUE(WriteArtifact(path, schema, pipeline, config,
-                            FixedStateClassifier(Blob(self_loop)))
-                  .ok());
+  EXPECT_EQ(WriteArtifact(path, schema, pipeline, config,
+                          FixedStateClassifier(Blob(self_loop)))
+                .code(),
+            StatusCode::kInvalidArgument);
+  SpliceStateBlob(path, Blob(OneSplit()), Blob(self_loop));
   ArtifactReadResult read = ReadArtifact(path);
   EXPECT_EQ(read.error, ArtifactError::kBadState)
       << ArtifactErrorName(read.error) << ": " << read.status.ToString();
@@ -746,7 +777,11 @@ TEST(QuantileState, ArtifactWithHostileTableIsBadState) {
   ASSERT_TRUE(write({valid, valid, valid}).ok());
   ASSERT_TRUE(ReadArtifact(path).ok());
 
-  ASSERT_TRUE(write({valid, {2.0, 1.0, 0.0}, valid}).ok());
+  const std::vector<double> descending = {2.0, 1.0, 0.0};
+  EXPECT_EQ(write({valid, descending, valid}).code(),
+            StatusCode::kInvalidArgument);
+  SpliceStateBlob(path, QuantileBlob(3, {valid, valid, valid}),
+                  QuantileBlob(3, {valid, descending, valid}));
   ArtifactReadResult read = ReadArtifact(path);
   EXPECT_EQ(read.error, ArtifactError::kBadState)
       << ArtifactErrorName(read.error) << ": " << read.status.ToString();

@@ -21,6 +21,7 @@
 #include "core/search_space.h"
 #include "data/synthetic.h"
 #include "search/registry.h"
+#include "util/fs.h"
 #include "util/random.h"
 
 namespace autofp {
@@ -135,6 +136,26 @@ TEST(RunJournal, MissingFileIsIoError) {
   JournalReadResult read = ReadRunJournal(TempPath("does_not_exist.journal"));
   EXPECT_FALSE(read.ok());
   EXPECT_EQ(read.error, JournalError::kIoError);
+}
+
+TEST(RunJournal, ReadFileBytesReadsWholeFilesAndTypesMissingOnes) {
+  const std::string path = TempPath("read_file_bytes.bin");
+  std::string want(100003, '\0');
+  for (size_t i = 0; i < want.size(); ++i) {
+    want[i] = static_cast<char>(i * 131 + 7);
+  }
+  WriteFileBytes(path, want);
+  std::string got = "stale";
+  ASSERT_TRUE(autofp::ReadFileBytes(path, &got).ok());
+  EXPECT_EQ(got, want);
+
+  WriteFileBytes(path, "");
+  ASSERT_TRUE(autofp::ReadFileBytes(path, &got).ok());
+  EXPECT_TRUE(got.empty());
+
+  Status missing =
+      autofp::ReadFileBytes(TempPath("does_not_exist.bin"), &got);
+  EXPECT_EQ(missing.code(), StatusCode::kIoError);
 }
 
 TEST(RunJournal, BadMagicRejected) {

@@ -48,6 +48,7 @@
 #include "serve/artifact.h"
 #include "preprocess/pipeline_parse.h"
 #include "cli_flags.h"
+#include "util/checksum.h"
 #include "util/csv.h"
 #include "search/registry.h"
 #include "search/two_step.h"
@@ -79,7 +80,6 @@ struct Options {
   int threads = 1;
   double cache_mb = 0.0;
   int workers = 0;          ///< > 0: distributed multi-process evaluation.
-  size_t lease_size = 4;    ///< requests per worker lease.
   double lease_deadline = 30.0;  ///< straggler revocation deadline (s).
   bool list = false;
   // Internal worker entrypoint (spawned by the coordinator, never typed
@@ -117,7 +117,6 @@ void PrintUsage() {
       "  --cache-mb MB            evaluation-cache budget in MiB (default 0)\n"
       "  --workers N              evaluate on N worker processes (crash/\n"
       "                           straggler tolerant; excludes --threads)\n"
-      "  --lease-size N           requests per worker lease (default 4)\n"
       "  --lease-deadline S       straggler revocation deadline (default 30)\n"
       "  --export-artifact FILE   after the search, refit the winning\n"
       "                           pipeline on the full dataset, train the\n"
@@ -197,10 +196,6 @@ bool ParseArgs(int argc, char** argv, Options* options) {
         return false;
     } else if (arg == "--workers") {
       if (!cli::ParseInt(argc, argv, &i, "--workers", 0, &options->workers))
-        return false;
-    } else if (arg == "--lease-size") {
-      if (!cli::ParseSize(argc, argv, &i, "--lease-size", 1,
-                          &options->lease_size))
         return false;
     } else if (arg == "--lease-deadline") {
       if (!cli::ParseDouble(argc, argv, &i, "--lease-deadline",
@@ -541,7 +536,6 @@ int main(int argc, char** argv) {
     }
     DistOptions dist_options;
     dist_options.num_workers = options.workers;
-    dist_options.lease_size = options.lease_size;
     dist_options.lease_deadline_seconds = options.lease_deadline;
     dist_options.expected_dataset_fingerprint =
         DatasetFingerprint(dataset.value());
