@@ -5,17 +5,20 @@
 ///
 /// `--json [path]` switches to the kernel roofline report instead: each
 /// preprocessor's TransformInPlace timed on the forced-scalar reference
-/// and on the SIMD path, with rows/s, GB/s and the speedup, as median, min
-/// and max over repeats. scripts/bench_snapshot.sh commits it as
-/// BENCH_kernels.json.
+/// and on the SIMD path, with rows/s, GB/s and the speedup, and its Fit
+/// on one thread, as median, min and max over repeats.
+/// scripts/bench_snapshot.sh commits it as BENCH_kernels.json.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/auto_fp.h"
 #include "util/simd.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -212,7 +215,8 @@ int RunRooflineReport(const char* path) {
       sizeof(double);
   for (PreprocessorKind kind : AllPreprocessorKinds()) {
     auto step = MakePreprocessor(kind);
-    step->Fit(data);
+    // Off any pool, so the per-column fits run on this thread alone.
+    const bench::Timing fit = bench::TimeRepeats([&] { step->Fit(data); });
     const bench::Timing scalar = TimeTransform(*step, data, true);
     const bench::Timing simd = TimeTransform(*step, data, false);
     snapshot.Cell(KindName(kind));
@@ -222,6 +226,34 @@ int RunRooflineReport(const char* path) {
                     static_cast<double>(kRooflineRows) * 1e9 / simd.median_ns);
     snapshot.Figure("gb_per_s", bytes_per_pass / simd.median_ns);
     snapshot.Figure("speedup", scalar.median_ns / simd.median_ns);
+    snapshot.Time("fit_ns", fit);
+    snapshot.Figure("fit_us_per_krow",
+                    fit.median_ns / static_cast<double>(kRooflineRows));
+    if (kind == PreprocessorKind::kQuantileTransformer) {
+      // The fit's two parts: every column copied out and sorted, then
+      // QuantileSorted filling the reference table from the sorted columns.
+      std::vector<std::vector<double>> sorted(data.cols());
+      const bench::Timing sort = bench::TimeRepeats([&] {
+        for (size_t c = 0; c < data.cols(); ++c) {
+          sorted[c] = data.Column(c);
+          std::sort(sorted[c].begin(), sorted[c].end());
+        }
+        benchmark::ClobberMemory();
+      });
+      const int quantiles = PreprocessorConfig::Defaults(kind).n_quantiles;
+      std::vector<double> refs(static_cast<size_t>(quantiles));
+      const bench::Timing table = bench::TimeRepeats([&] {
+        for (const std::vector<double>& column : sorted) {
+          for (int q = 0; q < quantiles; ++q) {
+            refs[static_cast<size_t>(q)] = QuantileSorted(
+                column, static_cast<double>(q) / (quantiles - 1));
+          }
+          benchmark::DoNotOptimize(refs.data());
+        }
+      });
+      snapshot.Time("fit_sort_ns", sort);
+      snapshot.Time("fit_table_ns", table);
+    }
   }
   return snapshot.Write(path) ? 0 : 1;
 }

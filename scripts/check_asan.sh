@@ -9,9 +9,11 @@
 # out-of-bounds memory, that hostile tree blobs and tile-boundary row
 # counts stay in bounds, that the Welford accumulator and drift
 # window that ingest untrusted serving rows stay inside their columns,
-# and that the word-at-a-time CRC and every decoder of untrusted bytes
+# that the word-at-a-time CRC and every decoder of untrusted bytes
 # that calls it (serve frames, artifacts, run journals, the dist wire
-# and lease table) read only the bytes they were given.
+# and lease table) read only the bytes they were given, and that Power
+# and Quantile fits whose columns idle pool workers take (HelpFor)
+# never touch a helper's state after its caller returned.
 #
 # Usage: scripts/check_asan.sh [ctest-regex]
 #   ctest-regex  optional test-name filter; defaults to the data-plane
@@ -20,7 +22,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-asan"
-filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ThreadPool|EvaluateBatch|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable}"
+filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ThreadPool|EvaluateBatch|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable|PowerTransformer|QuantileTransformer|FitInPool}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -28,7 +30,7 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 cmake --build "${build_dir}" -j \
   --target test_matrix test_inplace test_pipeline test_parallel_eval \
   test_predictor test_models test_gbdt_details test_artifact test_stream \
-  test_checksum test_protocol test_run_journal test_dist
+  test_checksum test_protocol test_run_journal test_dist test_preprocessors
 
 cd "${build_dir}"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \

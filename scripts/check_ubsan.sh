@@ -9,7 +9,9 @@
 # borrowed-view aliasing never rely on undefined behavior — misaligned
 # casts, signed overflow, out-of-range shifts — and that neither does the
 # word-at-a-time CRC or any decoder that calls it (serve frames,
-# artifacts, run journals, the dist wire and lease table).
+# artifacts, run journals, the dist wire and lease table), nor the Power
+# and Quantile fits (the Yeo-Johnson clamp at +-1e300) and the pool
+# that spreads their columns over idle workers (ThreadPool::HelpFor).
 #
 # Usage: scripts/check_ubsan.sh [ctest-regex]
 #   ctest-regex  optional test-name filter; defaults to the kernel
@@ -18,7 +20,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-ubsan"
-filter="${1:-Simd|Kernels|Matrix|InPlace|Pipeline|Preprocessor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable}"
+filter="${1:-Simd|Kernels|Matrix|InPlace|Pipeline|Preprocessor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable|PowerTransformer|QuantileTransformer|FitInPool|ThreadPool}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -26,7 +28,7 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 cmake --build "${build_dir}" -j \
   --target test_simd test_kernels test_matrix test_inplace test_pipeline \
   test_preprocessors test_models test_gbdt_details test_artifact test_stream \
-  test_checksum test_protocol test_run_journal test_dist
+  test_checksum test_protocol test_run_journal test_dist test_parallel_eval
 
 cd "${build_dir}"
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \

@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace autofp {
 
@@ -47,59 +48,31 @@ double GoldenSectionMaximize(F f, double lo, double hi, int iterations) {
   return (a + b) / 2.0;
 }
 
-}  // namespace
-
-double PowerTransformer::YeoJohnson(double x, double lambda) {
+/// YeoJohnson(x, lambda) given `log1p_abs` = Log1pAbs(x), which does not
+/// depend on lambda, so a fit computes it once per element.
+double YeoJohnsonFromLog(double x, double log1p_abs, double lambda) {
   if (x >= 0.0) {
     if (std::abs(lambda) < kLambdaEps) {
-      return std::log1p(x);
+      return log1p_abs;
     }
     // ((x+1)^lambda - 1) / lambda, computed via expm1 for stability.
-    return ClampFinite(std::expm1(lambda * std::log1p(x)) / lambda);
+    return ClampFinite(std::expm1(lambda * log1p_abs) / lambda);
   }
   double two_minus = 2.0 - lambda;
   if (std::abs(two_minus) < kLambdaEps) {
-    return -std::log1p(-x);
+    return -log1p_abs;
   }
   // -(((1-x)^(2-lambda)) - 1) / (2-lambda).
-  return ClampFinite(-std::expm1(two_minus * std::log1p(-x)) / two_minus);
+  return ClampFinite(-std::expm1(two_minus * log1p_abs) / two_minus);
 }
 
-namespace {
-
-/// Log-likelihood given the precomputed (lambda-independent) Jacobian sum
-/// of sign(x) * log(|x|+1) over the column.
-double LogLikelihoodWithJacobian(const std::vector<double>& column,
-                                 double lambda, double jacobian) {
-  const double n = static_cast<double>(column.size());
-  if (column.empty()) return 0.0;
-  // Single-pass variance of the transformed column.
-  double sum = 0.0, sum_sq = 0.0;
-  for (double x : column) {
-    double t = PowerTransformer::YeoJohnson(x, lambda);
-    sum += t;
-    sum_sq += t * t;
-  }
-  double variance = sum_sq / n - (sum / n) * (sum / n);
-  if (!(variance > 0.0) || !std::isfinite(variance)) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  return -0.5 * n * std::log(variance) + (lambda - 1.0) * jacobian;
-}
-
-double JacobianSum(const std::vector<double>& column) {
-  double jacobian = 0.0;
-  for (double x : column) {
-    jacobian += std::copysign(std::log1p(std::abs(x)), x);
-  }
-  return jacobian;
-}
+/// log1p(|x|) as each Yeo-Johnson branch takes it: -0.0 keeps its sign.
+double Log1pAbs(double x) { return std::log1p(x >= 0.0 ? x : -x); }
 
 }  // namespace
 
-double PowerTransformer::LogLikelihood(const std::vector<double>& column,
-                                       double lambda) {
-  return LogLikelihoodWithJacobian(column, lambda, JacobianSum(column));
+double PowerTransformer::YeoJohnson(double x, double lambda) {
+  return YeoJohnsonFromLog(x, Log1pAbs(x), lambda);
 }
 
 void PowerTransformer::Fit(const Matrix& data) {
@@ -108,31 +81,47 @@ void PowerTransformer::Fit(const Matrix& data) {
   lambdas_.assign(cols, 1.0);
   means_.assign(cols, 0.0);
   stddevs_.assign(cols, 1.0);
-  for (size_t c = 0; c < cols; ++c) {
+  // Columns are independent: idle pool workers may take some of them.
+  ThreadPool::HelpFor(cols, [&](size_t c) {
     std::vector<double> column = data.Column(c);
     // Constant columns: identity lambda, no standardization scaling.
-    double variance = Variance(column);
-    if (!(variance > 0.0)) {
-      lambdas_[c] = 1.0;
+    if (!(Variance(column) > 0.0)) {
       means_[c] = config_.standardize ? YeoJohnson(column[0], 1.0) : 0.0;
-      stddevs_[c] = 1.0;
-      continue;
+      return;
     }
-    const double jacobian = JacobianSum(column);
-    auto objective = [&column, jacobian](double lambda) {
-      return LogLikelihoodWithJacobian(column, lambda, jacobian);
-    };
-    lambdas_[c] = GoldenSectionMaximize(objective, -4.0, 6.0, 30);
-    if (config_.standardize) {
-      std::vector<double> transformed(column.size());
-      for (size_t i = 0; i < column.size(); ++i) {
-        transformed[i] = YeoJohnson(column[i], lambdas_[c]);
+    const size_t rows = column.size();
+    std::vector<double> logs(rows);
+    // The Jacobian term sums sign(x) * log(|x|+1) over the column.
+    double jacobian = 0.0;
+    for (size_t i = 0; i < rows; ++i) {
+      logs[i] = Log1pAbs(column[i]);
+      jacobian += std::copysign(logs[i], column[i]);
+    }
+    // Yeo-Johnson log-likelihood of lambda, from a one-pass variance.
+    auto log_likelihood = [&](double lambda) {
+      const double n = static_cast<double>(rows);
+      double sum = 0.0, sum_sq = 0.0;
+      for (size_t i = 0; i < rows; ++i) {
+        double t = YeoJohnsonFromLog(column[i], logs[i], lambda);
+        sum += t;
+        sum_sq += t * t;
       }
-      MeanStd stats = ComputeMeanStd(transformed);
+      double variance = sum_sq / n - (sum / n) * (sum / n);
+      if (!(variance > 0.0) || !std::isfinite(variance)) {
+        return -std::numeric_limits<double>::infinity();
+      }
+      return -0.5 * n * std::log(variance) + (lambda - 1.0) * jacobian;
+    };
+    lambdas_[c] = GoldenSectionMaximize(log_likelihood, -4.0, 6.0, 30);
+    if (config_.standardize) {
+      for (size_t i = 0; i < rows; ++i) {
+        column[i] = YeoJohnsonFromLog(column[i], logs[i], lambdas_[c]);
+      }
+      MeanStd stats = ComputeMeanStd(column);
       means_[c] = stats.mean;
       stddevs_[c] = stats.stddev > 0.0 ? stats.stddev : 1.0;
     }
-  }
+  });
   fitted_ = true;
 }
 

@@ -34,10 +34,6 @@ class PowerTransformer : public Preprocessor {
   /// The Yeo-Johnson transform of a single value (exposed for tests).
   static double YeoJohnson(double x, double lambda);
 
-  /// Log-likelihood of lambda for a feature column (exposed for tests).
-  static double LogLikelihood(const std::vector<double>& column,
-                              double lambda);
-
  private:
   PreprocessorConfig config_;
   std::vector<double> lambdas_;

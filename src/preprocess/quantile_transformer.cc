@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace autofp {
 
@@ -16,7 +17,8 @@ void QuantileTransformer::Fit(const Matrix& data) {
                                        static_cast<int>(data.rows()));
   effective_quantiles_ = std::max(effective_quantiles_, 2);
   references_.assign(data.cols(), {});
-  for (size_t c = 0; c < data.cols(); ++c) {
+  // Columns are independent: idle pool workers may take some of them.
+  ThreadPool::HelpFor(data.cols(), [&](size_t c) {
     std::vector<double> column = data.Column(c);
     std::sort(column.begin(), column.end());
     std::vector<double>& refs = references_[c];
@@ -26,7 +28,7 @@ void QuantileTransformer::Fit(const Matrix& data) {
                  static_cast<double>(effective_quantiles_ - 1);
       refs[q] = QuantileSorted(column, p);
     }
-  }
+  });
   fitted_ = true;
 }
 

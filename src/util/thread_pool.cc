@@ -1,8 +1,37 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
+
 #include "util/logging.h"
 
 namespace autofp {
+
+namespace {
+
+/// The pool whose worker this thread is; null off every pool.
+thread_local ThreadPool* current_pool = nullptr;
+
+}  // namespace
+
+struct ThreadPool::Help {
+  const std::function<void(size_t)>* fn = nullptr;
+  size_t count = 0;
+  std::atomic<size_t> next{0};
+  /// Helpers taken off the queue by a worker; guarded by the pool mutex,
+  /// so it is final once the caller has removed the unstarted ones.
+  size_t started = 0;
+  std::mutex mutex;
+  std::condition_variable done;
+  size_t finished = 0;  ///< Guarded by `mutex`.
+
+  /// Claims and runs indices until none are left.
+  void Drain() {
+    for (size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      (*fn)(i);
+    }
+  }
+};
 
 ThreadPool::ThreadPool(int num_threads) {
   AUTOFP_CHECK_GE(num_threads, 1);
@@ -29,14 +58,51 @@ void ThreadPool::ParallelFor(
   batch.remaining = count;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t i = 0; i < count; ++i) queue_.push_back(Task{&batch, i});
+    for (size_t i = 0; i < count; ++i) {
+      queue_.push_back(Task{&batch, nullptr, i});
+    }
   }
   work_available_.notify_all();
   std::unique_lock<std::mutex> batch_lock(batch.mutex);
   batch.done.wait(batch_lock, [&batch] { return batch.remaining == 0; });
 }
 
+void ThreadPool::HelpFor(size_t count,
+                         const std::function<void(size_t)>& fn) {
+  ThreadPool* pool = current_pool;
+  if (pool == nullptr || pool->num_threads() == 1 || count <= 1) {
+    for (size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  const size_t helpers =
+      std::min(count, static_cast<size_t>(pool->num_threads())) - 1;
+  Help help;
+  help.fn = &fn;
+  help.count = count;
+  {
+    std::lock_guard<std::mutex> lock(pool->mutex_);
+    for (size_t h = 0; h < helpers; ++h) {
+      pool->queue_.push_back(Task{nullptr, &help, 0});
+    }
+  }
+  pool->work_available_.notify_all();
+  help.Drain();
+  size_t started = 0;
+  {
+    std::lock_guard<std::mutex> lock(pool->mutex_);
+    std::erase_if(pool->queue_,
+                  [&help](const Task& task) { return task.help == &help; });
+    started = help.started;
+  }
+  // Notify happens under `help.mutex` (see WorkerLoop), so `help` outlives
+  // every helper's last touch of it.
+  std::unique_lock<std::mutex> help_lock(help.mutex);
+  help.done.wait(help_lock,
+                 [&help, started] { return help.finished == started; });
+}
+
 void ThreadPool::WorkerLoop(int worker) {
+  current_pool = this;
   for (;;) {
     Task task;
     {
@@ -46,6 +112,14 @@ void ThreadPool::WorkerLoop(int worker) {
       if (queue_.empty()) return;  // stopping_ with no work left.
       task = queue_.front();
       queue_.pop_front();
+      if (task.help != nullptr) ++task.help->started;
+    }
+    if (task.help != nullptr) {
+      task.help->Drain();
+      std::lock_guard<std::mutex> lock(task.help->mutex);
+      ++task.help->finished;
+      task.help->done.notify_all();
+      continue;
     }
     (*task.batch->fn)(task.index, worker);
     {

@@ -17,8 +17,11 @@
 namespace autofp {
 
 /// Fixed-size pool of `num_threads` worker threads. Callers block in
-/// ParallelFor while the workers run the loop body; the calling thread
-/// does no loop work itself.
+/// ParallelFor while the workers run the loop body; in ParallelFor the
+/// calling thread does no loop work itself. HelpFor is the one call that
+/// may run inside a pool task: its caller runs inner indices itself and
+/// only borrows workers that are idle, so it never waits for a free
+/// worker and nesting cannot deadlock.
 class ThreadPool {
  public:
   /// Starts `num_threads` >= 1 workers.
@@ -38,6 +41,19 @@ class ThreadPool {
   void ParallelFor(size_t count,
                    const std::function<void(size_t index, int worker)>& fn);
 
+  /// Runs `fn(index)` once for every index in [0, count) and returns when
+  /// all have finished. Called from a worker of some pool, it queues at
+  /// most min(count - 1, num_threads - 1) helper tasks on that pool; the
+  /// caller and whichever helpers start claim indices from one counter.
+  /// Once the indices run out the caller takes its unstarted helpers off
+  /// the queue and waits only for helpers already running. Anywhere else,
+  /// or on a one-thread pool, it is a plain loop on the caller. Callers
+  /// reach the pool through a thread-local, so library code (a
+  /// preprocessor's per-column fit) spreads over idle workers without a
+  /// pool being passed to it. `fn` gets no worker id: indices must not
+  /// share per-worker scratch.
+  static void HelpFor(size_t count, const std::function<void(size_t)>& fn);
+
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
  private:
@@ -48,8 +64,13 @@ class ThreadPool {
     std::condition_variable done;
     size_t remaining = 0;
   };
+  /// Per-HelpFor state, shared by the caller and its helper tasks.
+  struct Help;
+  /// One queued unit: index `index` of a ParallelFor batch, or (when
+  /// `help` is set) one helper of a HelpFor call.
   struct Task {
     Batch* batch = nullptr;
+    Help* help = nullptr;
     size_t index = 0;
   };
 

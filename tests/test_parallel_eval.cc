@@ -1,8 +1,8 @@
 /// Tests of the batch evaluation engine: TransformCache LRU behaviour,
 /// cached-vs-uncached evaluation equivalence, the CachingEvaluator result
-/// cache, ThreadPool scheduling and ordering/determinism, EvaluateBatch
-/// bookkeeping parity with sequential Evaluate, and fault semantics under
-/// concurrency.
+/// cache, ThreadPool scheduling (ParallelFor and the nested HelpFor) and
+/// ordering/determinism, EvaluateBatch bookkeeping parity with sequential
+/// Evaluate, and fault semantics under concurrency.
 
 #include <algorithm>
 #include <atomic>
@@ -378,6 +378,131 @@ TEST(ThreadPool, ConcurrentCallersShareWorkers) {
           << "caller " << c << ", index " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// ThreadPool::HelpFor: a pool task spreads an inner loop over idle workers,
+// runs inner indices itself, and never waits for a busy worker.
+
+/// Waits up to 30 s for `done()`; false on timeout.
+template <typename Done>
+bool WaitFor(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
+             Done done) {
+  return cv.wait_for(lock, std::chrono::seconds(30), done);
+}
+
+TEST(ThreadPool, HelpForOffAPoolRunsInOrderOnTheCaller) {
+  std::vector<size_t> order;
+  std::vector<std::thread::id> threads;
+  auto record = [&](size_t index) {
+    order.push_back(index);
+    threads.push_back(std::this_thread::get_id());
+  };
+  // On a thread that is no pool's worker, even while a pool exists.
+  ThreadPool pool(4);
+  ThreadPool::HelpFor(5, record);
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  for (std::thread::id id : threads) EXPECT_EQ(id, std::this_thread::get_id());
+  // On the worker of a one-thread pool: nobody could help, so no helper.
+  ThreadPool single(1);
+  order.clear();
+  threads.clear();
+  std::thread::id worker_id;
+  single.ParallelFor(1, [&](size_t, int) {
+    worker_id = std::this_thread::get_id();
+    ThreadPool::HelpFor(3, record);
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2}));
+  for (std::thread::id id : threads) EXPECT_EQ(id, worker_id);
+}
+
+TEST(ThreadPool, NestedHelpForRunsEveryIndexOnceWithoutDeadlock) {
+  // Every worker is a HelpFor caller at once: each one's helpers can only
+  // start once some other caller has finished, so a caller that waited for
+  // its queued helpers would deadlock.
+  constexpr size_t kInner = 1000;
+  ThreadPool pool(4);
+  std::vector<std::vector<std::atomic<int>>> runs(4);
+  for (auto& inner : runs) inner = std::vector<std::atomic<int>>(kInner);
+  pool.ParallelFor(4, [&](size_t outer, int) {
+    ThreadPool::HelpFor(kInner, [&](size_t index) {
+      runs[outer][index].fetch_add(1);
+    });
+  });
+  for (size_t outer = 0; outer < 4; ++outer) {
+    for (size_t i = 0; i < kInner; ++i) {
+      ASSERT_EQ(runs[outer][i].load(), 1) << "outer " << outer << ", " << i;
+    }
+  }
+}
+
+TEST(ThreadPool, IdleWorkerTakesAHelpForIndex) {
+  // Two indices that each wait for the other to have started: only a
+  // helper running beside the caller gets both past the latch in time.
+  ThreadPool pool(4);
+  std::mutex mutex;
+  std::condition_variable both_started;
+  int started = 0;
+  int timed_out = 0;
+  std::vector<std::thread::id> threads(2);
+  pool.ParallelFor(1, [&](size_t, int) {
+    ThreadPool::HelpFor(2, [&](size_t index) {
+      std::unique_lock<std::mutex> lock(mutex);
+      threads[index] = std::this_thread::get_id();
+      if (++started == 2) both_started.notify_all();
+      if (!WaitFor(both_started, lock, [&] { return started == 2; })) {
+        ++timed_out;
+      }
+    });
+  });
+  EXPECT_EQ(timed_out, 0) << "no helper took the second index";
+  EXPECT_NE(threads[0], threads[1]);
+}
+
+TEST(ThreadPool, HelpForLeavesNoTaskForTheNextParallelFor) {
+  // Two workers: one parks in task 0 while the other calls HelpFor in task
+  // 1. The helper that HelpFor queues can never start, so the caller must
+  // run every index itself, take the helper back off the queue and return
+  // without waiting for the parked worker.
+  ThreadPool pool(2);
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool parked = false;
+  bool released = false;
+  int timed_out = 0;
+  std::thread::id caller;
+  std::vector<std::thread::id> ran;
+  pool.ParallelFor(2, [&](size_t task, int) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (task == 0) {
+      parked = true;
+      changed.notify_all();
+      if (!WaitFor(changed, lock, [&] { return released; })) ++timed_out;
+      return;
+    }
+    if (!WaitFor(changed, lock, [&] { return parked; })) ++timed_out;
+    caller = std::this_thread::get_id();
+    lock.unlock();
+    ThreadPool::HelpFor(3, [&](size_t) {
+      std::lock_guard<std::mutex> inner(mutex);
+      ran.push_back(std::this_thread::get_id());
+    });
+    lock.lock();
+    released = true;
+    changed.notify_all();
+  });
+  EXPECT_EQ(timed_out, 0);
+  ASSERT_EQ(ran.size(), 3u);
+  for (std::thread::id id : ran) EXPECT_EQ(id, caller);
+  // Both workers are free again and the queue holds only the new tasks: a
+  // rendezvous of two tasks needs both workers at once.
+  int started = 0;
+  pool.ParallelFor(2, [&](size_t, int) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (++started == 2) changed.notify_all();
+    if (!WaitFor(changed, lock, [&] { return started == 2; })) ++timed_out;
+  });
+  EXPECT_EQ(timed_out, 0);
 }
 
 /// Evaluates `requests` on `pool` the way SearchContext does: results

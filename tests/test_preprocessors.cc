@@ -1,13 +1,19 @@
 #include "preprocess/preprocessor.h"
 
 #include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "preprocess/power_transformer.h"
 #include "preprocess/quantile_transformer.h"
+#include "util/checksum.h"
 #include "util/random.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace autofp {
 namespace {
@@ -353,6 +359,96 @@ TEST(PreprocessorConfig, EqualityIgnoresIrrelevantFields) {
   PreprocessorConfig d = c;
   d.threshold = 0.9;
   EXPECT_FALSE(c == d);
+}
+
+// ---------------------------------------------------------------------------
+// Fit exactness: the fitted state of Power and Quantile is pinned byte for
+// byte, and a fit whose columns are spread over idle pool workers
+// (ThreadPool::HelpFor) writes the same bytes as a plain one.
+
+/// A seeded matrix that reaches every branch of both fits: negatives,
+/// zeros and -0.0, +-1e300 (Power's ClampFinite path), skew both ways and
+/// one constant column.
+Matrix FitEdgeMatrix() {
+  constexpr size_t kRows = 200;
+  const double kSmall[] = {-2.0, -1.0, -0.0, 0.0, 1.0, 3.0};
+  Rng rng(2310);
+  Matrix data(kRows, 6);
+  for (size_t r = 0; r < kRows; ++r) {
+    data(r, 0) = rng.Gaussian(0.0, 3.0);
+    data(r, 1) = std::exp(rng.Gaussian(0.0, 1.0));
+    data(r, 2) = kSmall[rng.UniformInt(0, 5)];
+    data(r, 3) = 2.5;
+    data(r, 4) = r % 50 == 3    ? 1e300
+                 : r % 50 == 17 ? -1e300
+                                : rng.Gaussian(1.0, 2.0);
+    data(r, 5) = -std::exp(rng.Gaussian(0.0, 1.5));
+  }
+  return data;
+}
+
+std::string FittedState(const PreprocessorConfig& config, const Matrix& data) {
+  auto step = MakePreprocessor(config);
+  step->Fit(data);
+  std::ostringstream out;
+  step->SaveState(out);
+  return out.str();
+}
+
+struct PinnedFit {
+  const char* name;
+  PreprocessorConfig config;
+  size_t bytes;
+  uint64_t fnv1a;  ///< Fnv1a64 of the SaveState bytes.
+};
+
+std::vector<PinnedFit> PinnedFits() {
+  PreprocessorConfig power =
+      PreprocessorConfig::Defaults(PreprocessorKind::kPowerTransformer);
+  PreprocessorConfig power_raw = power;
+  power_raw.standardize = false;
+  PreprocessorConfig uniform =
+      PreprocessorConfig::Defaults(PreprocessorKind::kQuantileTransformer);
+  PreprocessorConfig normal = uniform;
+  normal.output_distribution = OutputDistribution::kNormal;
+  // Recorded from the fits as they were before the log1p cache and
+  // HelpFor: both must leave every byte where it was. Quantile's state is
+  // its reference table, which does not depend on the output distribution.
+  return {{"power_standardize", power, 168, 0x955648b5cac15313ull},
+          {"power_raw", power_raw, 168, 0x5835322829f754f5ull},
+          {"quantile_uniform", uniform, 9660, 0x68af0cf20dbdcb2cull},
+          {"quantile_normal", normal, 9660, 0x68af0cf20dbdcb2cull}};
+}
+
+TEST(FitInPool, StateBytesArePinned) {
+  const Matrix data = FitEdgeMatrix();
+  for (const PinnedFit& pinned : PinnedFits()) {
+    const std::string state = FittedState(pinned.config, data);
+    EXPECT_EQ(state.size(), pinned.bytes) << pinned.name;
+    EXPECT_EQ(Fnv1a64(state.data(), state.size()), pinned.fnv1a)
+        << pinned.name << std::hex << " got 0x"
+        << Fnv1a64(state.data(), state.size());
+  }
+}
+
+TEST(FitInPool, HelpedFitsWriteThePlainFitsBytes) {
+  const Matrix data = FitEdgeMatrix();
+  ThreadPool pool(4);
+  for (const PinnedFit& pinned : PinnedFits()) {
+    const std::string plain = FittedState(pinned.config, data);
+    // One fit with three idle workers to help it, then four at once, each
+    // competing for helpers with the others.
+    for (size_t fits : {size_t{1}, size_t{4}}) {
+      std::vector<std::string> states(fits);
+      pool.ParallelFor(fits, [&](size_t i, int) {
+        states[i] = FittedState(pinned.config, data);
+      });
+      for (size_t i = 0; i < fits; ++i) {
+        EXPECT_TRUE(states[i] == plain)
+            << pinned.name << ", " << fits << " fits, fit " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
