@@ -5,8 +5,9 @@
 /// `--json [path]` switches to the model-kernel roofline report instead:
 /// the SIMD primitives the model inner loops ride (Dot, Axpy, the
 /// branchless histogram binning, the ReferenceStats Welford update) timed
-/// scalar vs vectorized, with element throughput and speedups, as median,
-/// min and max over repeats. scripts/bench_snapshot.sh commits it as
+/// scalar vs vectorized, with element throughput and speedups, plus one
+/// LR Train split into its per-epoch forward phase and gradient sum, as
+/// median, min and max over repeats. scripts/bench_snapshot.sh commits it as
 /// BENCH_model_kernels.json.
 
 #include <benchmark/benchmark.h>
@@ -18,6 +19,7 @@
 #include "bench/bench_util.h"
 #include "core/auto_fp.h"
 #include "data/synthetic.h"
+#include "ml/logistic_regression.h"
 #include "serve/artifact.h"
 #include "util/simd.h"
 
@@ -25,12 +27,12 @@ namespace {
 
 using namespace autofp;
 
-Dataset MakeDataset(size_t rows, int classes) {
+Dataset MakeDataset(size_t rows, int classes, size_t cols = 16) {
   SyntheticSpec spec;
   spec.name = "micro";
   spec.family = SyntheticFamily::kScaledBlobs;
   spec.rows = rows;
-  spec.cols = 16;
+  spec.cols = cols;
   spec.num_classes = classes;
   spec.seed = 11;
   return GenerateSynthetic(spec);
@@ -210,6 +212,46 @@ int RunModelRooflineReport(const char* path) {
   const bench::Timing moments_simd = bench::TimeRepeats(observe);
   AddKernel(&snapshot, "running_moments_16col", moments_scalar, moments_simd,
             static_cast<double>(stream_rows.size()));
+
+  // LR Train at the search workloads' shape (9600x8, 2 classes) on one
+  // thread (the bench is off any pool), and one epoch's two phases: the
+  // forward phase idle pool workers may split into row blocks, and the
+  // gradient sum that stays on the caller.
+  const Dataset lr_data = MakeDataset(9600, 2, 8);
+  const ModelConfig lr_config =
+      ModelConfig::Defaults(ModelKind::kLogisticRegression);
+  const bench::Timing lr_train = bench::TimeRepeats([&] {
+    LogisticRegression model(lr_config);
+    model.Train(lr_data.features, lr_data.labels, 2);
+    benchmark::DoNotOptimize(model);
+  });
+  std::vector<double> lr_weights(2 * 9);
+  for (double& w : lr_weights) w = rng.Uniform(-0.5, 0.5);
+  std::vector<double> lr_residuals(lr_data.features.rows() * 2);
+  std::vector<double> lr_grad(lr_weights.size());
+  const bench::Timing lr_forward = bench::TimeRepeats([&] {
+    LogisticRegression::ForwardRows(lr_data.features, lr_data.labels,
+                                    lr_weights.data(), 2, 0,
+                                    lr_data.features.rows(),
+                                    lr_residuals.data());
+    benchmark::DoNotOptimize(lr_residuals.data());
+    benchmark::ClobberMemory();
+  });
+  const bench::Timing lr_gradient = bench::TimeRepeats([&] {
+    std::fill(lr_grad.begin(), lr_grad.end(), 0.0);
+    LogisticRegression::AccumulateGradient(
+        lr_data.features, lr_residuals.data(), 2, lr_grad.data());
+    benchmark::DoNotOptimize(lr_grad.data());
+    benchmark::ClobberMemory();
+  });
+  snapshot.Cell("lr_train_9600x8_2cls");
+  snapshot.Time("train_ns", lr_train);
+  snapshot.Time("epoch_forward_ns", lr_forward);
+  snapshot.Time("epoch_gradient_ns", lr_gradient);
+  snapshot.Figure("epochs", lr_config.lr_epochs);
+  snapshot.Figure("forward_share",
+                  lr_forward.median_ns /
+                      (lr_forward.median_ns + lr_gradient.median_ns));
 
   return snapshot.Write(path) ? 0 : 1;
 }

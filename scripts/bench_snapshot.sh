@@ -31,7 +31,7 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-${repo_root}/build}"
 
 cmake -B "${build_dir}" -S "${repo_root}"
-cmake --build "${build_dir}" -j \
+cmake --build "${build_dir}" -j "$(nproc)" \
   --target bench_stream_overhead bench_micro_preprocessors bench_micro_models
 
 "${build_dir}/bench/bench_stream_overhead" \

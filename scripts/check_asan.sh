@@ -13,7 +13,9 @@
 # that calls it (serve frames, artifacts, run journals, the dist wire
 # and lease table) read only the bytes they were given, and that Power
 # and Quantile fits whose columns idle pool workers take (HelpFor)
-# never touch a helper's state after its caller returned.
+# never touch a helper's state after its caller returned, nor do LR
+# epochs whose row blocks they take (LrEpochBlocks, a partial last
+# block included).
 #
 # Usage: scripts/check_asan.sh [ctest-regex]
 #   ctest-regex  optional test-name filter; defaults to the data-plane
@@ -22,12 +24,12 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-asan"
-filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ThreadPool|EvaluateBatch|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable|PowerTransformer|QuantileTransformer|FitInPool}"
+filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ThreadPool|EvaluateBatch|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable|PowerTransformer|QuantileTransformer|FitInPool|LrEpochBlocks}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAUTOFP_SANITIZE=address
-cmake --build "${build_dir}" -j \
+cmake --build "${build_dir}" -j "$(nproc)" \
   --target test_matrix test_inplace test_pipeline test_parallel_eval \
   test_predictor test_models test_gbdt_details test_artifact test_stream \
   test_checksum test_protocol test_run_journal test_dist test_preprocessors

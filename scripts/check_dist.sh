@@ -36,7 +36,7 @@ done
 if [[ ! -x "${bin}" ]]; then
   echo "building autofp..."
   cmake -B "${repo_root}/build" -S "${repo_root}" > /dev/null
-  cmake --build "${repo_root}/build" --target autofp -j > /dev/null
+  cmake --build "${repo_root}/build" --target autofp -j "$(nproc)" > /dev/null
 fi
 
 workdir="$(mktemp -d)"

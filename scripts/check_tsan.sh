@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Builds with -fsanitize=thread and runs the concurrency-sensitive tests:
 # the one worker pool (ThreadPool, HelpFor included), Power and Quantile
-# fits whose columns idle pool workers take (FitInPool), the evaluation
+# fits whose columns idle pool workers take (FitInPool), LR epochs whose
+# row blocks they take while each writes its rows of one shared residual
+# buffer (LrEpochBlocks), the evaluation
 # engine built on the pool (TransformCache, CachingEvaluator,
 # EvaluateBatch), the exactness
 # oracle's 4-thread cases (a fault-injected search through the full
@@ -21,15 +23,15 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-tsan"
-filter="${1:-TransformCache|PrefixCache|CachingEvaluator|ThreadPool|EvaluateBatch|Exactness.*threads4|FaultInjector|Quarantine|Retry|Predictor|ScratchEval|InPlace|Protocol|ServeNet|Registry|HotSwap|FitInPool}"
+filter="${1:-TransformCache|PrefixCache|CachingEvaluator|ThreadPool|EvaluateBatch|Exactness.*threads4|FaultInjector|Quarantine|Retry|Predictor|ScratchEval|InPlace|Protocol|ServeNet|Registry|HotSwap|FitInPool|LrEpochBlocks}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAUTOFP_SANITIZE=thread
-cmake --build "${build_dir}" -j \
+cmake --build "${build_dir}" -j "$(nproc)" \
   --target test_parallel_eval test_exactness test_fault_injection \
-  test_preprocessors test_predictor test_inplace test_protocol \
-  test_serve_net autofp autofp_serve_bin autofp_loadgen
+  test_preprocessors test_models test_predictor test_inplace \
+  test_protocol test_serve_net autofp autofp_serve_bin autofp_loadgen
 
 cd "${build_dir}"
 TSAN_OPTIONS="halt_on_error=1" ctest --output-on-failure -R "${filter}"

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# One-shot CI entry point, six legs: the tier-1 build + ctest (which also
-# runs the exactness oracle, tests/test_exactness.cc, and the shell
+# One-shot CI entry point, six legs: the tier-1 build (warnings are
+# errors) + ctest (which also runs the exactness oracle,
+# tests/test_exactness.cc, and the shell
 # harnesses tools/CMakeLists.txt registers: serve round trip, network
 # serving, drift loop and the dist chaos matrix), the ThreadSanitizer
 # concurrency suites, the AddressSanitizer data-plane suites, the
@@ -14,8 +15,12 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 echo "=== tier-1: build + ctest ==="
-cmake -B "${repo_root}/build" -S "${repo_root}"
-cmake --build "${repo_root}/build" -j
+# Warnings fail the build, so a new one cannot hide among old ones. Every
+# build is capped at nproc jobs: a bare -j starts every compile at once,
+# which can exhaust memory on a small host.
+cmake -B "${repo_root}/build" -S "${repo_root}" \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+cmake --build "${repo_root}/build" -j "$(nproc)"
 (cd "${repo_root}/build" && ctest --output-on-failure -j)
 
 echo "=== tsan: concurrency suites ==="

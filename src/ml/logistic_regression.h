@@ -31,6 +31,20 @@ class LogisticRegression : public Classifier {
   /// Per-class decision scores for one row (exposed for tests).
   std::vector<double> DecisionFunction(const double* row, size_t cols) const;
 
+  /// The two phases of one training epoch (public for the model roofline
+  /// bench). ForwardRows writes the softmax residuals of rows [begin, end),
+  /// scaled by 1/n, to residuals[r * num_classes + k] under `weights`
+  /// (the layout of weights_). Rows are independent.
+  static void ForwardRows(const Matrix& features,
+                          const std::vector<int>& labels,
+                          const double* weights, int num_classes,
+                          size_t begin, size_t end, double* residuals);
+  /// Adds every row's residuals times the row (and the residuals to the
+  /// intercepts) into `grad`, in row order.
+  static void AccumulateGradient(const Matrix& features,
+                                 const double* residuals, int num_classes,
+                                 double* grad);
+
  private:
   ModelConfig config_;
   int num_classes_ = 0;

@@ -233,12 +233,13 @@ inline double DotScalar(const double* a, const double* b, size_t n) {
 inline double Dot(const double* a, const double* b, size_t n) {
   if (VecD::kLanes == 1 || ForceScalarEnabled()) return DotScalar(a, b, n);
   VecD acc = VecD::Zero();
-  size_t i = 0;
-  for (; i + VecD::kLanes <= n; i += VecD::kLanes) {
+  for (size_t i = 0; i + VecD::kLanes <= n; i += VecD::kLanes) {
     acc = acc + VecD::Load(a + i) * VecD::Load(b + i);
   }
   double sum = acc.Sum();
-  for (; i < n; ++i) sum += a[i] * b[i];
+  // The tail starts where the vector loop stopped. Spelled out, so GCC
+  // does not warn (-Waggressive-loop-optimizations) for a constant n.
+  for (size_t i = n - n % VecD::kLanes; i < n; ++i) sum += a[i] * b[i];
   return sum;
 }
 

@@ -79,9 +79,13 @@ TEST(Status, ToStringIncludesCode) {
 }
 
 TEST(ResultType, ValueAndStatus) {
-  Result<int> ok(5);
-  EXPECT_TRUE(ok.ok());
-  EXPECT_EQ(ok.value(), 5);
+  {
+    // Own scope: GCC 12 warns (-Wmaybe-uninitialized) when `ok` shares
+    // one with `err`.
+    Result<int> ok(5);
+    EXPECT_TRUE(ok.ok());
+    EXPECT_EQ(ok.value(), 5);
+  }
   Result<int> err(Status::InvalidArgument("bad"));
   EXPECT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), StatusCode::kInvalidArgument);

@@ -1,6 +1,10 @@
 #include "ml/model.h"
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,7 +18,11 @@
 #include "ml/metrics.h"
 #include "ml/naive_bayes.h"
 #include "ml/random_forest.h"
+#include "nn/param.h"
 #include "util/random.h"
+#include "util/serialize.h"
+#include "util/simd.h"
+#include "util/thread_pool.h"
 
 namespace autofp {
 namespace {
@@ -115,6 +123,127 @@ TEST(LogisticRegression, ScaleSensitivity) {
   double scaled_accuracy =
       EvaluateAccuracy(*scaled_model, scaled.features, scaled.labels);
   EXPECT_GT(scaled_accuracy, raw_accuracy + 0.03);
+}
+
+/// LogisticRegression::Train as it was before its epochs split into a
+/// row-block forward phase and a serial gradient sum: one loop per row
+/// computes the logits, the softmax and the residuals, then adds the
+/// residuals into the gradient. Returns the SaveState bytes it would have
+/// written.
+std::string RowLoopLrState(const ModelConfig& config, const Matrix& features,
+                           const std::vector<int>& labels, int num_classes) {
+  const size_t d = features.cols();
+  const size_t n = features.rows();
+  const size_t stride = d + 1;
+  Param params;
+  params.Resize(static_cast<size_t>(num_classes) * stride);
+  AdamConfig adam;
+  adam.learning_rate = config.lr_step;
+  std::vector<double> logits(num_classes);
+  std::vector<double> probs(num_classes);
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (int epoch = 0; epoch < config.lr_epochs; ++epoch) {
+    params.ZeroGrad();
+    for (size_t r = 0; r < n; ++r) {
+      const double* row = features.RowPtr(r);
+      double max_logit = -1e300;
+      for (int k = 0; k < num_classes; ++k) {
+        const double* w = params.value.data() + k * stride;
+        const double sum = w[d] + simd::Dot(w, row, d);
+        logits[k] = sum;
+        if (sum > max_logit) max_logit = sum;
+      }
+      double denom = 0.0;
+      for (int k = 0; k < num_classes; ++k) {
+        probs[k] = std::exp(std::clamp(logits[k] - max_logit, -500.0, 0.0));
+        denom += probs[k];
+      }
+      for (int k = 0; k < num_classes; ++k) {
+        double residual = probs[k] / denom - (labels[r] == k ? 1.0 : 0.0);
+        residual *= inv_n;
+        if (residual == 0.0) continue;
+        double* g = params.grad.data() + k * stride;
+        simd::Axpy(residual, row, g, d);
+        g[d] += residual;
+      }
+    }
+    if (config.lr_l2 > 0.0) {
+      for (int k = 0; k < num_classes; ++k) {
+        double* g = params.grad.data() + k * stride;
+        const double* w = params.value.data() + k * stride;
+        simd::Axpy(config.lr_l2, w, g, d);
+      }
+    }
+    params.AdamStep(adam, epoch + 1);
+  }
+  std::ostringstream out;
+  WritePod<int32_t>(out, num_classes);
+  WritePod<uint64_t>(out, d);
+  WriteVec(out, params.value);
+  return out.str();
+}
+
+std::string TrainedLrState(const ModelConfig& config, const Matrix& features,
+                           const std::vector<int>& labels, int num_classes) {
+  LogisticRegression model(config);
+  model.Train(features, labels, num_classes);
+  std::ostringstream out;
+  model.SaveState(out);
+  return out.str();
+}
+
+/// Requires the SaveState bytes of today's Train to equal the row loop's,
+/// trained plain, alone on a 4-thread pool with three idle workers to take
+/// row blocks, and as four concurrent fits that compete for helpers.
+void ExpectTrainsMatchTheRowLoop() {
+  ThreadPool pool(4);
+  for (int classes : {2, 3}) {
+    for (double l2 : {0.0, 1e-4}) {
+      // 1300 rows is two full 512-row blocks and a partial third.
+      for (size_t n : {size_t{1}, size_t{1300}}) {
+        Rng rng(41 + classes + n);
+        Matrix features(n, 8);
+        std::vector<int> labels(n);
+        for (size_t r = 0; r < n; ++r) {
+          for (size_t c = 0; c < 8; ++c) features(r, c) = rng.Gaussian();
+          // A wide column drives some softmaxes to exactly 1, so some
+          // residuals are exactly 0 and skip the gradient.
+          features(r, 7) *= 100.0;
+          labels[r] = features(r, 0) + 0.5 * rng.Gaussian() > 0.0
+                          ? classes - 1
+                          : rng.UniformInt(0, classes - 2);
+        }
+        ModelConfig config =
+            ModelConfig::Defaults(ModelKind::kLogisticRegression);
+        config.lr_l2 = l2;
+        const std::string reference =
+            RowLoopLrState(config, features, labels, classes);
+        const std::string where = std::to_string(classes) + " classes, l2 " +
+                                  std::to_string(l2) + ", n " +
+                                  std::to_string(n);
+        EXPECT_TRUE(TrainedLrState(config, features, labels, classes) ==
+                    reference)
+            << where << ", plain";
+        for (size_t fits : {size_t{1}, size_t{4}}) {
+          std::vector<std::string> states(fits);
+          pool.ParallelFor(fits, [&](size_t i, int) {
+            states[i] = TrainedLrState(config, features, labels, classes);
+          });
+          for (size_t i = 0; i < fits; ++i) {
+            EXPECT_TRUE(states[i] == reference)
+                << where << ", " << fits << " fits in a pool, fit " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LrEpochBlocks, TrainsMatchTheRowLoop) { ExpectTrainsMatchTheRowLoop(); }
+
+TEST(LrEpochBlocks, ScalarTrainsMatchTheScalarRowLoop) {
+  simd::ScopedForceScalar scalar(true);
+  ExpectTrainsMatchTheRowLoop();
 }
 
 TEST(Gbdt, ScaleInvarianceOfTrees) {
