@@ -6,7 +6,8 @@
 /// the SIMD primitives the model inner loops ride (Dot, Axpy, the
 /// branchless histogram binning, the ReferenceStats Welford update) timed
 /// scalar vs vectorized, with element throughput and speedups, plus one
-/// LR Train split into its per-epoch forward phase and gradient sum, as
+/// LR Train split into its per-epoch forward phase and gradient sum, and
+/// one MLP Train split into its per-step forward, backward and Adam, as
 /// median, min and max over repeats. scripts/bench_snapshot.sh commits it as
 /// BENCH_model_kernels.json.
 
@@ -20,6 +21,8 @@
 #include "core/auto_fp.h"
 #include "data/synthetic.h"
 #include "ml/logistic_regression.h"
+#include "ml/mlp_classifier.h"
+#include "nn/mlp_net.h"
 #include "serve/artifact.h"
 #include "util/simd.h"
 
@@ -252,6 +255,64 @@ int RunModelRooflineReport(const char* path) {
   snapshot.Figure("forward_share",
                   lr_forward.median_ns /
                       (lr_forward.median_ns + lr_gradient.median_ns));
+
+  // MLP Train at the workers workload's shape (sylvine_syn's 3279x20
+  // training split, 2 classes, default config), and one minibatch step's
+  // three phases, each timed over an epoch's worth of steps on one batch.
+  const Dataset sylvine = GetSuiteDataset("sylvine_syn").value();
+  Rng split_rng(7);
+  const TrainValidSplit mlp_split = SplitTrainValid(sylvine, 0.8, &split_rng);
+  const Matrix& mlp_x = mlp_split.train.features;
+  const ModelConfig mlp_config = ModelConfig::Defaults(ModelKind::kMlp);
+  const bench::Timing mlp_train = bench::TimeRepeats([&] {
+    MlpClassifier model(mlp_config);
+    model.Train(mlp_x, mlp_split.train.labels, 2);
+    benchmark::DoNotOptimize(model);
+  });
+  MlpNetConfig net_config;
+  net_config.input_dim = mlp_x.cols();
+  net_config.hidden_dims = {static_cast<size_t>(mlp_config.mlp_hidden)};
+  net_config.output_dim = 2;
+  MlpNet net(net_config, &rng);
+  const size_t batch_rows = static_cast<size_t>(mlp_config.mlp_batch);
+  std::vector<size_t> batch(batch_rows);
+  for (size_t r = 0; r < batch_rows; ++r) batch[r] = r;
+  const Matrix mlp_batch = mlp_x.SelectRows(batch);
+  Matrix mlp_grad(batch_rows, 2);
+  for (size_t r = 0; r < batch_rows; ++r) {
+    const int label = mlp_split.train.labels[r];
+    mlp_grad(r, 0) = (label == 0 ? -0.5 : 0.5) / batch_rows;
+    mlp_grad(r, 1) = -mlp_grad(r, 0);
+  }
+  const size_t steps = (mlp_x.rows() + batch_rows - 1) / batch_rows;
+  AdamConfig adam;
+  const bench::Timing mlp_forward = bench::TimeRepeats([&] {
+    for (size_t s = 0; s < steps; ++s) {
+      benchmark::DoNotOptimize(net.Forward(mlp_batch));
+    }
+  });
+  const bench::Timing mlp_backward = bench::TimeRepeats(
+      [&] { net.Forward(mlp_batch); },
+      [&] {
+        for (size_t s = 0; s < steps; ++s) {
+          net.ZeroGrads();
+          net.Backward(mlp_grad);
+        }
+      });
+  const bench::Timing mlp_adam = bench::TimeRepeats([&] {
+    for (size_t s = 0; s < steps; ++s) net.Step(adam);
+  });
+  const auto per_step = [steps](bench::Timing t) {
+    const double n = static_cast<double>(steps);
+    return bench::Timing{t.median_ns / n, t.min_ns / n, t.max_ns / n};
+  };
+  snapshot.Cell("mlp_train_3279x20_2cls");
+  snapshot.Time("train_ns", mlp_train);
+  snapshot.Time("step_forward_ns", per_step(mlp_forward));
+  snapshot.Time("step_backward_ns", per_step(mlp_backward));
+  snapshot.Time("step_adam_ns", per_step(mlp_adam));
+  snapshot.Figure("steps", static_cast<double>(steps * mlp_config.mlp_epochs));
+  snapshot.Figure("batch_rows", static_cast<double>(batch_rows));
 
   return snapshot.Write(path) ? 0 : 1;
 }

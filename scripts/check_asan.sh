@@ -15,7 +15,10 @@
 # and Quantile fits whose columns idle pool workers take (HelpFor)
 # never touch a helper's state after its caller returned, nor do LR
 # epochs whose row blocks they take (LrEpochBlocks, a partial last
-# block included).
+# block included). It also runs the MLP's register-tiled kernels
+# (MlpKernels: output tiles, vector tails and the gathered rows of
+# Backward, at batches of 1 and 61) and the Le compare behind its ReLU
+# gate (LeMatchesScalar), which index by raw pointer.
 #
 # Usage: scripts/check_asan.sh [ctest-regex]
 #   ctest-regex  optional test-name filter; defaults to the data-plane
@@ -24,7 +27,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-asan"
-filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ThreadPool|EvaluateBatch|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable|PowerTransformer|QuantileTransformer|FitInPool|LrEpochBlocks}"
+filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ThreadPool|EvaluateBatch|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable|PowerTransformer|QuantileTransformer|FitInPool|LrEpochBlocks|MlpKernels|LeMatchesScalar}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -32,7 +35,8 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target test_matrix test_inplace test_pipeline test_parallel_eval \
   test_predictor test_models test_gbdt_details test_artifact test_stream \
-  test_checksum test_protocol test_run_journal test_dist test_preprocessors
+  test_checksum test_protocol test_run_journal test_dist test_preprocessors \
+  test_nn test_simd
 
 cd "${build_dir}"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \

@@ -13,7 +13,9 @@
 # and Quantile fits (the Yeo-Johnson clamp at +-1e300) and the pool
 # that spreads their columns over idle workers (ThreadPool::HelpFor),
 # nor the LR epochs whose row blocks it spreads the same way
-# (LrEpochBlocks).
+# (LrEpochBlocks), nor the MLP's register-tiled kernels (MlpKernels:
+# raw-pointer tiles and vector tails). The Le compare behind the MLP's
+# ReLU gate runs with the other wrapper tests (Simd).
 #
 # Usage: scripts/check_ubsan.sh [ctest-regex]
 #   ctest-regex  optional test-name filter; defaults to the kernel
@@ -22,7 +24,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-ubsan"
-filter="${1:-Simd|Kernels|Matrix|InPlace|Pipeline|Preprocessor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable|PowerTransformer|QuantileTransformer|FitInPool|ThreadPool|LrEpochBlocks}"
+filter="${1:-Simd|Kernels|Matrix|InPlace|Pipeline|Preprocessor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable|PowerTransformer|QuantileTransformer|FitInPool|ThreadPool|LrEpochBlocks|MlpKernels}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -30,7 +32,8 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target test_simd test_kernels test_matrix test_inplace test_pipeline \
   test_preprocessors test_models test_gbdt_details test_artifact test_stream \
-  test_checksum test_protocol test_run_journal test_dist test_parallel_eval
+  test_checksum test_protocol test_run_journal test_dist test_parallel_eval \
+  test_nn
 
 cd "${build_dir}"
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \

@@ -55,6 +55,11 @@ class MlpNet {
 
   const MlpNetConfig& config() const { return config_; }
 
+  /// Layer `l`'s weights (out_dim x in_dim, row-major) and bias, with
+  /// their gradients and Adam moments, for inspection.
+  const Param& weights(size_t l) const { return layers_.at(l).weights; }
+  const Param& bias(size_t l) const { return layers_.at(l).bias; }
+
  private:
   struct Layer {
     Param weights;  ///< out_dim x in_dim, row-major.

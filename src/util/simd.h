@@ -14,12 +14,13 @@
 ///
 /// Exactness contract: every lane op here maps to a single IEEE-754
 /// correctly-rounded operation (add/sub/mul/div/sqrt/abs/compare/
-/// select), so a vectorized elementwise loop is bit-identical to its
-/// scalar reference regardless of backend. No FMA is ever emitted (the
-/// build also passes -ffp-contract=off so the compiler cannot contract
-/// the scalar references either). The only helpers that reassociate —
-/// and are therefore tolerance-gated, not bit-exact — are the horizontal
-/// reductions: VecD::Sum() and Dot().
+/// select; the compares Gt and Le are ordered, so a NaN lane compares
+/// false, as scalar > and <= do), so a vectorized elementwise loop is
+/// bit-identical to its scalar reference regardless of backend. No FMA
+/// is ever emitted (the build also passes -ffp-contract=off so the
+/// compiler cannot contract the scalar references either). The only
+/// helpers that reassociate — and are therefore tolerance-gated, not
+/// bit-exact — are the horizontal reductions: VecD::Sum() and Dot().
 ///
 /// Loads and stores are unaligned-safe; Matrix storage is 64-byte
 /// aligned (util/aligned.h) purely as a performance property.
@@ -107,6 +108,10 @@ struct VecD {
   static VecD Gt(VecD a, VecD b) {
     return {_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ)};
   }
+  /// a <= b; ordered, so a NaN lane compares false, as scalar <= does.
+  static VecD Le(VecD a, VecD b) {
+    return {_mm256_cmp_pd(a.v, b.v, _CMP_LE_OQ)};
+  }
   /// Lanes from `a` where the mask lane is set, else from `b`.
   static VecD Select(VecD mask, VecD a, VecD b) {
     return {_mm256_blendv_pd(b.v, a.v, mask.v)};
@@ -150,6 +155,9 @@ struct VecD {
   static VecD Gt(VecD a, VecD b) {
     return {vreinterpretq_f64_u64(vcgtq_f64(a.v, b.v))};
   }
+  static VecD Le(VecD a, VecD b) {
+    return {vreinterpretq_f64_u64(vcleq_f64(a.v, b.v))};
+  }
   static VecD Select(VecD mask, VecD a, VecD b) {
     return {vbslq_f64(vreinterpretq_u64_f64(mask.v), a.v, b.v)};
   }
@@ -181,6 +189,7 @@ struct VecD {
 
   /// Scalar "masks" are plain bools consumed by Select.
   static bool Gt(VecD a, VecD b) { return a.v > b.v; }
+  static bool Le(VecD a, VecD b) { return a.v <= b.v; }
   static VecD Select(bool mask, VecD a, VecD b) { return mask ? a : b; }
 
   double Sum() const { return v; }

@@ -4,6 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -94,6 +97,39 @@ TEST(Simd, SelectOnStrictComparisonMatchesScalarTieBehavior) {
                                      incumbent);
   for (size_t i = 0; i < VecD::kLanes; ++i) {
     EXPECT_TRUE(BitEqual(kept_max.Lane(i), nz));
+  }
+}
+
+TEST(Simd, LeMatchesScalarOnNanSignedZerosAndTies) {
+  // The MLP ReLU gate zeroes a gradient where Le(activation, 0) holds. A
+  // NaN lane must compare false, so its gradient is kept, and -0.0 <= 0.0
+  // must hold, exactly as scalar <= does.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, double>> pairs = {
+      {nan, 0.0},    {0.0, nan},   {nan, nan},     {-nan, -1.0},
+      {-0.0, 0.0},   {0.0, -0.0},  {-0.0, -0.0},   {1.5, 1.5},
+      {-2.0, 3.0},   {3.0, -2.0},  {inf, inf},     {-inf, 0.0},
+      {inf, 0.0},    {1e-310, 0.0}, {-1e-310, 0.0}, {0.0, 1e-310}};
+  for (size_t start = 0; start < pairs.size(); ++start) {
+    double a[VecD::kLanes];
+    double b[VecD::kLanes];
+    for (size_t i = 0; i < VecD::kLanes; ++i) {
+      std::tie(a[i], b[i]) = pairs[(start + i) % pairs.size()];
+    }
+    const VecD va = VecD::Load(a);
+    const VecD le = VecD::Select(VecD::Le(va, VecD::Load(b)), VecD::Set1(1.0),
+                                 VecD::Zero());
+    // The gate itself: a NaN activation keeps the gradient's bits.
+    const VecD grad = VecD::Set1(-0.25);
+    const VecD gated = VecD::Select(VecD::Le(va, VecD::Zero()), VecD::Zero(),
+                                    grad);
+    for (size_t i = 0; i < VecD::kLanes; ++i) {
+      EXPECT_EQ(le.Lane(i), a[i] <= b[i] ? 1.0 : 0.0)
+          << a[i] << " <= " << b[i];
+      EXPECT_TRUE(BitEqual(gated.Lane(i), a[i] <= 0.0 ? 0.0 : -0.25))
+          << "activation " << a[i];
+    }
   }
 }
 
