@@ -7,19 +7,22 @@
 /// branchless histogram binning, the ReferenceStats Welford update) timed
 /// scalar vs vectorized, with element throughput and speedups, plus one
 /// LR Train split into its per-epoch forward phase and gradient sum, and
-/// one MLP Train split into its per-step forward, backward and Adam, as
+/// one MLP Train split into its per-step forward, backward and Adam, and
+/// GBDT scoring per row against PredictBatch on 256-row shards, as
 /// median, min and max over repeats. scripts/bench_snapshot.sh commits it as
 /// BENCH_model_kernels.json.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/auto_fp.h"
 #include "data/synthetic.h"
+#include "ml/gbdt.h"
 #include "ml/logistic_regression.h"
 #include "ml/mlp_classifier.h"
 #include "nn/mlp_net.h"
@@ -313,6 +316,50 @@ int RunModelRooflineReport(const char* path) {
   snapshot.Time("step_adam_ns", per_step(mlp_adam));
   snapshot.Figure("steps", static_cast<double>(steps * mlp_config.mlp_epochs));
   snapshot.Figure("batch_rows", static_cast<double>(batch_rows));
+
+  // GBDT scoring at serve_bulk_dense's model shape: default XGB (30
+  // rounds, depth 4) on robot_syn's 4364x24 rows, 4 classes. The per-row
+  // Predict loop against PredictBatch on the server's 256-row shards.
+  const Dataset robot = GetSuiteDataset("robot_syn").value();
+  const Matrix& gbdt_x = robot.features;
+  const ModelConfig gbdt_config = ModelConfig::Defaults(ModelKind::kXgboost);
+  const bench::Timing gbdt_train = bench::TimeRepeats([&] {
+    GbdtClassifier model(gbdt_config);
+    model.Train(gbdt_x, robot.labels, robot.num_classes);
+    benchmark::DoNotOptimize(model);
+  });
+  GbdtClassifier gbdt(gbdt_config);
+  gbdt.Train(gbdt_x, robot.labels, robot.num_classes);
+  constexpr size_t kShardRows = 256;
+  std::vector<Matrix> shards;
+  for (size_t begin = 0; begin < gbdt_x.rows(); begin += kShardRows) {
+    std::vector<size_t> shard_rows(std::min(kShardRows, gbdt_x.rows() - begin));
+    std::iota(shard_rows.begin(), shard_rows.end(), begin);
+    shards.push_back(gbdt_x.SelectRows(shard_rows));
+  }
+  int classes_seen = 0;
+  const bench::Timing gbdt_row = bench::TimeRepeats([&] {
+    for (size_t r = 0; r < gbdt_x.rows(); ++r) {
+      classes_seen += gbdt.Predict(gbdt_x.RowPtr(r), gbdt_x.cols());
+    }
+  });
+  const bench::Timing gbdt_batch = bench::TimeRepeats([&] {
+    for (const Matrix& shard : shards) {
+      benchmark::DoNotOptimize(gbdt.PredictBatch(shard));
+    }
+  });
+  benchmark::DoNotOptimize(classes_seen);
+  const auto per_row = [&](bench::Timing t) {
+    const double n = static_cast<double>(gbdt_x.rows());
+    return bench::Timing{t.median_ns / n, t.min_ns / n, t.max_ns / n};
+  };
+  snapshot.Cell("gbdt_predict_4364x24_4cls");
+  snapshot.Time("train_ns", gbdt_train);
+  snapshot.Time("predict_row_ns_per_row", per_row(gbdt_row));
+  snapshot.Time("predict_batch_ns_per_row", per_row(gbdt_batch));
+  snapshot.Figure("speedup", gbdt_row.median_ns / gbdt_batch.median_ns);
+  snapshot.Figure("trees", static_cast<double>(gbdt.num_trees()));
+  snapshot.Figure("shard_rows", static_cast<double>(kShardRows));
 
   return snapshot.Write(path) ? 0 : 1;
 }

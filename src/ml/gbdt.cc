@@ -14,10 +14,6 @@ namespace {
 
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
-/// Rows PredictBatch scores together: each tree is walked for every row
-/// of a tile while its nodes are hot in cache.
-constexpr size_t kTileRows = 64;
-
 }  // namespace
 
 int GbdtClassifier::Tree::Depth() const {
@@ -74,6 +70,31 @@ double GbdtClassifier::ScoringView::Score(size_t t, const double* row) const {
             !(row[split_feature[index]] <= split_threshold[index]);
   }
   return leaf[base + index - ((size_t{1} << levels) - 1)];
+}
+
+void GbdtClassifier::ScoringView::AddTile(size_t t, const double* rows,
+                                          size_t cols, size_t count,
+                                          double* out, size_t stride) const {
+  AUTOFP_CHECK_LE(count, kTileRows);
+  const size_t base = offset[t];
+  const int levels = depth[t];
+  const int* split_feature = feature.data() + base;
+  const double* split_threshold = threshold.data() + base;
+  // Score's descent, one level for the whole tile at a time: a row's
+  // loads wait on its own previous level, never on the other rows.
+  size_t index[kTileRows] = {};
+  for (int level = 0; level < levels; ++level) {
+    for (size_t r = 0; r < count; ++r) {
+      const size_t i = index[r];
+      index[r] = 2 * i + 1 +
+                 !(rows[r * cols + split_feature[i]] <= split_threshold[i]);
+    }
+  }
+  const double* tree_leaf = leaf.data() + base;
+  const size_t first_leaf = (size_t{1} << levels) - 1;
+  for (size_t r = 0; r < count; ++r) {
+    out[r * stride] += tree_leaf[index[r] - first_leaf];
+  }
 }
 
 GbdtClassifier::Tree GbdtClassifier::BuildTree(
@@ -298,11 +319,13 @@ int GbdtClassifier::Predict(const double* row, size_t cols) const {
 std::vector<int> GbdtClassifier::PredictBatch(const Matrix& features) const {
   AUTOFP_CHECK(!trees_.empty()) << "Predict before Train";
   AUTOFP_CHECK_EQ(features.cols(), num_features_);
-  // Tree-major over row tiles: every tree is walked for all rows of a
-  // tile before the next tree, so its nodes stay in L1 and the tile's
-  // independent descents overlap. Each row still adds its trees in
-  // order t = 0..T-1, so the scores equal RawScores bit for bit.
+  // Tree-major over row tiles: every tree scores all rows of a tile
+  // before the next tree, so its nodes stay in L1. Each row still adds
+  // its trees in order t = 0..T-1, so the scores equal RawScores bit for
+  // bit.
+  constexpr size_t kTileRows = ScoringView::kTileRows;
   const size_t n = features.rows();
+  const size_t cols = features.cols();
   const size_t outputs = static_cast<size_t>(num_outputs_);
   std::vector<int> predictions(n);
   std::vector<double> scores(kTileRows * outputs);
@@ -310,10 +333,8 @@ std::vector<int> GbdtClassifier::PredictBatch(const Matrix& features) const {
     const size_t rows = std::min(kTileRows, n - begin);
     std::fill(scores.begin(), scores.end(), 0.0);
     for (size_t t = 0; t < trees_.size(); ++t) {
-      double* slot = scores.data() + t % outputs;
-      for (size_t r = 0; r < rows; ++r) {
-        slot[r * outputs] += view_.Score(t, features.RowPtr(begin + r));
-      }
+      view_.AddTile(t, features.RowPtr(begin), cols, rows,
+                    scores.data() + t % outputs, outputs);
     }
     for (size_t r = 0; r < rows; ++r) {
       const double* row_scores = scores.data() + r * outputs;

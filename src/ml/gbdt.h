@@ -69,10 +69,18 @@ class GbdtClassifier : public Classifier {
     std::vector<size_t> offset;
     std::vector<int> depth;
 
+    /// Rows AddTile scores together.
+    static constexpr size_t kTileRows = 64;
+
     void Append(const Tree& tree);
     /// Leaf weight tree t assigns to `row`. Goes right on
     /// !(value <= threshold), so NaN goes right.
     double Score(size_t t, const double* row) const;
+    /// Adds Score(t, row r) to out[r * stride] for the `count` (at most
+    /// kTileRows) contiguous rows of `cols` values at `rows`. The tile
+    /// descends one level at a time, so its rows' loads are independent.
+    void AddTile(size_t t, const double* rows, size_t cols, size_t count,
+                 double* out, size_t stride) const;
   };
 
   /// Builds one regression tree on (grad, hess) using the per-feature bin

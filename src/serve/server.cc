@@ -538,6 +538,10 @@ void ServeSocketServer::DrainOutgoing() {
 // --- Batch thread -----------------------------------------------------------
 
 void ServeSocketServer::BatchLoop() {
+  // Rows that give every scoring thread a full shard. Every predictor the
+  // registry loads has its thread count, so the bound holds across swaps.
+  const size_t full_rows = std::max<size_t>(options_.shard_rows, 1) *
+                           static_cast<size_t>(registry_->num_threads());
   for (;;) {
     std::vector<Pending> batch;
     {
@@ -561,7 +565,9 @@ void ServeSocketServer::BatchLoop() {
 
       // Micro-batch window: take further same-width predicts off the
       // front until the row bound fills, waiting at most max_delay_us
-      // for stragglers once one request is in hand.
+      // for stragglers once one request is in hand. The wait ends early
+      // once every thread has a full shard: past that point it only
+      // delays.
       size_t batch_rows = first.rows;
       const size_t cols = first.request.rows.cols();
       batch.push_back(std::move(first));
@@ -581,6 +587,7 @@ void ServeSocketServer::BatchLoop() {
           continue;
         }
         if (stop_.load()) break;  // draining: don't wait for stragglers
+        if (batch_rows >= full_rows) break;
         if (work_available_.wait_until(lock, deadline) ==
             std::cv_status::timeout) {
           break;

@@ -10,10 +10,11 @@
 ///                 flushes response bytes. Never blocks on scoring.
 ///   batch thread  pops parsed requests FIFO, coalesces pending predict
 ///                 requests into one matrix (bounded by max_batch_rows,
-///                 waiting at most max_delay_us for stragglers), scores
-///                 the whole micro-batch with ONE Acquire()'d predictor
-///                 through PredictSharded, and splits the answers back
-///                 per request.
+///                 waiting at most max_delay_us for stragglers, and not
+///                 at all once every pool worker has a full shard),
+///                 scores the whole micro-batch with ONE Acquire()'d
+///                 predictor through PredictSharded, and splits the
+///                 answers back per request.
 ///
 /// Because every response in a micro-batch comes from exactly one
 /// registry acquisition, a SWAP landing under live traffic can only
@@ -64,8 +65,9 @@ struct ServerOptions {
   /// Micro-batcher: coalesce pending predict requests up to this many
   /// rows per PredictSharded call...
   size_t max_batch_rows = 2048;
-  /// ...waiting at most this long for more requests once one is pending.
-  /// 0 scores whatever is queued immediately.
+  /// ...waiting at most this long for more requests once one is pending,
+  /// and not at all once the batch holds shard_rows rows for every
+  /// scoring thread. 0 scores whatever is queued immediately.
   long max_delay_us = 200;
   /// Admission control: when the pending-row queue already holds this
   /// many rows, further predict requests get a BUSY response. A single

@@ -5,6 +5,7 @@
 
 #include "ml/gbdt.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -406,6 +407,35 @@ TEST(GbdtDetails, RaggedForestsScoreLikeAPointerWalk) {
   }
 }
 
+// Leaves whose sum rounds differently by order: 1.0 + 1e16 rounds to
+// 1e16, so in tree order the first output sums to exactly 0, while the
+// reverse order keeps the ±1. A kernel that adds a row's trees in any
+// other order than t = 0..T-1 predicts another class for some rows.
+TEST(GbdtDetails, TreeOrderDecidesTheRounding) {
+  const std::vector<RefNode> plus_minus = {Split(0, 0.0, 1, 2), Leaf(1.0),
+                                           Leaf(-1.0)};
+  for (int classes : {2, 3}) {
+    SCOPED_TRACE(classes);
+    RefForest forest;
+    forest.num_classes = classes;
+    forest.num_outputs = classes == 2 ? 1 : classes;
+    for (const std::vector<RefNode>& first :
+         {plus_minus, Stump(1e16), Stump(-1e16)}) {
+      forest.trees.push_back(first);
+      for (int k = 1; k < forest.num_outputs; ++k) {
+        forest.trees.push_back(Stump(0.0));
+      }
+    }
+    GbdtClassifier model(GbdtConfig());
+    std::istringstream in(Blob(forest), std::ios::binary);
+    ASSERT_TRUE(model.LoadState(in).ok());
+    for (size_t rows : {1, 64, 257}) {
+      SCOPED_TRACE(rows);
+      ExpectMatchesReference(model, forest, ProbeRows(rows, 3, rows));
+    }
+  }
+}
+
 TEST(GbdtDetails, TrainedForestsScoreLikeAPointerWalk) {
   for (int depth : {1, 6}) {
     for (int classes : {2, 3}) {
@@ -422,6 +452,43 @@ TEST(GbdtDetails, TrainedForestsScoreLikeAPointerWalk) {
       ExpectMatchesReference(model, forest, data.features);
       ExpectMatchesReference(model, forest, ProbeRows(257, 5, depth));
     }
+  }
+}
+
+// The shape autofp_serve scores in serve_bulk_dense: depth 4, 4 classes,
+// 24 features, 30 rounds, at row counts around the 256-row shard and a
+// whole 1024-row frame.
+TEST(GbdtDetails, ServingShapeScoresLikeAPointerWalk) {
+  SyntheticSpec spec;
+  spec.name = "gbdt_serving";
+  spec.family = SyntheticFamily::kNonlinearRings;
+  spec.rows = 600;
+  spec.cols = 24;
+  spec.num_classes = 4;
+  spec.seed = 47;
+  spec.separation = 2.0;
+  spec.label_noise = 0.05;
+  const Dataset data = GenerateSynthetic(spec);
+  ModelConfig config = GbdtConfig();
+  config.xgb_max_depth = 4;
+  config.xgb_rounds = 30;
+  GbdtClassifier model(config);
+  model.Train(data.features, data.labels, 4);
+  std::ostringstream out(std::ios::binary);
+  model.SaveState(out);
+  const RefForest forest = ParseBlob(out.str());
+  ASSERT_EQ(forest.trees.size(), 120u);
+  for (size_t rows : {255, 256, 1024}) {
+    SCOPED_TRACE(rows);
+    // Training rows route through every split; every third row is a
+    // probe row instead, carrying NaN, infinities and signed zeros.
+    Matrix mixed = ProbeRows(rows, 24, rows);
+    for (size_t r = 0; r < rows; ++r) {
+      if (r % 3 == 0) continue;
+      const double* src = data.features.RowPtr(r % data.features.rows());
+      std::copy(src, src + 24, mixed.RowPtr(r));
+    }
+    ExpectMatchesReference(model, forest, mixed);
   }
 }
 

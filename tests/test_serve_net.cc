@@ -1,12 +1,13 @@
 /// Tests of the network serving stack (src/serve/server.h and
 /// src/serve/registry.h): the hot-swap registry's publish semantics, the
 /// socket round trip's bit-identity with in-process PredictSharded,
-/// admission control, pipelined request/response ordering, an empty
-/// registry, and the headline concurrency property — a SWAP landing
-/// under live multi-connection load yields only whole-response
-/// old-artifact or new-artifact answers, never a torn mix.
+/// admission control, the micro-batch window, pipelined request/response
+/// ordering, an empty registry, and the headline concurrency property —
+/// a SWAP landing under live multi-connection load yields only
+/// whole-response old-artifact or new-artifact answers, never a torn mix.
 
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -163,7 +164,9 @@ TEST(Registry, ReloadNeedsALoadedArtifact) {
 /// A registry + running server bound to an ephemeral port.
 struct TestServer {
   explicit TestServer(const std::string& artifact_path,
-                      ServerOptions options = {}) {
+                      ServerOptions options = {},
+                      Predictor::Options predictor = {})
+      : registry(predictor) {
     AUTOFP_CHECK(registry.Swap(artifact_path).ok());
     server = std::make_unique<ServeSocketServer>(&registry, options);
     Status started = server->Start();
@@ -302,6 +305,75 @@ TEST(ServeNet, PipelinedRequestsAnswerInOrder) {
       }
     }
   }
+}
+
+TEST(ServeNet, FullShardsCloseTheWindowAndSmallRequestsStillCoalesce) {
+  Dataset data = TestData();
+  const std::string path = ExportTestArtifact(
+      data, PreprocessorKind::kStandardScaler, "net_full_shards.afpa");
+  // A window far longer than the test may take: any answer well inside
+  // it shows that the batch thread did not wait the window out.
+  ServerOptions options;
+  options.max_delay_us = 2'000'000;
+  options.shard_rows = 256;
+  Predictor::Options predictor;
+  predictor.num_threads = 2;
+  TestServer harness(path, options, predictor);
+  EXPECT_EQ(harness.registry.num_threads(),
+            harness.registry.Acquire()->num_threads());
+  Predictor::LoadResult loaded = Predictor::Load(path, {});
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  BlockingFrameClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()).ok());
+
+  // One 512-row request fills a 256-row shard for both threads.
+  Matrix lone = ProbeRows(data, 512);
+  ASSERT_EQ(lone.rows(), 512u);
+  Result<std::vector<int>> want_lone = loaded.predictor().Predict(lone);
+  ASSERT_TRUE(want_lone.ok());
+  std::string request;
+  EncodePredictDense(lone, &request);
+  ServeResponse response;
+  auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.RoundTrip(request, &response).ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  ASSERT_TRUE(response.ok()) << response.message;
+  EXPECT_EQ(response.predictions,
+            std::vector<int32_t>(want_lone.value().begin(),
+                                 want_lone.value().end()));
+  EXPECT_EQ(harness.server->counters().micro_batches, 1);
+
+  // 32 pipelined 16-row requests: each alone is far from a full shard,
+  // so the window keeps collecting them, and closes when the 512th row
+  // arrives. They are scored as one micro-batch.
+  constexpr size_t kRequests = 32;
+  constexpr size_t kRowsEach = 16;
+  std::vector<Matrix> parts;
+  std::string burst;
+  for (size_t i = 0; i < kRequests; ++i) {
+    Matrix part(kRowsEach, lone.cols());
+    std::copy(lone.RowPtr(i * kRowsEach),
+              lone.RowPtr(i * kRowsEach) + kRowsEach * lone.cols(),
+              part.RowPtr(0));
+    EncodePredictDense(part, &burst);
+    parts.push_back(std::move(part));
+  }
+  start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.SendBytes(burst).ok());
+  for (const Matrix& part : parts) {
+    Frame frame;
+    ASSERT_TRUE(client.RecvFrame(&frame).ok());
+    ASSERT_TRUE(DecodeResponseFrame(frame, &response));
+    ASSERT_TRUE(response.ok()) << response.message;
+    Result<std::vector<int>> want = loaded.predictor().Predict(part);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(response.predictions,
+              std::vector<int32_t>(want.value().begin(), want.value().end()));
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  const ServerCounters counts = harness.server->counters();
+  EXPECT_EQ(counts.coalesced_requests, static_cast<long>(kRequests));
+  EXPECT_EQ(counts.micro_batches, 2);
 }
 
 TEST(ServeNet, OversizedRequestIsShedBusy) {
