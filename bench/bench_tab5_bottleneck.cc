@@ -80,9 +80,9 @@ int main() {
 
   // -------------------------------------------------------------------------
   // Evaluation-engine scaling: the same RS search at 1/2/4/8 worker
-  // threads with the prefix-transform + result caches enabled. A fixed
-  // evaluation budget keeps the work constant, so elapsed-time ratios are
-  // parallel speedup (only meaningful on a multi-core machine).
+  // threads with a prefix-transform cache attached and the result memo
+  // on. A fixed evaluation budget keeps the work constant, so elapsed-time
+  // ratios are parallel speedup (only meaningful on a multi-core machine).
   std::printf("\n--- batch engine scaling (RS, fixed 160-evaluation budget) "
               "---\n");
   std::printf("%-8s %10s %9s %12s %12s\n", "threads", "elapsed_s", "speedup",
@@ -94,14 +94,16 @@ int main() {
       PipelineEvaluator evaluator(
           split.train, split.valid,
           bench::HeavyModel(ModelKind::kLogisticRegression));
+      auto prefix_cache = std::make_shared<TransformCache>(64u << 20);
+      evaluator.AttachTransformCache(prefix_cache);
       RandomSearch rs(/*batch_size=*/16);
       SearchOptions options{Budget::Evaluations(160), 44};
       options.num_threads = threads;
       options.cache_bytes = 64u << 20;
       SearchResult result = RunSearch(&rs, &evaluator, space, options);
       if (threads == 1) baseline_seconds = result.elapsed_seconds;
-      long xform_lookups =
-          result.transform_cache_hits + result.transform_cache_misses;
+      const TransformCache::Stats xform = prefix_cache->stats();
+      long xform_lookups = xform.hits + xform.misses;
       long result_lookups =
           result.result_cache_hits + result.result_cache_misses;
       std::printf("%-8d %10.3f %8.2fx %11.1f%% %11.1f%%\n", threads,
@@ -110,7 +112,7 @@ int main() {
                       ? baseline_seconds / result.elapsed_seconds
                       : 0.0,
                   xform_lookups > 0
-                      ? 100.0 * static_cast<double>(result.transform_cache_hits) /
+                      ? 100.0 * static_cast<double>(xform.hits) /
                             static_cast<double>(xform_lookups)
                       : 0.0,
                   result_lookups > 0

@@ -18,7 +18,8 @@
 # block included). It also runs the MLP's register-tiled kernels
 # (MlpKernels: output tiles, vector tails and the gathered rows of
 # Backward, at batches of 1 and 61) and the Le compare behind its ReLU
-# gate (LeMatchesScalar), which index by raw pointer.
+# gate (LeMatchesScalar), which index by raw pointer, and the search's
+# result memo (ResultMemo), which copies stored outcomes into a round.
 #
 # Usage: scripts/check_asan.sh [ctest-regex]
 #   ctest-regex  optional test-name filter; defaults to the data-plane
@@ -27,7 +28,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-asan"
-filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ThreadPool|EvaluateBatch|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable|PowerTransformer|QuantileTransformer|FitInPool|LrEpochBlocks|MlpKernels|LeMatchesScalar}"
+filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ThreadPool|EvaluateBatch|ResultMemo|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable|PowerTransformer|QuantileTransformer|FitInPool|LrEpochBlocks|MlpKernels|LeMatchesScalar}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

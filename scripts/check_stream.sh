@@ -54,6 +54,9 @@ trap cleanup EXIT
 # waits for it to come up. Sets globals `server` and `port`; logs to $1.
 start_listener() {
   local log="$1"; shift
+  # Created here, so the polling below never reads a log that the
+  # backgrounded redirect has not opened yet.
+  : > "${log}"
   "${serve}" listen --artifact "${artifact_a}" --port 0 "$@" \
     2> "${log}" &
   server=$!

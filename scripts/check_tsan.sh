@@ -4,11 +4,12 @@
 # fits whose columns idle pool workers take (FitInPool), LR epochs whose
 # row blocks they take while each writes its rows of one shared residual
 # buffer (LrEpochBlocks), the evaluation
-# engine built on the pool (TransformCache, CachingEvaluator,
-# EvaluateBatch), the exactness
-# oracle's 4-thread cases (a fault-injected search through the full
-# cache + pool chain; its forked-worker cases stay out, check_dist.sh
-# --quick runs workers under TSan), the fault-injection suite that
+# engine built on the pool (TransformCache, the search's result memo
+# ResultMemo, EvaluateBatch), the exactness
+# oracle's 4-thread cases (a fault-injected search on the pool with a
+# prefix cache attached and the result memo on; its forked-worker cases
+# stay out, check_dist.sh --quick runs workers under TSan), the
+# fault-injection suite that
 # shares its retry/quarantine paths, the serving runtime's sharded
 # scoring on the same pool (Predictor + latency histogram), the
 # zero-copy data plane (shared cache entries read while evicting,
@@ -23,7 +24,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-tsan"
-filter="${1:-TransformCache|PrefixCache|CachingEvaluator|ThreadPool|EvaluateBatch|Exactness.*threads4|FaultInjector|Quarantine|Retry|Predictor|ScratchEval|InPlace|Protocol|ServeNet|Registry|HotSwap|FitInPool|LrEpochBlocks}"
+filter="${1:-TransformCache|PrefixCache|ResultMemo|ThreadPool|EvaluateBatch|Exactness.*threads4|FaultInjector|Quarantine|Retry|Predictor|ScratchEval|InPlace|Protocol|ServeNet|Registry|HotSwap|FitInPool|LrEpochBlocks}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -26,7 +26,7 @@ struct EvalTiming {
 
 /// One evaluation request: everything an evaluator needs to score a
 /// pipeline, carried per call so evaluators hold no mutable evaluation
-/// state and decorators (fault injection, caching, thread pools) compose
+/// state and wrappers (fault injection, the distributed coordinator) compose
 /// without hidden knobs.
 struct EvalRequest {
   PipelineSpec pipeline;
@@ -44,7 +44,7 @@ struct EvalRequest {
   /// Canonical seed derivation: a pure function of (root, pipeline,
   /// fraction, attempt). The search framework uses it so an evaluation's
   /// outcome depends only on what is evaluated, never on when — the basis
-  /// of the multi-thread determinism guarantee and of full-result caching.
+  /// of the multi-thread determinism guarantee and of the result memo.
   static uint64_t DeriveSeed(uint64_t root, const PipelineSpec& pipeline,
                              double budget_fraction, int attempt);
 };
@@ -167,7 +167,6 @@ class PipelineEvaluator : public EvaluatorInterface {
   void AttachTransformCache(std::shared_ptr<TransformCache> cache) {
     transform_cache_ = std::move(cache);
   }
-  TransformCache* transform_cache() { return transform_cache_.get(); }
 
   /// Evaluates one request. `budget_fraction` in (0, 1] subsamples
   /// training rows before fitting (the resource axis for Hyperband/BOHB);

@@ -214,7 +214,7 @@ class RunJournalWriter {
 /// key, so the deterministic re-run consumes exactly the sequence the
 /// original run produced regardless of batch boundaries. kDeadlineExceeded
 /// records are deliberately not replayable (a wall-clock property of the
-/// original machine/moment, mirroring CachingEvaluator's rule) and are
+/// original machine/moment, mirroring the result memo's rule) and are
 /// dropped at construction; those evaluations re-run live.
 class RunJournalReplay {
  public:

@@ -2,11 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <utility>
 
 #include "core/run_journal.h"
 
 namespace autofp {
+
+namespace {
+
+/// The result memo's key. The deadline is left out: every request of a
+/// run carries the same one (budget_.max_eval_seconds).
+std::string MemoKey(const EvalRequest& request) {
+  char suffix[64];
+  std::snprintf(suffix, sizeof(suffix), "|f%.17g|s%llu",
+                request.budget_fraction,
+                static_cast<unsigned long long>(request.seed));
+  return request.pipeline.Key() + suffix;
+}
+
+}  // namespace
 
 SearchContext::SearchContext(const SearchSpace* space,
                              EvaluatorInterface* evaluator,
@@ -25,26 +40,6 @@ SearchContext::SearchContext(const SearchSpace* space,
       << "distributed workers and in-process evaluation threads are "
          "mutually exclusive (the coordinator submits from one thread)";
 
-  // Decorator chain: user evaluator -> result cache. The per-request
-  // deadline rides in each EvalRequest, so no decorator needs mutable
-  // configuration.
-  EvaluatorInterface* top = evaluator;
-  auto* pipeline_evaluator = dynamic_cast<PipelineEvaluator*>(evaluator);
-  if (options.cache_bytes > 0) {
-    if (pipeline_evaluator != nullptr &&
-        pipeline_evaluator->transform_cache() == nullptr) {
-      pipeline_evaluator->AttachTransformCache(
-          std::make_shared<TransformCache>(options.cache_bytes));
-    }
-    result_cache_ = std::make_unique<CachingEvaluator>(top);
-    top = result_cache_.get();
-  }
-  // Attached here or earlier (by the caller, or by a previous two-step
-  // round), the evaluator keeps its prefix cache across runs.
-  if (pipeline_evaluator != nullptr) {
-    transform_cache_ = pipeline_evaluator->transform_cache();
-  }
-  evaluator_ = top;
   if (options.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options.num_threads);
   }
@@ -85,18 +80,38 @@ void SearchContext::EvaluateWithRetries(std::vector<EvalRequest> requests,
   retries->assign(count, 0);
   if (count == 0) return;
 
+  const bool memo_on = options_.cache_bytes > 0;
   std::vector<size_t> active(count);
   for (size_t i = 0; i < count; ++i) active[i] = i;
   int attempt = 1;
   while (!active.empty()) {
+    // Repeats of an earlier request of this run are served from the memo;
+    // only the misses reach the evaluator.
+    std::vector<size_t> missed;
+    std::vector<std::string> missed_keys;
+    for (size_t index : active) {
+      if (memo_on) {
+        std::string key = MemoKey(requests[index]);
+        auto found = memo_.find(key);
+        if (found != memo_.end()) {
+          ++memo_hits_;
+          (*results)[index] = found->second;
+          continue;
+        }
+        ++memo_misses_;
+        missed_keys.push_back(std::move(key));
+      }
+      missed.push_back(index);
+    }
     std::vector<EvalRequest> round;
-    round.reserve(active.size());
-    for (size_t index : active) round.push_back(requests[index]);
+    round.reserve(missed.size());
+    for (size_t index : missed) round.push_back(requests[index]);
     std::vector<Evaluation> round_results;
-    if (evaluator_->SupportsConcurrentBatches()) {
+    if (round.empty()) {
+      // Every request of the round was a memo hit.
+    } else if (evaluator_->SupportsConcurrentBatches()) {
       // The evaluator overlaps evaluations itself (a distributed
-      // coordinator, possibly behind the result cache): hand it the whole
-      // round at once.
+      // coordinator): hand it the whole round at once.
       round_results = evaluator_->EvaluateAll(round);
     } else if (pool_ != nullptr) {
       // Results are slotted by index, so they do not depend on which
@@ -111,16 +126,24 @@ void SearchContext::EvaluateWithRetries(std::vector<EvalRequest> requests,
         round_results.push_back(evaluator_->Evaluate(request, &scratch_[0]));
       }
     }
+    for (size_t k = 0; k < missed.size(); ++k) {
+      // A deadline failure depends on wall-clock, not on the request, so
+      // it is the one outcome a repeat must not reuse.
+      if (memo_on &&
+          round_results[k].failure != EvalFailure::kDeadlineExceeded) {
+        memo_.emplace(std::move(missed_keys[k]), round_results[k]);
+      }
+      (*results)[missed[k]] = std::move(round_results[k]);
+    }
 
     // Transient failures (injected faults, deadline flakes) retry with a
     // re-derived attempt seed; permanent ones are deterministic and final.
     std::vector<size_t> to_retry;
-    for (size_t k = 0; k < active.size(); ++k) {
-      (*results)[active[k]] = std::move(round_results[k]);
-      const Evaluation& evaluation = (*results)[active[k]];
+    for (size_t index : active) {
+      const Evaluation& evaluation = (*results)[index];
       if (evaluation.failed() && IsTransientFailure(evaluation.failure) &&
           attempt <= policy_.max_retries) {
-        to_retry.push_back(active[k]);
+        to_retry.push_back(index);
       }
     }
     if (to_retry.empty()) break;
@@ -357,11 +380,6 @@ SearchResult RunSearch(SearchAlgorithm* algorithm,
                        const SearchOptions& options) {
   AUTOFP_CHECK(algorithm != nullptr);
   SearchContext context(&space, evaluator, options);
-  // The prefix cache's counters outlive the run: report this run's share.
-  TransformCache* transform_cache = context.transform_cache();
-  const TransformCache::Stats cache_before =
-      transform_cache != nullptr ? transform_cache->stats()
-                                 : TransformCache::Stats{};
   algorithm->Initialize(&context);
   // Guard against algorithms that stop making progress before the budget
   // is exhausted (would otherwise spin forever under time budgets).
@@ -390,15 +408,8 @@ SearchResult RunSearch(SearchAlgorithm* algorithm,
   result.interrupted = context.interrupted();
   result.num_threads = options.num_threads;
   result.num_workers = options.num_workers;
-  if (context.result_cache() != nullptr) {
-    result.result_cache_hits = context.result_cache()->hits();
-    result.result_cache_misses = context.result_cache()->misses();
-  }
-  if (transform_cache != nullptr) {
-    TransformCache::Stats stats = transform_cache->stats();
-    result.transform_cache_hits = stats.hits - cache_before.hits;
-    result.transform_cache_misses = stats.misses - cache_before.misses;
-  }
+  result.result_cache_hits = context.result_cache_hits();
+  result.result_cache_misses = context.result_cache_misses();
   if (context.has_best()) {
     result.best_pipeline = context.best().pipeline;
     result.best_accuracy = context.best().accuracy;

@@ -11,11 +11,9 @@
 #include <vector>
 
 #include "core/budget.h"
-#include "core/eval_cache.h"
 #include "core/evaluator.h"
 #include "core/fault.h"
 #include "core/search_space.h"
-#include "preprocess/transform_cache.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -44,10 +42,11 @@ struct SearchOptions {
   /// so a journaled run may be resumed at any worker count. Mutually
   /// exclusive with num_threads > 1 (the coordinator is single-threaded).
   int num_workers = 0;
-  /// Byte budget for the evaluation caches; 0 disables caching. When set,
-  /// a prefix TransformCache of this size is attached to the evaluator (if
-  /// it is a PipelineEvaluator without one) and full Evaluations are
-  /// memoized by request identity.
+  /// Nonzero turns on the result memo: SearchContext serves a repeated
+  /// request (same pipeline, fraction and seed) from the run's earlier
+  /// outcome instead of the evaluator. The prefix TransformCache is not
+  /// configured here: whoever builds a PipelineEvaluator attaches one with
+  /// AttachTransformCache and reads its stats().
   size_t cache_bytes = 0;
   /// Durable-run hooks (DESIGN.md "Durable runs and crash recovery").
   /// Non-owning, may be null. `journal` receives one fsync'd record per
@@ -162,10 +161,10 @@ class SearchContext {
   const FaultPolicy& fault_policy() const { return policy_; }
   const SearchOptions& options() const { return options_; }
 
-  /// The result cache the context created (null when cache_bytes == 0)
-  /// and the prefix cache its evaluator uses (null when it has none).
-  CachingEvaluator* result_cache() { return result_cache_.get(); }
-  TransformCache* transform_cache() { return transform_cache_; }
+  /// Result-memo lookups (cache_bytes > 0 only), one per evaluation
+  /// attempt: hits were served from the memo, misses reached the evaluator.
+  long result_cache_hits() const { return memo_hits_; }
+  long result_cache_misses() const { return memo_misses_; }
 
  private:
   /// Builds the canonical request for (pipeline, fraction, attempt).
@@ -173,7 +172,8 @@ class SearchContext {
                           double budget_fraction, int attempt) const;
   /// Runs `requests` through the evaluator's own batch engine, the pool,
   /// or inline when single-threaded, with transient-failure retry rounds;
-  /// on return, `results[i]` is the final outcome of request i and
+  /// each round first serves the requests the result memo holds. On
+  /// return, `results[i]` is the final outcome of request i and
   /// `retries[i]` the retry attempts it consumed.
   void EvaluateWithRetries(std::vector<EvalRequest> requests,
                            std::vector<Evaluation>* results,
@@ -187,15 +187,18 @@ class SearchContext {
                              double budget_fraction, EvalFailure failure);
 
   const SearchSpace* space_;
-  EvaluatorInterface* evaluator_;  ///< top of the decorator chain.
+  EvaluatorInterface* evaluator_;
   SearchOptions options_;
   Budget budget_;
   Rng rng_;
   FaultPolicy policy_;
-  /// Owned by the evaluator; may be null.
-  TransformCache* transform_cache_ = nullptr;
-  /// The result-cache decorator owned by the context; may be null.
-  std::unique_ptr<CachingEvaluator> result_cache_;
+  /// Result memo (empty unless cache_bytes > 0): request identity
+  /// (pipeline key, fraction, seed) -> the evaluator's outcome. Evaluation
+  /// is a pure function of the request, so a repeat is served verbatim,
+  /// timing included.
+  std::unordered_map<std::string, Evaluation> memo_;
+  long memo_hits_ = 0;
+  long memo_misses_ = 0;
   /// Reusable transform buffers, one per pool worker (index 0 serves the
   /// sequential path): a worker runs one evaluation at a time, so its
   /// buffers never cross threads.
@@ -270,14 +273,13 @@ struct SearchResult {
   /// History entries that did not fail; 0 means every evaluation failed
   /// and `best_accuracy` is only the baseline/penalty fallback.
   long num_successes = 0;
-  /// Evaluation-engine report: worker threads/processes used and cache
-  /// traffic (zero when the run used no cache).
+  /// Evaluation-engine report: worker threads/processes used and result
+  /// memo traffic (zero when the run used no memo). Prefix-cache traffic
+  /// is read from the TransformCache its owner attached.
   int num_threads = 1;
   int num_workers = 0;
   long result_cache_hits = 0;
   long result_cache_misses = 0;
-  long transform_cache_hits = 0;
-  long transform_cache_misses = 0;
   /// Durable-run report: evaluations served from the resume journal, and
   /// whether the run was stopped early by the graceful-stop flag.
   long num_replayed = 0;

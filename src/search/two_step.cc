@@ -76,12 +76,10 @@ SearchResult RunTwoStep(const TwoStepConfig& config,
     best.num_quarantine_hits += result.num_quarantine_hits;
     best.num_successes += result.num_successes;
     best.num_replayed += result.num_replayed;
-    // Each round reports its own cache lookups (a prefix cache attached
-    // in round 0 serves every later round), so the sums count each once.
+    // Each round has its own result memo, so the sums count each lookup
+    // once.
     best.result_cache_hits += result.result_cache_hits;
     best.result_cache_misses += result.result_cache_misses;
-    best.transform_cache_hits += result.transform_cache_hits;
-    best.transform_cache_misses += result.transform_cache_misses;
     best.interrupted = result.interrupted;
     best.baseline_accuracy = result.baseline_accuracy;
     if (round == 0 || result.best_accuracy > best.best_accuracy) {

@@ -2,13 +2,13 @@
 /// at any thread count, worker count, resume point and SIMD path.
 ///
 /// For each registered search algorithm (AllSearchAlgorithmNames(), the
-/// 15 of paper Table 4), one seeded, journaled, fault-injected XGB search
-/// on suite:blood_syn runs on one thread (the reference) and under each
-/// other mode. A mode passes only if its
-/// canonical journal listing (JournalListing) plus one result line is
-/// byte-identical to the reference's. XGB is the model because its SIMD
-/// primitives (Fill, LowerBoundIndex) are all bit-exact; LR and MLP use
-/// the reassociating simd::Dot. The MLP and LSTM surrogates of PMNE, PME,
+/// 15 of paper Table 4) and for the two-step search (paper Figure 9), one
+/// seeded, journaled, fault-injected XGB search on suite:blood_syn runs on
+/// one thread (the reference) and under each other mode. A mode passes
+/// only if its canonical journal listing (JournalListing) plus one result
+/// line is byte-identical to the reference's. XGB is the model because its
+/// SIMD primitives (Fill, LowerBoundIndex) are all bit-exact; LR and MLP
+/// use the reassociating simd::Dot. The MLP and LSTM surrogates of PMNE, PME,
 /// PLNE and PLE use it too: they pass the scalar mode only because at
 /// this seed its low-bit differences flip no pick.
 
@@ -28,6 +28,7 @@
 #include "dist/coordinator.h"
 #include "dist/worker.h"
 #include "search/registry.h"
+#include "search/two_step.h"
 #include "util/simd.h"
 
 namespace autofp {
@@ -37,7 +38,7 @@ constexpr uint64_t kSeed = 7;
 
 enum class Mode {
   kThreads1,  ///< the reference.
-  kThreads4,  ///< 4 pool threads with the prefix and result caches on.
+  kThreads4,  ///< 4 pool threads with the prefix cache and result memo on.
   kWorkers3,  ///< a DistributedEvaluator over 3 forked worker processes.
   kResume3,   ///< resumed from a journal holding the first 3 records.
   kResume17,  ///< resumed from the first 17 records plus a torn 18th.
@@ -95,11 +96,18 @@ void WriteCrashedJournal(const std::string& path, uint64_t options_fp,
   std::filesystem::resize_file(path, intact + (full - intact) / 2);
 }
 
-/// Runs `algorithm` under `mode` as `autofp --data suite:blood_syn --model
-/// XGB --budget 40 --fault-rate 0.15 --max-retries 2 --journal FILE` would
-/// (the CLI's split and fault-injector seed), and checks what the mode
-/// itself promises. Resume modes start from `reference`'s records and
-/// resume the way the CLI does.
+/// The two-step configuration: PBT (the paper's choice) in rounds of 15
+/// evaluations over the low-cardinality parameter space. The budget of 40
+/// makes three RunSearch calls over one evaluator and one journal (in
+/// threads4, one prefix cache and a fresh result memo per round), and
+/// resume17's kill point falls in the second round.
+constexpr char kTwoStep[] = "TwoStep";
+
+/// Runs `algorithm` (or kTwoStep) under `mode` as `autofp --data
+/// suite:blood_syn --model XGB --budget 40 --fault-rate 0.15 --max-retries
+/// 2 --journal FILE` would (the CLI's split and fault-injector seed), and
+/// checks what the mode itself promises. Resume modes start from
+/// `reference`'s records and resume the way the CLI does.
 SearchRun RunMode(const std::string& algorithm, uint64_t seed, Mode mode,
                   const SearchRun* reference = nullptr) {
   const Dataset dataset = GetSuiteDataset("blood_syn").value();
@@ -143,9 +151,12 @@ SearchRun RunMode(const std::string& algorithm, uint64_t seed, Mode mode,
   }
   options.journal = writer.get();
   options.replay = replay.get();
+  std::shared_ptr<TransformCache> prefix_cache;
   if (mode == Mode::kThreads4) {
     options.num_threads = 4;
     options.cache_bytes = 16u << 20;
+    prefix_cache = std::make_shared<TransformCache>(options.cache_bytes);
+    evaluator.AttachTransformCache(prefix_cache);
   }
   std::unique_ptr<DistributedEvaluator> dist;
   if (mode == Mode::kWorkers3) {
@@ -161,15 +172,22 @@ SearchRun RunMode(const std::string& algorithm, uint64_t seed, Mode mode,
     options.num_workers = 3;
   }
 
+  EvaluatorInterface* search_evaluator =
+      dist != nullptr ? static_cast<EvaluatorInterface*>(dist.get())
+                      : &evaluator;
   SearchRun run;
   {
     simd::ScopedForceScalar scalar(mode == Mode::kScalar);
-    auto search = MakeSearchAlgorithm(algorithm).value();
-    run.result = RunSearch(search.get(),
-                           dist != nullptr
-                               ? static_cast<EvaluatorInterface*>(dist.get())
-                               : &evaluator,
-                           SearchSpace::Default(), options);
+    if (algorithm == kTwoStep) {
+      TwoStepConfig two_step;
+      two_step.inner_budget = Budget::Evaluations(15);
+      run.result = RunTwoStep(two_step, search_evaluator,
+                              ParameterSpace::LowCardinality(), options);
+    } else {
+      auto search = MakeSearchAlgorithm(algorithm).value();
+      run.result = RunSearch(search.get(), search_evaluator,
+                             SearchSpace::Default(), options);
+    }
   }
   writer.reset();
   run.evaluator_calls = evaluator.num_evaluations();
@@ -179,11 +197,10 @@ SearchRun RunMode(const std::string& algorithm, uint64_t seed, Mode mode,
   run.records = std::move(read.records);
   std::filesystem::remove(path);
 
-  if (mode == Mode::kThreads4) {
+  if (prefix_cache != nullptr) {
     EXPECT_EQ(run.result.num_threads, 4);
-    EXPECT_GT(run.result.transform_cache_hits +
-                  run.result.transform_cache_misses,
-              0);
+    EXPECT_GT(prefix_cache->stats().hits + prefix_cache->stats().misses, 0);
+    EXPECT_GT(run.result.result_cache_misses, 0);
   }
   if (dist != nullptr) {
     // The workers, not the coordinator's fallback, did the evaluating.
@@ -205,7 +222,13 @@ SearchRun RunMode(const std::string& algorithm, uint64_t seed, Mode mode,
   return run;
 }
 
-const std::vector<std::string>& kAlgorithms = AllSearchAlgorithmNames();
+std::vector<std::string> OracleConfigs() {
+  std::vector<std::string> configs = AllSearchAlgorithmNames();
+  configs.push_back(kTwoStep);
+  return configs;
+}
+
+const std::vector<std::string> kConfigs = OracleConfigs();
 
 class Exactness
     : public ::testing::TestWithParam<std::tuple<std::string, Mode>> {};
@@ -219,7 +242,7 @@ TEST_P(Exactness, MatchesOneThreadRun) {
 
 INSTANTIATE_TEST_SUITE_P(
     Oracle, Exactness,
-    ::testing::Combine(::testing::ValuesIn(kAlgorithms),
+    ::testing::Combine(::testing::ValuesIn(kConfigs),
                        ::testing::Values(Mode::kThreads4, Mode::kWorkers3,
                                          Mode::kResume3, Mode::kResume17,
                                          Mode::kScalar)),
@@ -249,7 +272,7 @@ TEST_P(ExactnessReference, IsNonVacuous) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Oracle, ExactnessReference,
-                         ::testing::ValuesIn(kAlgorithms),
+                         ::testing::ValuesIn(kConfigs),
                          [](const ::testing::TestParamInfo<std::string>& i) {
                            return i.param;
                          });

@@ -1,6 +1,6 @@
 /// Tests of the batch evaluation engine: TransformCache LRU behaviour,
-/// cached-vs-uncached evaluation equivalence, the CachingEvaluator result
-/// cache, ThreadPool scheduling (ParallelFor and the nested HelpFor) and
+/// cached-vs-uncached evaluation equivalence, SearchContext's result memo,
+/// ThreadPool scheduling (ParallelFor and the nested HelpFor) and
 /// ordering/determinism, EvaluateBatch bookkeeping parity with sequential
 /// Evaluate, and fault semantics under concurrency.
 
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,7 +21,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/eval_cache.h"
+#include "core/run_journal.h"
 #include "core/search_framework.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
@@ -241,7 +242,8 @@ TEST(PrefixCache, RepeatEvaluationHitsEveryPrefix) {
 }
 
 // ---------------------------------------------------------------------------
-// CachingEvaluator: full-result memoization by request identity.
+// ResultMemo: with cache_bytes > 0, SearchContext serves a repeated request
+// (pipeline key, fraction, seed) from the run's earlier outcome.
 
 class CountingLandscape : public EvaluatorInterface {
  public:
@@ -267,37 +269,168 @@ class CountingLandscape : public EvaluatorInterface {
   std::atomic<long> calls_{0};
 };
 
-TEST(CachingEvaluator, IdenticalRequestsHitWithoutInnerCall) {
-  CountingLandscape inner;
-  CachingEvaluator cached(&inner);
-  EvalRequest request;
-  request.pipeline = PipelineSpec::FromKinds({PreprocessorKind::kBinarizer});
-  request.seed = 5;
-  Evaluation first = cached.Evaluate(request);
-  Evaluation second = cached.Evaluate(request);
-  EXPECT_DOUBLE_EQ(first.accuracy, second.accuracy);
-  EXPECT_EQ(inner.calls(), 1);
-  EXPECT_EQ(cached.hits(), 1);
-  EXPECT_EQ(cached.misses(), 1);
+/// Every request fails with `failure`. Thread-safe.
+class FailingLandscape : public CountingLandscape {
+ public:
+  using CountingLandscape::Evaluate;
+
+  explicit FailingLandscape(EvalFailure failure) : failure_(failure) {}
+
+  Evaluation Evaluate(const EvalRequest& request) override {
+    Evaluation evaluation = CountingLandscape::Evaluate(request);
+    evaluation.failure = failure_;
+    evaluation.status = Status::Internal("rigged failure");
+    evaluation.accuracy = kPenaltyAccuracy;
+    return evaluation;
+  }
+
+ private:
+  EvalFailure failure_;
+};
+
+/// Each request's first attempt fails with an injected (transient) fault,
+/// and every retry succeeds; the attempt is read off the request seed of a
+/// run seeded with `root`. Thread-safe.
+class FirstAttemptFailsLandscape : public CountingLandscape {
+ public:
+  using CountingLandscape::Evaluate;
+
+  explicit FirstAttemptFailsLandscape(uint64_t root) : root_(root) {}
+
+  Evaluation Evaluate(const EvalRequest& request) override {
+    Evaluation evaluation = CountingLandscape::Evaluate(request);
+    if (request.seed == EvalRequest::DeriveSeed(root_, request.pipeline,
+                                                request.budget_fraction, 1)) {
+      evaluation.failure = EvalFailure::kInjected;
+      evaluation.status = Status::Internal("rigged injected fault");
+      evaluation.accuracy = kPenaltyAccuracy;
+    }
+    return evaluation;
+  }
+
+ private:
+  uint64_t root_;
+};
+
+PipelineSpec RepeatedPipeline() {
+  return PipelineSpec::FromKinds(
+      {PreprocessorKind::kBinarizer, PreprocessorKind::kStandardScaler});
 }
 
-TEST(CachingEvaluator, DifferentFractionSeedOrDeadlineMiss) {
-  CountingLandscape inner;
-  CachingEvaluator cached(&inner);
-  EvalRequest request;
-  request.pipeline = PipelineSpec::FromKinds({PreprocessorKind::kBinarizer});
-  cached.Evaluate(request);
-  EvalRequest other_fraction = request;
-  other_fraction.budget_fraction = 0.5;
-  cached.Evaluate(other_fraction);
-  EvalRequest other_seed = request;
-  other_seed.seed = 99;
-  cached.Evaluate(other_seed);
-  EvalRequest other_deadline = request;
-  other_deadline.deadline_seconds = 30.0;
-  cached.Evaluate(other_deadline);
-  EXPECT_EQ(inner.calls(), 4);
-  EXPECT_EQ(cached.hits(), 0);
+/// Proposes the same pipeline on every iteration, as evolution re-proposes
+/// a child it has already scored.
+class RepeatSearch : public SearchAlgorithm {
+ public:
+  std::string name() const override { return "Repeat"; }
+  void Iterate(SearchContext* context) override {
+    context->Evaluate(RepeatedPipeline());
+  }
+};
+
+/// Four evaluations of RepeatedPipeline(), one batch each.
+SearchResult RunRepeats(EvaluatorInterface* evaluator, size_t cache_bytes,
+                        int num_threads = 1) {
+  RepeatSearch search;
+  SearchOptions options{Budget::Evaluations(4), 3};
+  options.cache_bytes = cache_bytes;
+  options.num_threads = num_threads;
+  return RunSearch(&search, evaluator, SearchSpace::Default(), options);
+}
+
+SearchOptions MemoOptions() {
+  SearchOptions options{Budget::Evaluations(10), 3};
+  options.cache_bytes = 1 << 20;
+  return options;
+}
+
+TEST(ResultMemo, CrossBatchRepeatEvaluatesOnceButIsRecordedAndJournaledTwice) {
+  CountingLandscape evaluator;
+  SearchSpace space = SearchSpace::Default();
+  SearchOptions options = MemoOptions();
+  auto journal = RunJournalWriter::Create(
+                     ::testing::TempDir() + "/result_memo.journal", 1, 2)
+                     .value();
+  options.journal = journal.get();
+  SearchContext context(&space, &evaluator, options);
+  const std::optional<double> first = context.Evaluate(RepeatedPipeline());
+  const std::optional<double> second = context.Evaluate(RepeatedPipeline());
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_DOUBLE_EQ(*first, *second);
+  EXPECT_EQ(evaluator.calls(), 1);
+  EXPECT_EQ(context.result_cache_hits(), 1);
+  EXPECT_EQ(context.result_cache_misses(), 1);
+  // The batch dedup decides what is recorded and journaled, the memo only
+  // what reaches the evaluator: the repeat is a second record and append.
+  EXPECT_EQ(context.num_evaluations(), 2);
+  EXPECT_EQ(journal->num_appends(), 2);
+}
+
+TEST(ResultMemo, OtherFractionOrRetryAttemptMisses) {
+  FirstAttemptFailsLandscape evaluator(/*root=*/3);
+  SearchSpace space = SearchSpace::Default();
+  SearchContext context(&space, &evaluator, MemoOptions());
+  // The injected fault is stored; the retry carries attempt 2's seed, so
+  // it misses and reaches the evaluator.
+  context.Evaluate(RepeatedPipeline(), 1.0);
+  EXPECT_EQ(evaluator.calls(), 2);
+  EXPECT_EQ(context.num_retries(), 1);
+  // The same pipeline at another fraction is another request.
+  context.Evaluate(RepeatedPipeline(), 0.5);
+  EXPECT_EQ(evaluator.calls(), 4);
+  EXPECT_EQ(context.result_cache_hits(), 0);
+  EXPECT_EQ(context.result_cache_misses(), 4);
+  // A repeat looks up every attempt: the stored fault is served and
+  // retried, and the retry is served the stored success.
+  const std::optional<double> repeat = context.Evaluate(RepeatedPipeline());
+  EXPECT_EQ(evaluator.calls(), 4);
+  EXPECT_EQ(context.result_cache_hits(), 2);
+  EXPECT_EQ(context.num_retries(), 3);
+  ASSERT_TRUE(repeat.has_value());
+  EXPECT_DOUBLE_EQ(*repeat, context.history().front().accuracy);
+}
+
+TEST(ResultMemo, ZeroCacheBytesSendsEveryRepeatToTheEvaluator) {
+  CountingLandscape evaluator;
+  SearchResult result = RunRepeats(&evaluator, /*cache_bytes=*/0);
+  EXPECT_EQ(result.num_evaluations, 4);
+  EXPECT_EQ(evaluator.calls(), 4);
+  EXPECT_EQ(result.result_cache_hits, 0);
+  EXPECT_EQ(result.result_cache_misses, 0);
+}
+
+TEST(ResultMemo, WorksThroughAWrappedEvaluator) {
+  // The memo needs nothing from the evaluator's type, so a wrapper between
+  // the search and the landscape changes nothing (pool path included).
+  CountingLandscape landscape;
+  FaultInjectingEvaluator wrapped(&landscape, FaultInjectorConfig{});
+  SearchResult result =
+      RunRepeats(&wrapped, /*cache_bytes=*/1 << 20, /*num_threads=*/2);
+  EXPECT_EQ(result.num_evaluations, 4);
+  EXPECT_EQ(landscape.calls(), 1);
+  EXPECT_EQ(result.result_cache_hits, 3);
+  EXPECT_EQ(result.result_cache_misses, 1);
+}
+
+TEST(ResultMemo, DeadlineFailureIsNotMemoised) {
+  // A deadline failure depends on wall-clock, so its repeat must reach the
+  // evaluator again. An injected fault is a function of the request seed
+  // and is served from the memo like a success.
+  for (EvalFailure failure :
+       {EvalFailure::kDeadlineExceeded, EvalFailure::kInjected}) {
+    FailingLandscape evaluator(failure);
+    SearchSpace space = SearchSpace::Default();
+    SearchOptions options = MemoOptions();
+    options.fault_policy.max_retries = 0;
+    SearchContext context(&space, &evaluator, options);
+    context.Evaluate(RepeatedPipeline());
+    context.Evaluate(RepeatedPipeline());
+    EXPECT_EQ(context.num_evaluations(), 2);
+    EXPECT_EQ(context.num_failures(), 2);
+    EXPECT_EQ(evaluator.calls(),
+              failure == EvalFailure::kDeadlineExceeded ? 2 : 1)
+        << EvalFailureName(failure);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -114,7 +114,9 @@ void PrintUsage() {
       "  --eval-deadline S        per-evaluation deadline in seconds\n"
       "  --max-retries N          retries for transient faults (default 2)\n"
       "  --threads N              parallel evaluation threads (default 1)\n"
-      "  --cache-mb MB            evaluation-cache budget in MiB (default 0)\n"
+      "  --cache-mb MB            prefix-transform cache in MiB (without\n"
+      "                           --workers); nonzero also memoises\n"
+      "                           repeated evaluations (default 0)\n"
       "  --workers N              evaluate on N worker processes (crash/\n"
       "                           straggler tolerant; excludes --threads)\n"
       "  --lease-deadline S       straggler revocation deadline (default 30)\n"
@@ -488,6 +490,14 @@ int main(int argc, char** argv) {
   search_options.num_threads = options.threads > 0 ? options.threads : 1;
   search_options.cache_bytes =
       static_cast<size_t>(options.cache_mb * 1024.0 * 1024.0);
+  // The same budget bounds the prefix cache of the in-process evaluator.
+  // Worker processes build their evaluators through MakeEvaluator and
+  // evaluate uncached, and so does the coordinator's local fallback.
+  std::shared_ptr<TransformCache> prefix_cache;
+  if (search_options.cache_bytes > 0 && options.workers == 0) {
+    prefix_cache = std::make_shared<TransformCache>(search_options.cache_bytes);
+    evaluator->AttachTransformCache(prefix_cache);
+  }
 
   // Distributed evaluation: spawn --workers worker processes over a
   // shared read-only dataset file; the search journals their merged
@@ -677,12 +687,14 @@ int main(int argc, char** argv) {
               result.num_failures, result.num_retries,
               result.num_quarantined, result.num_quarantine_hits);
   if (search_options.num_threads > 1 || search_options.cache_bytes > 0) {
+    const TransformCache::Stats prefix = prefix_cache != nullptr
+                                             ? prefix_cache->stats()
+                                             : TransformCache::Stats{};
     std::printf("engine         : %d threads | result cache %ld/%ld hits | "
                 "prefix cache %ld/%ld hits\n",
                 result.num_threads, result.result_cache_hits,
                 result.result_cache_hits + result.result_cache_misses,
-                result.transform_cache_hits,
-                result.transform_cache_hits + result.transform_cache_misses);
+                prefix.hits, prefix.hits + prefix.misses);
   }
   if (journal != nullptr) {
     std::printf("journal        : %ld replayed, %ld appended -> %s\n",
