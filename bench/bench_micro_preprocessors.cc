@@ -6,12 +6,11 @@
 /// `--json [path]` switches to the kernel roofline report instead: each
 /// preprocessor's TransformInPlace timed on the forced-scalar reference
 /// and on the SIMD path, with rows/s, GB/s and the speedup, and its Fit
-/// on one thread, as median, min and max over repeats.
+/// on one thread, on both paths too, as median, min and max over repeats.
 /// scripts/bench_snapshot.sh commits it as BENCH_kernels.json.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -217,6 +216,11 @@ int RunRooflineReport(const char* path) {
     auto step = MakePreprocessor(kind);
     // Off any pool, so the per-column fits run on this thread alone.
     const bench::Timing fit = bench::TimeRepeats([&] { step->Fit(data); });
+    bench::Timing fit_scalar;
+    {
+      simd::ScopedForceScalar forced(true);
+      fit_scalar = bench::TimeRepeats([&] { step->Fit(data); });
+    }
     const bench::Timing scalar = TimeTransform(*step, data, true);
     const bench::Timing simd = TimeTransform(*step, data, false);
     snapshot.Cell(KindName(kind));
@@ -229,6 +233,8 @@ int RunRooflineReport(const char* path) {
     snapshot.Time("fit_ns", fit);
     snapshot.Figure("fit_us_per_krow",
                     fit.median_ns / static_cast<double>(kRooflineRows));
+    snapshot.Time("fit_scalar_ns", fit_scalar);
+    snapshot.Figure("fit_speedup", fit_scalar.median_ns / fit.median_ns);
     if (kind == PreprocessorKind::kQuantileTransformer) {
       // The fit's two parts: every column copied out and sorted, then
       // QuantileSorted filling the reference table from the sorted columns.
@@ -236,7 +242,7 @@ int RunRooflineReport(const char* path) {
       const bench::Timing sort = bench::TimeRepeats([&] {
         for (size_t c = 0; c < data.cols(); ++c) {
           sorted[c] = data.Column(c);
-          std::sort(sorted[c].begin(), sorted[c].end());
+          RadixSort(&sorted[c]);
         }
         benchmark::ClobberMemory();
       });

@@ -6,9 +6,9 @@
 #     (bench_stream_overhead).
 #   BENCH_kernels.json — preprocessor-kernel roofline: each
 #     TransformInPlace timed forced-scalar vs SIMD, with rows/s, GB/s
-#     and the speedup, plus each Fit on one thread and, for Quantile,
-#     its sort and its QuantileSorted table timed apart
-#     (bench_micro_preprocessors --json).
+#     and the speedup, plus each Fit on one thread, forced-scalar vs
+#     SIMD too, and, for Quantile, its sort and its QuantileSorted
+#     table timed apart (bench_micro_preprocessors --json).
 #   BENCH_model_kernels.json — the model-side SIMD primitives (Dot,
 #     Axpy, histogram binning, the ReferenceStats Welford update),
 #     scalar vs vectorized (bench_micro_models --json).

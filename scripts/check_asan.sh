@@ -20,6 +20,13 @@
 # Backward, at batches of 1 and 61) and the Le compare behind its ReLU
 # gate (LeMatchesScalar), which index by raw pointer, and the search's
 # result memo (ResultMemo), which copies stored outcomes into a round.
+# The vector transcendentals run too (SimdMath, BitOpsMatchTheirScalarTwins)
+# with the Power kernels built on them (YeoJohnsonTrial,
+# PowerTransformBitIdentical: row blocks copied out of a strided column
+# into stack buffers, 257-row tails included), the Quantile fit's radix
+# sort (RadixSort: histogram offsets index the scratch keys), and the
+# stream controller's drop of a batch whose predictor was swapped out
+# (StreamController: the batch holds the old predictor past the swap).
 #
 # Usage: scripts/check_asan.sh [ctest-regex]
 #   ctest-regex  optional test-name filter; defaults to the data-plane
@@ -28,7 +35,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-asan"
-filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ThreadPool|EvaluateBatch|ResultMemo|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable|PowerTransformer|QuantileTransformer|FitInPool|LrEpochBlocks|MlpKernels|LeMatchesScalar}"
+filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ThreadPool|EvaluateBatch|ResultMemo|Predictor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable|PowerTransformer|QuantileTransformer|FitInPool|LrEpochBlocks|MlpKernels|LeMatchesScalar|SimdMath|BitOpsMatchTheirScalarTwins|YeoJohnsonTrial|PowerTransformBitIdentical|RadixSort|StreamController}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -37,7 +44,7 @@ cmake --build "${build_dir}" -j "$(nproc)" \
   --target test_matrix test_inplace test_pipeline test_parallel_eval \
   test_predictor test_models test_gbdt_details test_artifact test_stream \
   test_checksum test_protocol test_run_journal test_dist test_preprocessors \
-  test_nn test_simd
+  test_nn test_simd test_kernels test_stats
 
 cd "${build_dir}"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \

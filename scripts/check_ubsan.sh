@@ -17,6 +17,12 @@
 # raw-pointer tiles and vector tails). The Le compare behind the MLP's
 # ReLU gate runs with the other wrapper tests (Simd). The search's result
 # memo (ResultMemo) runs for its counters and retry-round indexing.
+# The vector transcendentals (SimdMath) and their bit ops (Simd: Pow2's
+# and Exponent's shifts of the exponent field) run with the wrapper
+# tests, the Power kernels on them with the other kernels (Kernels); the
+# Quantile fit's radix sort (RadixSort: digit shifts and bucket indexes)
+# and the stream controller's stale-batch drop (StreamController) are
+# named here.
 #
 # Usage: scripts/check_ubsan.sh [ctest-regex]
 #   ctest-regex  optional test-name filter; defaults to the kernel
@@ -25,7 +31,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-ubsan"
-filter="${1:-Simd|Kernels|Matrix|InPlace|Pipeline|Preprocessor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable|PowerTransformer|QuantileTransformer|FitInPool|ThreadPool|LrEpochBlocks|MlpKernels|ResultMemo}"
+filter="${1:-Simd|Kernels|Matrix|InPlace|Pipeline|Preprocessor|Gbdt|GbdtDetails|ClassifierState|DecisionTree|QuantileState|ReferenceStats|DriftMonitor|Checksum|Protocol|ArtifactCorruption|RunJournal|DistWire|LeaseTable|PowerTransformer|QuantileTransformer|FitInPool|ThreadPool|LrEpochBlocks|MlpKernels|ResultMemo|RadixSort|StreamController}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -34,7 +40,7 @@ cmake --build "${build_dir}" -j "$(nproc)" \
   --target test_simd test_kernels test_matrix test_inplace test_pipeline \
   test_preprocessors test_models test_gbdt_details test_artifact test_stream \
   test_checksum test_protocol test_run_journal test_dist test_parallel_eval \
-  test_nn
+  test_nn test_stats
 
 cd "${build_dir}"
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \

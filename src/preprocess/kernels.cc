@@ -4,8 +4,8 @@
 #include <cmath>
 #include <limits>
 
-#include "preprocess/power_transformer.h"
 #include "util/simd.h"
+#include "util/simd_math.h"
 #include "util/stats.h"
 
 namespace autofp {
@@ -19,11 +19,27 @@ constexpr size_t kLanes = simd::kDoubleLanes;
 
 bool SimdOn() { return kLanes > 1 && !simd::ForceScalarEnabled(); }
 
-/// Mirrors power_transformer.cc's clamp: NaN -> 0, else clip to ±1e100.
+constexpr double kLambdaEps = 1e-8;
+constexpr double kValueClamp = 1e100;
+
+/// Power's output clamp: NaN -> 0, else clip to +-1e100.
 double ClampFinite(double value) {
   if (std::isnan(value)) return 0.0;
-  return std::clamp(value, -1e100, 1e100);
+  return std::clamp(value, -kValueClamp, kValueClamp);
 }
+
+/// ClampFinite on lanes, branch-free: `v <= v` is false only for NaN.
+VecD ClampFinite(VecD v) {
+  const VecD hi = VecD::Set1(kValueClamp);
+  const VecD lo = VecD::Set1(-kValueClamp);
+  const VecD clipped = VecD::Select(
+      VecD::Gt(lo, v), lo, VecD::Select(VecD::Gt(v, hi), hi, v));
+  return VecD::Select(VecD::Le(v, v), clipped, VecD::Zero());
+}
+
+/// Rows per block of the Power transform: a column's block is copied out
+/// to a stack buffer, so its lanes are rows.
+constexpr size_t kPowerBlockRows = 256;
 
 /// Piecewise-linear empirical CDF of one value against a sorted table,
 /// exactly as the pre-kernel-layer QuantileTransformer computed it (the
@@ -130,26 +146,87 @@ void NormalizeRows(Matrix& data, NormKind kind) {
   }
 }
 
+double Log1pAbs(double x) { return simd::Log1p(x >= 0.0 ? x : -x); }
+
+double YeoJohnsonFromLog(double x, double log1p_abs, double lambda) {
+  if (x >= 0.0) {
+    if (std::abs(lambda) < kLambdaEps) return log1p_abs;
+    // ((x+1)^lambda - 1) / lambda, computed via expm1 for stability.
+    return ClampFinite(simd::Expm1(lambda * log1p_abs) / lambda);
+  }
+  const double two_minus = 2.0 - lambda;
+  if (std::abs(two_minus) < kLambdaEps) return -log1p_abs;
+  // -(((1-x)^(2-lambda)) - 1) / (2-lambda).
+  return ClampFinite(-simd::Expm1(two_minus * log1p_abs) / two_minus);
+}
+
+void Log1pAbs(const double* x, size_t n, double* out) {
+  size_t i = 0;
+  if (SimdOn()) {
+    const VecD zero = VecD::Zero();
+    for (; i + kLanes <= n; i += kLanes) {
+      const VecD v = VecD::Load(x + i);
+      simd::Log1p(VecD::Select(VecD::Le(zero, v), v, -v)).Store(out + i);
+    }
+  }
+  for (; i < n; ++i) out[i] = Log1pAbs(x[i]);
+}
+
+void YeoJohnson(const double* x, const double* logs, size_t n,
+                double lambda, double* out) {
+  size_t i = 0;
+  if (SimdOn()) {
+    // YeoJohnsonFromLog with the sign branch as a Select: each lane takes
+    // lambda or 2 - lambda. The two log branches depend on lambda alone,
+    // so they stay scalar branches outside the loop.
+    const double two_minus = 2.0 - lambda;
+    const bool log_pos = std::abs(lambda) < kLambdaEps;
+    const bool log_neg = std::abs(two_minus) < kLambdaEps;
+    const VecD zero = VecD::Zero();
+    const VecD pos = VecD::Set1(lambda);
+    const VecD neg = VecD::Set1(two_minus);
+    for (; i + kLanes <= n; i += kLanes) {
+      const VecD v = VecD::Load(x + i);
+      const VecD log1p_abs = VecD::Load(logs + i);
+      const auto nonneg = VecD::Le(zero, v);
+      const VecD scale = VecD::Select(nonneg, pos, neg);
+      const VecD e = simd::Expm1(scale * log1p_abs);
+      VecD t = ClampFinite(VecD::Select(nonneg, e, -e) / scale);
+      if (log_pos) t = VecD::Select(nonneg, log1p_abs, t);
+      if (log_neg) t = VecD::Select(nonneg, t, -log1p_abs);
+      t.Store(out + i);
+    }
+  }
+  for (; i < n; ++i) out[i] = YeoJohnsonFromLog(x[i], logs[i], lambda);
+}
+
 void PowerTransformColumns(Matrix& data, const std::vector<double>& lambdas,
                            const std::vector<double>& means,
                            const std::vector<double>& stddevs,
                            bool standardize) {
-  // Yeo-Johnson is a libm transcendental (log1p/expm1) with no vector
-  // form under the exactness contract, so this kernel stays scalar. It
-  // walks one column at a time (stride cols), holding that column's
-  // parameters fixed for the inner loop.
+  // One column at a time, in blocks of rows copied out to a buffer, so
+  // the element functions run down the column on contiguous lanes with
+  // the column's parameters fixed.
   const size_t rows = data.rows();
   const size_t cols = data.cols();
   double* p = data.MutableRaw();
+  double x[kPowerBlockRows];
+  double logs[kPowerBlockRows];
   for (size_t c = 0; c < cols; ++c) {
     const double lambda = lambdas[c];
     const double mean = means[c];
     const double stddev = stddevs[c];
-    for (size_t r = 0; r < rows; ++r) {
-      double& x = p[r * cols + c];
-      double value = PowerTransformer::YeoJohnson(x, lambda);
-      if (standardize) value = (value - mean) / stddev;
-      x = ClampFinite(value);
+    for (size_t r0 = 0; r0 < rows; r0 += kPowerBlockRows) {
+      const size_t n = std::min(kPowerBlockRows, rows - r0);
+      double* column = p + r0 * cols + c;
+      for (size_t i = 0; i < n; ++i) x[i] = column[i * cols];
+      Log1pAbs(x, n, logs);
+      YeoJohnson(x, logs, n, lambda, x);
+      for (size_t i = 0; i < n; ++i) {
+        double value = x[i];
+        if (standardize) value = (value - mean) / stddev;
+        column[i * cols] = ClampFinite(value);
+      }
     }
   }
 }

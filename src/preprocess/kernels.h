@@ -13,19 +13,22 @@
 ///     is the reference the property tests compare the SIMD path against
 ///     bit for bit.
 ///
-/// Power and Quantile are scalar on every path and walk one column at a
-/// time, so a column's parameters (and Quantile's reference table) stay
-/// hot for the whole pass.
+/// Power walks one column at a time in blocks of rows, and its element
+/// function vectorizes down the column (lanes are rows); Quantile is
+/// scalar on every path and walks one column at a time, so the column's
+/// reference table stays hot for the whole pass.
 ///
 /// Exactness: every transform kernel here is bit-identical across
 /// backends (see util/simd.h's contract) because each element is
 /// produced by the same sequence of correctly-rounded IEEE ops and
 /// per-column/per-row accumulation order is preserved. The fit reductions
 /// (ColumnSums etc.) accumulate each column in row-ascending order on
-/// every path for the same reason. The transcendental element functions
-/// (Yeo-Johnson's log1p/expm1, the normal inverse CDF) and the quantile
-/// table walk stay scalar on every path, so Power/Quantile are exact too.
+/// every path for the same reason. Yeo-Johnson's log1p/expm1 are
+/// util/simd_math.h's, whose lanes equal their scalar forms, so Power is
+/// exact on every path too and does not depend on libm. The normal
+/// inverse CDF and the quantile table walk stay scalar on every path.
 
+#include <cstddef>
 #include <vector>
 
 #include "preprocess/preprocessor.h"
@@ -46,6 +49,23 @@ void ShiftScaleColumns(Matrix& data, const std::vector<double>& shifts,
 
 /// Divides each row by its L1/L2/max norm (zero norms divide by 1).
 void NormalizeRows(Matrix& data, NormKind kind);
+
+/// log1p(|x|) as Yeo-Johnson takes it: -0.0 keeps its sign.
+double Log1pAbs(double x);
+
+/// Yeo-Johnson of x given log1p_abs = Log1pAbs(x), which does not depend
+/// on lambda: the scalar form every path reproduces. NaN results clamp to
+/// 0 and the rest to +-1e100, except the two log branches (lambda 0 for
+/// x >= 0, lambda 2 for x < 0), which return +-log1p_abs as is.
+double YeoJohnsonFromLog(double x, double log1p_abs, double lambda);
+
+/// out[i] = Log1pAbs(x[i]).
+void Log1pAbs(const double* x, size_t n, double* out);
+
+/// out[i] = YeoJohnsonFromLog(x[i], logs[i], lambda): one likelihood trial
+/// of a Power fit down a column. `out` may alias `x` or `logs`.
+void YeoJohnson(const double* x, const double* logs, size_t n,
+                double lambda, double* out);
 
 /// Yeo-Johnson per column, optionally standardized:
 /// data(r, c) = ClampFinite((YJ(x, lambdas[c]) - means[c]) / stddevs[c]).

@@ -3,7 +3,6 @@
 #include "preprocess/kernels.h"
 #include "util/serialize.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -13,14 +12,6 @@
 namespace autofp {
 
 namespace {
-
-constexpr double kLambdaEps = 1e-8;
-constexpr double kValueClamp = 1e100;
-
-double ClampFinite(double value) {
-  if (std::isnan(value)) return 0.0;
-  return std::clamp(value, -kValueClamp, kValueClamp);
-}
 
 /// Golden-section maximization of f over [lo, hi].
 template <typename F>
@@ -48,31 +39,10 @@ double GoldenSectionMaximize(F f, double lo, double hi, int iterations) {
   return (a + b) / 2.0;
 }
 
-/// YeoJohnson(x, lambda) given `log1p_abs` = Log1pAbs(x), which does not
-/// depend on lambda, so a fit computes it once per element.
-double YeoJohnsonFromLog(double x, double log1p_abs, double lambda) {
-  if (x >= 0.0) {
-    if (std::abs(lambda) < kLambdaEps) {
-      return log1p_abs;
-    }
-    // ((x+1)^lambda - 1) / lambda, computed via expm1 for stability.
-    return ClampFinite(std::expm1(lambda * log1p_abs) / lambda);
-  }
-  double two_minus = 2.0 - lambda;
-  if (std::abs(two_minus) < kLambdaEps) {
-    return -log1p_abs;
-  }
-  // -(((1-x)^(2-lambda)) - 1) / (2-lambda).
-  return ClampFinite(-std::expm1(two_minus * log1p_abs) / two_minus);
-}
-
-/// log1p(|x|) as each Yeo-Johnson branch takes it: -0.0 keeps its sign.
-double Log1pAbs(double x) { return std::log1p(x >= 0.0 ? x : -x); }
-
 }  // namespace
 
 double PowerTransformer::YeoJohnson(double x, double lambda) {
-  return YeoJohnsonFromLog(x, Log1pAbs(x), lambda);
+  return kernels::YeoJohnsonFromLog(x, kernels::Log1pAbs(x), lambda);
 }
 
 void PowerTransformer::Fit(const Matrix& data) {
@@ -91,20 +61,23 @@ void PowerTransformer::Fit(const Matrix& data) {
     }
     const size_t rows = column.size();
     std::vector<double> logs(rows);
+    std::vector<double> t(rows);
+    kernels::Log1pAbs(column.data(), rows, logs.data());
     // The Jacobian term sums sign(x) * log(|x|+1) over the column.
     double jacobian = 0.0;
     for (size_t i = 0; i < rows; ++i) {
-      logs[i] = Log1pAbs(column[i]);
       jacobian += std::copysign(logs[i], column[i]);
     }
-    // Yeo-Johnson log-likelihood of lambda, from a one-pass variance.
+    // Yeo-Johnson log-likelihood of lambda, from a one-pass variance: the
+    // transform runs down the column in vector lanes, then the sums add
+    // it up in row order.
     auto log_likelihood = [&](double lambda) {
       const double n = static_cast<double>(rows);
+      kernels::YeoJohnson(column.data(), logs.data(), rows, lambda, t.data());
       double sum = 0.0, sum_sq = 0.0;
       for (size_t i = 0; i < rows; ++i) {
-        double t = YeoJohnsonFromLog(column[i], logs[i], lambda);
-        sum += t;
-        sum_sq += t * t;
+        sum += t[i];
+        sum_sq += t[i] * t[i];
       }
       double variance = sum_sq / n - (sum / n) * (sum / n);
       if (!(variance > 0.0) || !std::isfinite(variance)) {
@@ -114,9 +87,8 @@ void PowerTransformer::Fit(const Matrix& data) {
     };
     lambdas_[c] = GoldenSectionMaximize(log_likelihood, -4.0, 6.0, 30);
     if (config_.standardize) {
-      for (size_t i = 0; i < rows; ++i) {
-        column[i] = YeoJohnsonFromLog(column[i], logs[i], lambdas_[c]);
-      }
+      kernels::YeoJohnson(column.data(), logs.data(), rows, lambdas_[c],
+                          column.data());
       MeanStd stats = ComputeMeanStd(column);
       means_[c] = stats.mean;
       stddevs_[c] = stats.stddev > 0.0 ? stats.stddev : 1.0;

@@ -20,7 +20,7 @@ void QuantileTransformer::Fit(const Matrix& data) {
   // Columns are independent: idle pool workers may take some of them.
   ThreadPool::HelpFor(data.cols(), [&](size_t c) {
     std::vector<double> column = data.Column(c);
-    std::sort(column.begin(), column.end());
+    RadixSort(&column);
     std::vector<double>& refs = references_[c];
     refs.resize(effective_quantiles_);
     for (int q = 0; q < effective_quantiles_; ++q) {

@@ -35,10 +35,15 @@ void StreamController::OnBatchScored(const Matrix& rows,
                                      const std::vector<int>& predictions,
                                      const Predictor& predictor) {
   AUTOFP_CHECK_EQ(rows.rows(), predictions.size());
+  const bool stale = registry_->Acquire().get() != &predictor;
   Dataset snapshot;
   bool trigger = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (stale) {
+      ++counters_.stale_batches;
+      return;
+    }
     if (baseline_owner_ != &predictor) {
       if (baseline_owner_ != nullptr) ++counters_.baseline_resets;
       RebuildForPredictor(predictor);
@@ -100,7 +105,8 @@ std::string StreamController::CountersJson() const {
       << ",\"research_dropped\":" << c.research_dropped
       << ",\"research_succeeded\":" << c.research_succeeded
       << ",\"research_failed\":" << c.research_failed
-      << ",\"baseline_resets\":" << c.baseline_resets;
+      << ",\"baseline_resets\":" << c.baseline_resets
+      << ",\"stream_stale_batches\":" << c.stale_batches;
   return out.str();
 }
 

@@ -11,7 +11,10 @@
 /// on a low-priority thread and hot-swaps the winner. A swap (observed
 /// as a predictor identity change) rebuilds the monitor around the new
 /// baseline and resets the window, so the new artifact is judged only
-/// against its own export stats.
+/// against its own export stats. A batch scored by a predictor that is no
+/// longer live (acquired before a swap, observed after it) is counted and
+/// dropped: it would feed the old baseline's window and could trigger a
+/// second re-search for drift the swap already answered.
 
 #include <cstdint>
 #include <memory>
@@ -50,6 +53,9 @@ struct StreamCounters {
   long research_succeeded = 0;
   long research_failed = 0;
   long baseline_resets = 0;    ///< monitor rebuilds after a swap.
+  /// Batches dropped because the predictor that scored them is no longer
+  /// the registry's live one.
+  long stale_batches = 0;
 };
 
 class StreamController : public ServeBatchObserver {

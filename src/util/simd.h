@@ -13,10 +13,14 @@
 ///     IEEE arithmetic.
 ///
 /// Exactness contract: every lane op here maps to a single IEEE-754
-/// correctly-rounded operation (add/sub/mul/div/sqrt/abs/compare/
+/// correctly-rounded operation (add/sub/mul/div/sqrt/abs/neg/compare/
 /// select; the compares Gt and Le are ordered, so a NaN lane compares
-/// false, as scalar > and <= do), so a vectorized elementwise loop is
-/// bit-identical to its scalar reference regardless of backend. No FMA
+/// false, as scalar > and <= do) or to exact integer work on the bits
+/// (Round, Pow2, Exponent, Mantissa), so a vectorized elementwise loop
+/// is bit-identical to its scalar reference regardless of backend. The
+/// 1-lane ScalarD is that reference: it exists in every build, is the
+/// VecD of the scalar backend, and util/simd_math.h runs its
+/// transcendentals on it for the scalar forms. No FMA
 /// is ever emitted (the build also passes -ffp-contract=off so the
 /// compiler cannot contract the scalar references either). The only
 /// helpers that reassociate — and are therefore tolerance-gated, not
@@ -26,8 +30,10 @@
 /// aligned (util/aligned.h) purely as a performance property.
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #if !defined(AUTOFP_DISABLE_SIMD) && defined(__AVX2__)
 #define AUTOFP_SIMD_AVX2 1
@@ -83,6 +89,63 @@ class ScopedForceScalar {
   bool previous_;
 };
 
+/// 0x1.8p52: adding it to an integral double |k| < 2^51 leaves k, offset
+/// by 2^51, in the low mantissa bits, which is how Pow2 reads k without a
+/// float-to-int conversion (AVX2 has no 64-bit one).
+inline constexpr double kIntegerMagic = 0x1.8p52;
+inline constexpr uint64_t kMantissaBits = 0x000FFFFFFFFFFFFFull;
+inline constexpr uint64_t kOneBits = 0x3FF0000000000000ull;  ///< 1.0
+
+/// One double "lane": the scalar backend's VecD, and in every build the
+/// reference form of each lane op below.
+struct ScalarD {
+  double v;
+  static constexpr size_t kLanes = 1;
+
+  static ScalarD Load(const double* p) { return {*p}; }
+  static ScalarD Set1(double x) { return {x}; }
+  static ScalarD Zero() { return {0.0}; }
+  void Store(double* p) const { *p = v; }
+
+  ScalarD operator+(ScalarD o) const { return {v + o.v}; }
+  ScalarD operator-(ScalarD o) const { return {v - o.v}; }
+  ScalarD operator*(ScalarD o) const { return {v * o.v}; }
+  ScalarD operator/(ScalarD o) const { return {v / o.v}; }
+  /// Flips the sign bit (so -(+0.0) is -0.0, unlike 0.0 - x).
+  ScalarD operator-() const { return {-v}; }
+
+  ScalarD Abs() const { return {std::fabs(v)}; }
+  ScalarD Sqrt() const { return {std::sqrt(v)}; }
+  /// Nearest integer, ties to even.
+  ScalarD Round() const { return {std::nearbyint(v)}; }
+  /// 2^k for an integral k in [-1022, 1023], assembled in the exponent
+  /// field.
+  static ScalarD Pow2(ScalarD k) {
+    const uint64_t bits = std::bit_cast<uint64_t>(k.v + kIntegerMagic);
+    return {std::bit_cast<double>((bits + 1023) << 52)};
+  }
+  /// The unbiased binary exponent of a positive normal value.
+  ScalarD Exponent() const {
+    const uint64_t field = std::bit_cast<uint64_t>(v) >> 52;
+    return {static_cast<double>(static_cast<int64_t>(field) - 1023)};
+  }
+  /// The significand of a positive normal value, in [1, 2).
+  ScalarD Mantissa() const {
+    return {std::bit_cast<double>(
+        (std::bit_cast<uint64_t>(v) & kMantissaBits) | kOneBits)};
+  }
+
+  /// Scalar "masks" are plain bools consumed by Select.
+  static bool Gt(ScalarD a, ScalarD b) { return a.v > b.v; }
+  static bool Le(ScalarD a, ScalarD b) { return a.v <= b.v; }
+  static ScalarD Select(bool mask, ScalarD a, ScalarD b) {
+    return mask ? a : b;
+  }
+
+  double Sum() const { return v; }
+  double Lane(size_t) const { return v; }
+};
+
 #if defined(AUTOFP_SIMD_AVX2)
 
 struct VecD {
@@ -99,10 +162,34 @@ struct VecD {
   VecD operator*(VecD o) const { return {_mm256_mul_pd(v, o.v)}; }
   VecD operator/(VecD o) const { return {_mm256_div_pd(v, o.v)}; }
 
+  VecD operator-() const { return {_mm256_xor_pd(v, _mm256_set1_pd(-0.0))}; }
+
   VecD Abs() const {
     return {_mm256_andnot_pd(_mm256_set1_pd(-0.0), v)};
   }
   VecD Sqrt() const { return {_mm256_sqrt_pd(v)}; }
+  VecD Round() const {
+    return {_mm256_round_pd(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC)};
+  }
+  static VecD Pow2(VecD k) {
+    const __m256i bits =
+        _mm256_castpd_si256(_mm256_add_pd(k.v, _mm256_set1_pd(kIntegerMagic)));
+    return {_mm256_castsi256_pd(_mm256_slli_epi64(
+        _mm256_add_epi64(bits, _mm256_set1_epi64x(1023)), 52))};
+  }
+  /// The exponent field, ORed under 2^52's bits, reads 2^52 + field.
+  VecD Exponent() const {
+    const __m256i field = _mm256_srli_epi64(_mm256_castpd_si256(v), 52);
+    const __m256d biased = _mm256_castsi256_pd(
+        _mm256_or_si256(field, _mm256_set1_epi64x(0x4330000000000000ll)));
+    return {_mm256_sub_pd(biased, _mm256_set1_pd(0x1p52 + 1023.0))};
+  }
+  VecD Mantissa() const {
+    const __m256i bits = _mm256_castpd_si256(v);
+    return {_mm256_castsi256_pd(_mm256_or_si256(
+        _mm256_and_si256(bits, _mm256_set1_epi64x(kMantissaBits)),
+        _mm256_set1_epi64x(kOneBits)))};
+  }
 
   /// Comparisons return an all-ones / all-zeros lane mask (as a VecD).
   static VecD Gt(VecD a, VecD b) {
@@ -149,8 +236,28 @@ struct VecD {
   VecD operator*(VecD o) const { return {vmulq_f64(v, o.v)}; }
   VecD operator/(VecD o) const { return {vdivq_f64(v, o.v)}; }
 
+  VecD operator-() const { return {vnegq_f64(v)}; }
+
   VecD Abs() const { return {vabsq_f64(v)}; }
   VecD Sqrt() const { return {vsqrtq_f64(v)}; }
+  VecD Round() const { return {vrndnq_f64(v)}; }
+  static VecD Pow2(VecD k) {
+    const int64x2_t bits =
+        vreinterpretq_s64_f64(vaddq_f64(k.v, vdupq_n_f64(kIntegerMagic)));
+    return {vreinterpretq_f64_s64(
+        vshlq_n_s64(vaddq_s64(bits, vdupq_n_s64(1023)), 52))};
+  }
+  VecD Exponent() const {
+    const int64x2_t field =
+        vreinterpretq_s64_u64(vshrq_n_u64(vreinterpretq_u64_f64(v), 52));
+    return {vcvtq_f64_s64(vsubq_s64(field, vdupq_n_s64(1023)))};
+  }
+  VecD Mantissa() const {
+    const uint64x2_t bits = vreinterpretq_u64_f64(v);
+    return {vreinterpretq_f64_u64(
+        vorrq_u64(vandq_u64(bits, vdupq_n_u64(kMantissaBits)),
+                  vdupq_n_u64(kOneBits)))};
+  }
 
   static VecD Gt(VecD a, VecD b) {
     return {vreinterpretq_f64_u64(vcgtq_f64(a.v, b.v))};
@@ -170,31 +277,7 @@ struct VecD {
 
 #else  // scalar fallback
 
-struct VecD {
-  double v;
-  static constexpr size_t kLanes = 1;
-
-  static VecD Load(const double* p) { return {*p}; }
-  static VecD Set1(double x) { return {x}; }
-  static VecD Zero() { return {0.0}; }
-  void Store(double* p) const { *p = v; }
-
-  VecD operator+(VecD o) const { return {v + o.v}; }
-  VecD operator-(VecD o) const { return {v - o.v}; }
-  VecD operator*(VecD o) const { return {v * o.v}; }
-  VecD operator/(VecD o) const { return {v / o.v}; }
-
-  VecD Abs() const { return {std::fabs(v)}; }
-  VecD Sqrt() const { return {std::sqrt(v)}; }
-
-  /// Scalar "masks" are plain bools consumed by Select.
-  static bool Gt(VecD a, VecD b) { return a.v > b.v; }
-  static bool Le(VecD a, VecD b) { return a.v <= b.v; }
-  static VecD Select(bool mask, VecD a, VecD b) { return mask ? a : b; }
-
-  double Sum() const { return v; }
-  double Lane(size_t) const { return v; }
-};
+using VecD = ScalarD;
 
 #endif
 

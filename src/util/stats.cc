@@ -1,7 +1,9 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "util/logging.h"
 
@@ -70,6 +72,61 @@ double QuantileSorted(const std::vector<double>& sorted_values, double q) {
   double fraction = position - static_cast<double>(lower);
   return sorted_values[lower] +
          fraction * (sorted_values[lower + 1] - sorted_values[lower]);
+}
+
+namespace {
+
+constexpr uint64_t kSignBit = 0x8000000000000000ull;
+
+/// Unsigned order of the key is the numeric order of the double: negative
+/// values flip every bit, the rest flip only the sign bit.
+uint64_t SortKey(double value) {
+  const uint64_t bits = std::bit_cast<uint64_t>(value);
+  return bits ^ ((0 - (bits >> 63)) | kSignBit);
+}
+
+double FromSortKey(uint64_t key) {
+  return std::bit_cast<double>(key & kSignBit ? key ^ kSignBit : ~key);
+}
+
+}  // namespace
+
+void RadixSort(std::vector<double>* values) {
+  constexpr int kDigitBits = 11;
+  constexpr size_t kBuckets = size_t{1} << kDigitBits;
+  constexpr int kPasses = 6;  // 66 bits cover the 64-bit key
+  const size_t n = values->size();
+  if (n < 2) return;
+  const auto digit = [](uint64_t key, int pass) {
+    return static_cast<size_t>(key >> (pass * kDigitBits)) & (kBuckets - 1);
+  };
+  std::vector<uint64_t> keys(n);
+  std::vector<uint64_t> scratch(n);
+  // Every pass's digit histogram, counted in one read of the keys.
+  std::vector<size_t> counts(kPasses * kBuckets, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = SortKey((*values)[i]);
+    keys[i] = key;
+    for (int pass = 0; pass < kPasses; ++pass) {
+      ++counts[pass * kBuckets + digit(key, pass)];
+    }
+  }
+  for (int pass = 0; pass < kPasses; ++pass) {
+    size_t* offsets = counts.data() + pass * kBuckets;
+    // One bucket holds every key: the pass would leave the order as is.
+    if (offsets[digit(keys[0], pass)] == n) continue;
+    size_t start = 0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const size_t count = offsets[b];
+      offsets[b] = start;
+      start += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      scratch[offsets[digit(keys[i], pass)]++] = keys[i];
+    }
+    keys.swap(scratch);
+  }
+  for (size_t i = 0; i < n; ++i) (*values)[i] = FromSortKey(keys[i]);
 }
 
 double Quantile(std::vector<double> values, double q) {

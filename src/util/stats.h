@@ -34,6 +34,13 @@ double Quantile(std::vector<double> values, double q);
 /// Same but assumes `sorted_values` is already ascending (no copy).
 double QuantileSorted(const std::vector<double>& sorted_values, double q);
 
+/// Sorts ascending with an LSD radix sort over order-preserving 64-bit
+/// keys (11-bit digits, 6 passes, a pass skipped when one digit holds
+/// every key). For non-NaN values it gives std::sort's order, with -0.0
+/// before +0.0, where std::sort leaves the two in unspecified order.
+/// NaNs go to the ends by their sign bit.
+void RadixSort(std::vector<double>* values);
+
 /// Shannon entropy (natural log) of a discrete distribution given by
 /// non-negative counts; matches scipy.stats.entropy on normalized counts.
 double Entropy(const std::vector<double>& counts);

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -125,21 +126,88 @@ TEST(Kernels, NormalizeRowsBitIdenticalAcrossPaths) {
 }
 
 TEST(Kernels, PowerTransformBitIdenticalAcrossPaths) {
+  // Rows run down each column in blocks of 256 lanes, so the row counts
+  // cover a short block, odd tails and a block boundary. Special values
+  // reach the clamp (+-1e300, +-inf), the NaN -> 0 rule and both sides of
+  // the sign Select (+-0); lambda exactly 0 and 2 take the log branches.
+  const double kSpecial[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             1e300,
+                             -1e300};
   Rng rng(5);
-  for (size_t cols : kWidths) {
-    const Matrix input = RandomMatrix(rng, kRows, cols);
-    std::vector<double> lambdas(cols), means(cols), stddevs(cols);
-    for (double& l : lambdas) l = rng.Uniform(-2.0, 3.0);
-    for (double& m : means) m = rng.Uniform(-1.0, 1.0);
-    for (double& s : stddevs) s = rng.Uniform(0.5, 2.0);
-    for (bool standardize : {false, true}) {
-      CheckAllPaths(
-          input,
-          [&](Matrix& m) {
-            kernels::PowerTransformColumns(m, lambdas, means, stddevs,
-                                           standardize);
-          },
-          "power_transform");
+  for (size_t rows : {size_t{1}, size_t{3}, kRows, size_t{257}}) {
+    for (size_t cols : kWidths) {
+      Matrix input = RandomMatrix(rng, rows, cols);
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t c = 0; c < cols; ++c) {
+          if (rng.UniformInt(0, 7) == 0) {
+            input(r, c) = kSpecial[rng.UniformInt(0, 6)];
+          }
+        }
+      }
+      std::vector<double> lambdas(cols), means(cols), stddevs(cols);
+      for (double& l : lambdas) l = rng.Uniform(-2.0, 3.0);
+      lambdas[0] = 0.0;
+      if (cols > 1) lambdas[1] = 2.0;
+      for (double& m : means) m = rng.Uniform(-1.0, 1.0);
+      for (double& s : stddevs) s = rng.Uniform(0.5, 2.0);
+      for (bool standardize : {false, true}) {
+        CheckAllPaths(
+            input,
+            [&](Matrix& m) {
+              kernels::PowerTransformColumns(m, lambdas, means, stddevs,
+                                             standardize);
+            },
+            "power_transform");
+      }
+    }
+  }
+}
+
+TEST(Kernels, YeoJohnsonTrialBitIdenticalAcrossPaths) {
+  // One likelihood trial of the Power fit: Log1pAbs down a column, then
+  // YeoJohnson at one lambda, including the log branches' unclamped
+  // +-log1p(|x|) and lambdas just inside and outside their 1e-8 window.
+  const double kSpecial[] = {0.0, -0.0, std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), 1e300,
+                             -1e300};
+  const double kLambdas[] = {0.0,         2.0,   5e-9, -5e-9, 2.0 - 5e-9,
+                             2.0 + 2e-8, 2e-8, -4.0, 6.0,  0.37};
+  Rng rng(12);
+  for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{5}, size_t{7},
+                   size_t{8}, size_t{9}, size_t{257}}) {
+    std::vector<double> x(n);
+    for (double& v : x) {
+      v = rng.UniformInt(0, 5) == 0 ? kSpecial[rng.UniformInt(0, 5)]
+                                    : rng.Uniform(-20.0, 20.0);
+    }
+    std::vector<double> ref_logs(n), logs(n);
+    {
+      simd::ScopedForceScalar forced(true);
+      kernels::Log1pAbs(x.data(), n, ref_logs.data());
+    }
+    kernels::Log1pAbs(x.data(), n, logs.data());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(BitEqual(logs[i], ref_logs[i])) << "log1p_abs " << x[i];
+      ASSERT_TRUE(BitEqual(logs[i], kernels::Log1pAbs(x[i])));
+    }
+    for (double lambda : kLambdas) {
+      std::vector<double> reference(n), actual(n);
+      {
+        simd::ScopedForceScalar forced(true);
+        kernels::YeoJohnson(x.data(), logs.data(), n, lambda,
+                            reference.data());
+      }
+      kernels::YeoJohnson(x.data(), logs.data(), n, lambda, actual.data());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(BitEqual(actual[i], reference[i]))
+            << "x " << x[i] << " lambda " << lambda;
+        ASSERT_TRUE(BitEqual(
+            reference[i], kernels::YeoJohnsonFromLog(x[i], logs[i], lambda)));
+      }
     }
   }
 }

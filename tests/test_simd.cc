@@ -1,4 +1,5 @@
 #include "util/simd.h"
+#include "util/simd_math.h"
 
 #include <algorithm>
 #include <bit>
@@ -235,6 +236,193 @@ TEST(Simd, ForceScalarFlagIsScopedAndRestored) {
     EXPECT_TRUE(simd::ForceScalarEnabled());
   }
   EXPECT_EQ(simd::ForceScalarEnabled(), initial);
+}
+
+TEST(Simd, BitOpsMatchTheirScalarTwins) {
+  // Round, Pow2, Exponent, Mantissa and unary minus on every lane against
+  // the 1-lane ScalarD, and ScalarD against the standard library.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> rounds = {0.5, 1.5, 2.5,  -0.5,   -2.5, 0.49999,
+                                      -0.0, 0.0, 1e300, -7.25, nan, 1023.5};
+  const std::vector<double> positives = {1.0,    0.75,   1.4142, 3.0e-300,
+                                         2.3e-308, 1.797e308, 12345.678, 0.1};
+  for (size_t start = 0; start < rounds.size(); ++start) {
+    double a[VecD::kLanes];
+    double k[VecD::kLanes];
+    double p[VecD::kLanes];
+    for (size_t i = 0; i < VecD::kLanes; ++i) {
+      a[i] = rounds[(start + i) % rounds.size()];
+      k[i] = static_cast<double>(
+          -1022 + static_cast<int>((start * 173 + i * 97) % 2046));
+      p[i] = positives[(start + i) % positives.size()];
+    }
+    const VecD va = VecD::Load(a);
+    const VecD vk = VecD::Load(k);
+    const VecD vp = VecD::Load(p);
+    for (size_t i = 0; i < VecD::kLanes; ++i) {
+      const simd::ScalarD sa{a[i]};
+      EXPECT_TRUE(BitEqual(va.Round().Lane(i), sa.Round().v));
+      EXPECT_TRUE(BitEqual(sa.Round().v, std::nearbyint(a[i])));
+      EXPECT_TRUE(BitEqual((-va).Lane(i), (-sa).v));
+      EXPECT_TRUE(BitEqual((-sa).v, -a[i]));
+      const simd::ScalarD sk{k[i]};
+      EXPECT_TRUE(BitEqual(VecD::Pow2(vk).Lane(i), simd::ScalarD::Pow2(sk).v));
+      EXPECT_EQ(simd::ScalarD::Pow2(sk).v,
+                std::ldexp(1.0, static_cast<int>(k[i])));
+      const simd::ScalarD sp{p[i]};
+      EXPECT_TRUE(BitEqual(vp.Exponent().Lane(i), sp.Exponent().v));
+      EXPECT_TRUE(BitEqual(vp.Mantissa().Lane(i), sp.Mantissa().v));
+      int exponent = 0;
+      const double fraction = std::frexp(p[i], &exponent);
+      EXPECT_EQ(sp.Exponent().v, exponent - 1);
+      EXPECT_EQ(sp.Mantissa().v, 2.0 * fraction);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Transcendentals (util/simd_math.h).
+
+/// |got - exact| in ulps of the exact value rounded to double.
+double UlpError(double got, long double exact) {
+  const double rounded = static_cast<double>(exact);
+  if (std::isinf(rounded) || rounded == 0.0) {
+    return got == rounded ? 0.0 : std::numeric_limits<double>::infinity();
+  }
+  int exponent = 0;
+  std::frexp(rounded, &exponent);
+  const long double ulp =
+      std::ldexp(1.0L, std::max(exponent - 53, -1074));
+  return static_cast<double>(
+      std::fabs(static_cast<long double>(got) - exact) / ulp);
+}
+
+/// Arguments over both functions' domains: log-uniform magnitudes of both
+/// signs from 2^-60 to 2^1023, uniform draws over each reduction interval
+/// and its neighbours, and uniform draws up to the overflow edge.
+std::vector<double> TranscendentalArguments(Rng& rng, size_t n) {
+  std::vector<double> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    switch (i % 4) {
+      case 0: {
+        const double magnitude =
+            std::ldexp(rng.Uniform(1.0, 2.0), rng.UniformInt(-60, 1022));
+        out[i] = rng.UniformInt(0, 1) == 0 ? magnitude : -magnitude;
+        break;
+      }
+      case 1: out[i] = rng.Uniform(-1.5, 1.5); break;
+      case 2: out[i] = rng.Uniform(-3.0, 3.0); break;
+      default: out[i] = rng.Uniform(-745.0, 710.0); break;
+    }
+  }
+  return out;
+}
+
+TEST(SimdMath, Expm1AndLog1pWithinTwoUlpOfLongDouble) {
+  Rng rng(2024);
+  double worst_expm1 = 0.0;
+  double worst_log1p = 0.0;
+  for (double x : TranscendentalArguments(rng, 200000)) {
+    const double e = UlpError(simd::Expm1(x),
+                              std::expm1(static_cast<long double>(x)));
+    worst_expm1 = std::max(worst_expm1, e);
+    ASSERT_LE(e, 2.0) << "Expm1(" << std::hexfloat << x << ")";
+    if (x > -1.0) {
+      const double l = UlpError(simd::Log1p(x),
+                                std::log1p(static_cast<long double>(x)));
+      worst_log1p = std::max(worst_log1p, l);
+      ASSERT_LE(l, 2.0) << "Log1p(" << std::hexfloat << x << ")";
+    }
+  }
+  RecordProperty("worst_expm1_ulp", std::to_string(worst_expm1));
+  RecordProperty("worst_log1p_ulp", std::to_string(worst_log1p));
+}
+
+TEST(SimdMath, Expm1AndLog1pStayAccurateNearZero) {
+  // exp(x) - 1 and log(1 + x) lose every bit the rounding of e^x or 1 + x
+  // drops; near 0 that is most of them, far past 2 ulp.
+  for (int k = 1; k <= 60; ++k) {
+    for (double x : {std::ldexp(1.0, -k), -std::ldexp(1.0, -k),
+                     std::ldexp(1.37, -k), -std::ldexp(1.37, -k)}) {
+      const long double lx = x;
+      EXPECT_LE(UlpError(simd::Expm1(x), std::expm1(lx)), 2.0) << x;
+      EXPECT_LE(UlpError(simd::Log1p(x), std::log1p(lx)), 2.0) << x;
+    }
+  }
+  const double x = 1e-10;
+  EXPECT_GT(UlpError(std::exp(x) - 1.0, std::expm1(1e-10L)), 1000.0);
+  EXPECT_GT(UlpError(std::log(1.0 + x), std::log1p(1e-10L)), 1000.0);
+}
+
+TEST(SimdMath, Expm1AndLog1pSpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denormal = std::numeric_limits<double>::denorm_min();
+  // +-0 keep their sign; denormals and tiny values return themselves.
+  for (double x : {0.0, -0.0, denormal, -denormal, 1e-310, -1e-310,
+                   std::ldexp(1.0, -55), -std::ldexp(1.0, -55)}) {
+    EXPECT_TRUE(BitEqual(simd::Expm1(x), x)) << x;
+    EXPECT_TRUE(BitEqual(simd::Log1p(x), x)) << x;
+  }
+  EXPECT_EQ(simd::Expm1(inf), inf);
+  EXPECT_EQ(simd::Expm1(-inf), -1.0);
+  EXPECT_TRUE(std::isnan(simd::Expm1(nan)));
+  EXPECT_EQ(simd::Log1p(inf), inf);
+  EXPECT_TRUE(std::isnan(simd::Log1p(-inf)));
+  EXPECT_TRUE(std::isnan(simd::Log1p(nan)));
+  EXPECT_EQ(simd::Log1p(-1.0), -inf);
+  EXPECT_TRUE(std::isnan(simd::Log1p(std::nextafter(-1.0, -2.0))));
+  EXPECT_TRUE(std::isnan(simd::Log1p(-2.0)));
+  // Overflow edge: the last finite expm1 and the first infinite one.
+  const double edge = 0x1.62e42fefa39efp+9;  // ~709.7827, e^edge < DBL_MAX
+  EXPECT_TRUE(std::isfinite(simd::Expm1(edge)));
+  EXPECT_LE(UlpError(simd::Expm1(edge), std::expm1(static_cast<long double>(
+                                            edge))),
+            2.0);
+  EXPECT_EQ(simd::Expm1(std::nextafter(edge, inf)), inf);
+  EXPECT_EQ(simd::Expm1(1e300), inf);
+  // Underflow edge: e^x drops below half an ulp of 1 near x = -37.43.
+  EXPECT_EQ(simd::Expm1(-38.0), -1.0);
+  EXPECT_EQ(simd::Expm1(-1e300), -1.0);
+  EXPECT_GT(simd::Expm1(-37.0), -1.0);
+  // The extremes of Log1p's domain.
+  const double near_minus_one = std::nextafter(-1.0, 0.0);
+  EXPECT_LE(UlpError(simd::Log1p(near_minus_one),
+                     std::log1p(static_cast<long double>(near_minus_one))),
+            2.0);
+  const double max = std::numeric_limits<double>::max();
+  EXPECT_LE(UlpError(simd::Log1p(max),
+                     std::log1p(static_cast<long double>(max))),
+            2.0);
+}
+
+TEST(SimdMath, EveryLaneEqualsTheScalarForm) {
+  // Special values and random arguments, rotated over the lanes so every
+  // value passes through every lane.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(77);
+  std::vector<double> values = {0.0,  -0.0, 1e-310, -1e-310, inf,  -inf,
+                                nan,  -nan, -1.0,   -2.0,    710.0, 709.8,
+                                -40.0, -745.0, 1e300, -1e300, 0.34657,
+                                -0.34657, 1.0397, -1.0397, 0.41421, -0.29289};
+  const std::vector<double> random = TranscendentalArguments(rng, 4001);
+  values.insert(values.end(), random.begin(), random.end());
+  for (size_t start = 0; start < values.size(); ++start) {
+    double lanes[VecD::kLanes];
+    for (size_t i = 0; i < VecD::kLanes; ++i) {
+      lanes[i] = values[(start + i) % values.size()];
+    }
+    const VecD v = VecD::Load(lanes);
+    const VecD e = simd::Expm1(v);
+    const VecD l = simd::Log1p(v);
+    for (size_t i = 0; i < VecD::kLanes; ++i) {
+      ASSERT_TRUE(BitEqual(e.Lane(i), simd::Expm1(lanes[i])))
+          << "Expm1 lane " << i << " of " << lanes[i];
+      ASSERT_TRUE(BitEqual(l.Lane(i), simd::Log1p(lanes[i])))
+          << "Log1p lane " << i << " of " << lanes[i];
+    }
+  }
 }
 
 }  // namespace

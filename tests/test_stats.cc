@@ -1,8 +1,15 @@
 #include "util/stats.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/random.h"
 
 namespace autofp {
 namespace {
@@ -106,6 +113,42 @@ TEST_P(QuantileSweep, SortedAndUnsortedAgree) {
 INSTANTIATE_TEST_SUITE_P(Quantiles, QuantileSweep,
                          ::testing::Values(0.0, 0.1, 0.25, 0.5, 0.66, 0.9,
                                            1.0));
+
+TEST(Stats, RadixSortMatchesStdSort) {
+  // Ties, signed zeros, denormals, infinities and magnitudes that share
+  // every high digit (so passes are skipped), at sizes around the edges.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double kSpecial[] = {0.0,  -0.0, 5e-324, -5e-324, inf,
+                             -inf, 1e300, -1e300, 1.0,    -1.0};
+  Rng rng(31);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{17},
+                   size_t{2048}, size_t{5000}}) {
+    for (int kind = 0; kind < 3; ++kind) {
+      std::vector<double> values(n);
+      for (double& v : values) {
+        switch (kind) {
+          case 0: v = rng.Gaussian(0.0, 10.0); break;
+          case 1: v = rng.Uniform(1.0, 1.0 + 1e-9); break;
+          default:
+            v = rng.UniformInt(0, 2) == 0 ? kSpecial[rng.UniformInt(0, 9)]
+                                          : std::round(rng.Uniform(-3, 3));
+        }
+      }
+      std::vector<double> expected = values;
+      std::sort(expected.begin(), expected.end());
+      RadixSort(&values);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(values[i], expected[i]) << "n " << n << " at " << i;
+        // Equal keys are equal bits, so -0.0 comes before every +0.0.
+        if (i > 0 && values[i] == 0.0) {
+          EXPECT_FALSE(!std::signbit(values[i - 1]) &&
+                       std::signbit(values[i]))
+              << "+0.0 before -0.0 at " << i;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace autofp

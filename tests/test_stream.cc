@@ -5,7 +5,8 @@
 /// loop, byte for byte; the drift monitor, including a batch that spans
 /// several windows and the zero-variance-column regression (a constant
 /// reference column must be a typed skip, never a division by zero); and
-/// the reservoir sampler.
+/// the reservoir sampler; and the controller's rule that a batch scored
+/// by a predictor the registry no longer serves is dropped.
 
 #include <algorithm>
 #include <cmath>
@@ -17,7 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include "data/benchmark_suite.h"
 #include "serve/artifact.h"
+#include "serve/registry.h"
+#include "stream/controller.h"
 #include "stream/drift.h"
 #include "stream/reservoir.h"
 #include "util/random.h"
@@ -379,6 +383,79 @@ TEST(ReservoirSampler, DeterministicForSeed) {
   EXPECT_TRUE(a.features == b.features);
   EXPECT_EQ(a.labels, b.labels);
   EXPECT_FALSE(a.features == c.features);
+}
+
+// ---------------------------------------------------------------------------
+// Stream controller.
+
+TEST(StreamController, BatchScoredByASwappedOutPredictorIsDropped) {
+  // A batch acquires its predictor before a re-search swaps a new one in
+  // and is observed after: it must not feed the old baseline's window,
+  // where it could trigger a second re-search.
+  Result<Dataset> data = GetSuiteDataset("blood_syn");
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const ModelConfig model =
+      ModelConfig::Defaults(ModelKind::kLogisticRegression);
+  const std::string baseline = ::testing::TempDir() + "/stale_base.afpa";
+  ASSERT_TRUE(ExportArtifact(baseline, data.value(),
+                             PipelineSpec::FromKinds(
+                                 {PreprocessorKind::kStandardScaler}),
+                             model)
+                  .ok());
+  ArtifactRegistry registry;
+  ASSERT_TRUE(registry.Swap(baseline).ok());
+
+  StreamConfig config;
+  config.drift.window_rows = 64;
+  config.drift.threshold = 0.5;
+  config.drift.min_columns = 1;
+  config.reservoir_rows = 256;
+  config.research.candidate_path =
+      ::testing::TempDir() + "/stale_candidate.afpa";
+  config.research.min_rows = 32;
+  StreamController controller(&registry, config);
+  int searches = 0;
+  controller.researcher().set_search_export_fn(
+      [&](const Dataset& snapshot, const std::string& path) {
+        ++searches;
+        return ExportArtifact(path, snapshot,
+                              PipelineSpec::FromKinds(
+                                  {PreprocessorKind::kMinMaxScaler}),
+                              model)
+            .status();
+      });
+
+  // One far-drifted window: every column shifted by 500.
+  Matrix drifted(64, data.value().num_cols());
+  for (size_t r = 0; r < drifted.rows(); ++r) {
+    for (size_t c = 0; c < drifted.cols(); ++c) {
+      drifted(r, c) = data.value().features(r, c) + 500.0;
+    }
+  }
+  const std::vector<int> predictions(drifted.rows(), 0);
+
+  const std::shared_ptr<const Predictor> old = registry.Acquire();
+  controller.OnBatchScored(drifted, predictions, *old);
+  controller.WaitForResearch();
+  ASSERT_EQ(registry.Info().generation, 2);
+  ASSERT_NE(registry.Acquire().get(), old.get());
+  const StreamCounters before = controller.counters();
+  EXPECT_EQ(before.windows_compared, 1);
+  EXPECT_EQ(before.drift_triggers, 1);
+  EXPECT_EQ(before.research_started, 1);
+
+  // The same window again, scored by the predictor the swap replaced.
+  controller.OnBatchScored(drifted, predictions, *old);
+  controller.WaitForResearch();
+  const StreamCounters after = controller.counters();
+  EXPECT_EQ(after.stale_batches, 1);
+  EXPECT_EQ(after.rows_observed, before.rows_observed);
+  EXPECT_EQ(after.windows_compared, 1);
+  EXPECT_EQ(after.drift_triggers, 1);
+  EXPECT_EQ(after.research_started, 1);
+  EXPECT_EQ(after.baseline_resets, 0);
+  EXPECT_EQ(searches, 1);
+  EXPECT_EQ(registry.Info().generation, 2);
 }
 
 }  // namespace
