@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# One-shot CI entry point, six legs: the tier-1 build (warnings are
+# One-shot CI entry point, five legs: the tier-1 build (warnings are
 # errors) + ctest (which also runs the exactness oracle,
 # tests/test_exactness.cc, and the shell
 # harnesses tools/CMakeLists.txt registers: serve round trip, network
-# serving, drift loop and the dist chaos matrix), the ThreadSanitizer
-# concurrency suites, the AddressSanitizer data-plane suites, the
-# UndefinedBehaviorSanitizer kernel-layer suites, a quick dist chaos
-# pass on the TSan build, and a quick pass of the end-to-end benchmark
-# (bench/e2e, its own CMake project that tier-1 never builds).
+# serving, drift loop and the dist chaos matrix), the whole suite under
+# ThreadSanitizer, the whole suite under AddressSanitizer +
+# UndefinedBehaviorSanitizer, a quick dist chaos pass on the TSan build,
+# and a quick pass of the end-to-end benchmark (bench/e2e, its own CMake
+# project that tier-1 never builds).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -23,14 +23,11 @@ cmake -B "${repo_root}/build" -S "${repo_root}" \
 cmake --build "${repo_root}/build" -j "$(nproc)"
 (cd "${repo_root}/build" && ctest --output-on-failure -j)
 
-echo "=== tsan: concurrency suites ==="
+echo "=== tsan: whole suite ==="
 "${repo_root}/scripts/check_tsan.sh"
 
-echo "=== asan: data-plane suites ==="
+echo "=== asan + ubsan: whole suite ==="
 "${repo_root}/scripts/check_asan.sh"
-
-echo "=== ubsan: kernel-layer suites ==="
-"${repo_root}/scripts/check_ubsan.sh"
 
 echo "=== dist: chaos quick pass under the TSan build ==="
 "${repo_root}/scripts/check_dist.sh" \

@@ -48,7 +48,11 @@ constexpr size_t kPowerBlockRows = 256;
 double CdfScalar(double value, const double* refs, size_t n, double denom) {
   if (value <= refs[0]) return 0.0;
   if (value >= refs[n - 1]) return 1.0;
-  const size_t hi = simd::UpperBoundIndex(refs, n, value);
+  // Past both guards the index lies in [1, n - 1], unless the value or
+  // the table is NaN: then it may be 0 or n, and the clamp keeps the
+  // reads inside the table.
+  const size_t hi =
+      std::clamp<size_t>(simd::UpperBoundIndex(refs, n, value), 1, n - 1);
   const size_t lo = hi - 1;
   const double gap = refs[hi] - refs[lo];
   const double fraction = gap > 0.0 ? (value - refs[lo]) / gap : 0.0;

@@ -11,7 +11,6 @@
 /// reference; there is no drain barrier and no torn state by
 /// construction.
 
-#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -54,10 +53,6 @@ class ArtifactRegistry {
   std::shared_ptr<const Predictor> Acquire() const;
 
   RegistryInfo Info() const;
-
-  /// Pool threads of every predictor this registry loads: the
-  /// `Predictor::num_threads()` of whatever Acquire() returns.
-  int num_threads() const { return std::max(options_.num_threads, 1); }
 
  private:
   const Predictor::Options options_;

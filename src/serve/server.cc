@@ -538,10 +538,6 @@ void ServeSocketServer::DrainOutgoing() {
 // --- Batch thread -----------------------------------------------------------
 
 void ServeSocketServer::BatchLoop() {
-  // Rows that give every scoring thread a full shard. Every predictor the
-  // registry loads has its thread count, so the bound holds across swaps.
-  const size_t full_rows = std::max<size_t>(options_.shard_rows, 1) *
-                           static_cast<size_t>(registry_->num_threads());
   for (;;) {
     std::vector<Pending> batch;
     {
@@ -563,35 +559,23 @@ void ServeSocketServer::BatchLoop() {
         continue;
       }
 
-      // Micro-batch window: take further same-width predicts off the
-      // front until the row bound fills, waiting at most max_delay_us
-      // for stragglers once one request is in hand. The wait ends early
-      // once every thread has a full shard: past that point it only
-      // delays.
+      // Group commit: take every same-width predict already queued behind
+      // the first, up to the row bound, and never wait for more. Under
+      // load requests pile up while a batch scores, so batches form
+      // without a timer.
       size_t batch_rows = first.rows;
       const size_t cols = first.request.rows.cols();
       batch.push_back(std::move(first));
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(options_.max_delay_us);
-      while (batch_rows < options_.max_batch_rows) {
-        if (!pending_.empty()) {
-          Pending& front = pending_.front();
-          if (front.resolved || !IsPredictType(front.request.type) ||
-              front.request.rows.cols() != cols) {
-            break;
-          }
-          batch_rows += front.rows;
-          pending_rows_ -= front.rows;
-          batch.push_back(std::move(front));
-          pending_.pop_front();
-          continue;
-        }
-        if (stop_.load()) break;  // draining: don't wait for stragglers
-        if (batch_rows >= full_rows) break;
-        if (work_available_.wait_until(lock, deadline) ==
-            std::cv_status::timeout) {
+      while (batch_rows < options_.max_batch_rows && !pending_.empty()) {
+        Pending& front = pending_.front();
+        if (front.resolved || !IsPredictType(front.request.type) ||
+            front.request.rows.cols() != cols) {
           break;
         }
+        batch_rows += front.rows;
+        pending_rows_ -= front.rows;
+        batch.push_back(std::move(front));
+        pending_.pop_front();
       }
     }
     ExecuteBatch(std::move(batch));

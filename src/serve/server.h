@@ -8,13 +8,14 @@
 ///                 every connection; decodes frames
 ///                 (serve/protocol.h), applies admission control, and
 ///                 flushes response bytes. Never blocks on scoring.
-///   batch thread  pops parsed requests FIFO, coalesces pending predict
-///                 requests into one matrix (bounded by max_batch_rows,
-///                 waiting at most max_delay_us for stragglers, and not
-///                 at all once every pool worker has a full shard),
+///   batch thread  pops parsed requests FIFO and group-commits: the
+///                 first predict plus every same-width predict already
+///                 queued behind it (bounded by max_batch_rows) form one
+///                 matrix, with no wait for requests not yet queued. It
 ///                 scores the whole micro-batch with ONE Acquire()'d
 ///                 predictor through PredictSharded, and splits the
-///                 answers back per request.
+///                 answers back per request. Under load requests queue
+///                 while a batch scores, so batches grow without a timer.
 ///
 /// Because every response in a micro-batch comes from exactly one
 /// registry acquisition, a SWAP landing under live traffic can only
@@ -62,13 +63,10 @@ struct ServerOptions {
   /// port() after Start()).
   std::string host = "127.0.0.1";
   int port = 0;
-  /// Micro-batcher: coalesce pending predict requests up to this many
-  /// rows per PredictSharded call...
+  /// Micro-batcher: coalesce the predict requests already queued when
+  /// the batch thread wakes, up to this many rows per PredictSharded
+  /// call. It never waits for more.
   size_t max_batch_rows = 2048;
-  /// ...waiting at most this long for more requests once one is pending,
-  /// and not at all once the batch holds shard_rows rows for every
-  /// scoring thread. 0 scores whatever is queued immediately.
-  long max_delay_us = 200;
   /// Admission control: when the pending-row queue already holds this
   /// many rows, further predict requests get a BUSY response. A single
   /// request larger than the bound is always shed.

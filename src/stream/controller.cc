@@ -77,7 +77,7 @@ void StreamController::OnBatchScored(const Matrix& rows,
   }
   // Hand off outside the lock: TriggerAsync may join a finished worker.
   // The researcher counts the trigger as accepted or dropped.
-  if (trigger) researcher_.TriggerAsync(std::move(snapshot));
+  if (trigger) researcher_.TriggerAsync(std::move(snapshot), predictor);
 }
 
 StreamCounters StreamController::counters() const {

@@ -59,12 +59,25 @@ void BackgroundResearcher::set_search_export_fn(SearchExportFn fn) {
   search_export_fn_ = std::move(fn);
 }
 
-bool BackgroundResearcher::TriggerAsync(Dataset snapshot) {
+bool BackgroundResearcher::TriggerAsync(Dataset snapshot,
+                                        const Predictor& scored_by) {
   bool expected = false;
   if (!busy_.compare_exchange_strong(expected, true,
                                      std::memory_order_acq_rel)) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++counters_.triggers_dropped;
+    return false;
+  }
+  // A run publishes its swap before it clears busy_, so once the exchange
+  // above succeeds, a swap by the previous run is visible here. A window
+  // compared against the replaced baseline must not start another run.
+  if (registry_->Acquire().get() != &scored_by) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++counters_.triggers_dropped;
+      busy_.store(false, std::memory_order_release);
+    }
+    idle_.notify_all();
     return false;
   }
   std::lock_guard<std::mutex> lock(mutex_);

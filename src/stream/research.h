@@ -59,7 +59,9 @@ class BackgroundResearcher {
 
   struct Counters {
     long triggers_accepted = 0;  ///< background runs started.
-    long triggers_dropped = 0;   ///< triggers refused because busy.
+    /// Triggers refused because a run was in flight, or because
+    /// `scored_by` no longer served when the trigger arrived.
+    long triggers_dropped = 0;
     long runs_succeeded = 0;     ///< search + export + swap all OK.
     long runs_failed = 0;        ///< any stage failed; old artifact kept.
   };
@@ -71,9 +73,11 @@ class BackgroundResearcher {
   BackgroundResearcher(const BackgroundResearcher&) = delete;
   BackgroundResearcher& operator=(const BackgroundResearcher&) = delete;
 
-  /// Starts a background run over `snapshot` unless one is in flight.
-  /// Returns true when the run was accepted.
-  bool TriggerAsync(Dataset snapshot);
+  /// Starts a background run over `snapshot` unless one is in flight or
+  /// the registry no longer serves `scored_by`, the predictor whose
+  /// baseline the triggering window was compared against. Returns true
+  /// when the run was accepted.
+  bool TriggerAsync(Dataset snapshot, const Predictor& scored_by);
 
   /// The synchronous run body (also what the background thread executes):
   /// search, export candidate, swap. Any non-OK return leaves the

@@ -70,8 +70,13 @@ double QuantileSorted(const std::vector<double>& sorted_values, double q) {
   size_t lower = static_cast<size_t>(position);
   if (lower + 1 >= sorted_values.size()) return sorted_values.back();
   double fraction = position - static_cast<double>(lower);
-  return sorted_values[lower] +
-         fraction * (sorted_values[lower + 1] - sorted_values[lower]);
+  const double a = sorted_values[lower];
+  const double b = sorted_values[lower + 1];
+  const double gap = b - a;
+  if (std::isfinite(gap)) return a + fraction * gap;
+  // b - a overflowed (a and b straddle zero past DBL_MAX / 2, or one is
+  // infinite). This form cannot overflow for finite a <= b.
+  return (1.0 - fraction) * a + fraction * b;
 }
 
 namespace {

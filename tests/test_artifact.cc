@@ -5,6 +5,7 @@
 /// sections) must surface as a typed ArtifactError, never a crash.
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -305,11 +306,12 @@ TEST(Artifact, ExportRefusesNonFinitePipelineOutput) {
 
 TEST(Artifact, ExportRefusesStateThatWouldNotLoad) {
   Dataset data = TestData();
-  // The two smallest values are -1e308 and +1e308, so the q=0 quantile
-  // interpolates 0 * inf = NaN, which QuantileTransformer::LoadState
+  // The two smallest values are -inf and +inf, so the q=0 quantile
+  // interpolates -inf + 0 * inf = NaN, which QuantileTransformer::LoadState
   // rejects; the transform output itself stays finite.
   for (size_t r = 0; r < data.features.rows(); ++r) {
-    data.features(r, 0) = r == 0 ? -1e308 : 1e308;
+    data.features(r, 0) = r == 0 ? -std::numeric_limits<double>::infinity()
+                                 : std::numeric_limits<double>::infinity();
   }
   for (const char* text :
        {"QuantileTransformer(output_distribution=uniform)",

@@ -1,6 +1,7 @@
 #include "preprocess/preprocessor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -455,6 +456,35 @@ TEST(FitInPool, HelpedFitsWriteThePlainFitsBytes) {
             << pinned.name << ", " << fits << " fits, fit " << i;
       }
     }
+  }
+}
+
+TEST(QuantileTransformer, ColumnSpanningTheDoubleRangeIsFiniteAndRepeatable) {
+  // b - a overflows between -1e308 and +1e308, so interpolating across
+  // them used to put NaN in the reference table, and the transform then
+  // read before the table's start.
+  Matrix data(64, 1);
+  for (size_t r = 0; r < data.rows(); ++r) {
+    data(r, 0) = r % 2 == 0 ? -1e308 : 1e308;
+  }
+  PreprocessorConfig uniform =
+      PreprocessorConfig::Defaults(PreprocessorKind::kQuantileTransformer);
+  PreprocessorConfig normal = uniform;
+  normal.output_distribution = OutputDistribution::kNormal;
+  for (const PreprocessorConfig& config : {uniform, normal}) {
+    Matrix first = MakePreprocessor(config)->FitTransform(data);
+    Matrix second = MakePreprocessor(config)->FitTransform(data);
+    for (size_t r = 0; r < data.rows(); ++r) {
+      ASSERT_TRUE(std::isfinite(first(r, 0))) << "row " << r;
+      EXPECT_EQ(std::bit_cast<uint64_t>(first(r, 0)),
+                std::bit_cast<uint64_t>(second(r, 0)))
+          << "row " << r;
+      EXPECT_EQ(first(r, 0), first(r % 2, 0)) << "row " << r;
+    }
+    EXPECT_LT(first(0, 0), first(1, 0));
+    // The table is finite and ordered, so it loads back.
+    std::istringstream state(FittedState(config, data));
+    EXPECT_TRUE(MakePreprocessor(config)->LoadState(state).ok());
   }
 }
 

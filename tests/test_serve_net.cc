@@ -1,16 +1,19 @@
 /// Tests of the network serving stack (src/serve/server.h and
 /// src/serve/registry.h): the hot-swap registry's publish semantics, the
 /// socket round trip's bit-identity with in-process PredictSharded,
-/// admission control, the micro-batch window, pipelined request/response
-/// ordering, an empty registry, and the headline concurrency property —
-/// a SWAP landing under live multi-connection load yields only
-/// whole-response old-artifact or new-artifact answers, never a torn mix.
+/// admission control, group-commit micro-batching, pipelined
+/// request/response ordering, an empty registry, and the headline
+/// concurrency property — a SWAP landing under live multi-connection load
+/// yields only whole-response old-artifact or new-artifact answers, never
+/// a torn mix.
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -307,73 +310,131 @@ TEST(ServeNet, PipelinedRequestsAnswerInOrder) {
   }
 }
 
-TEST(ServeNet, FullShardsCloseTheWindowAndSmallRequestsStillCoalesce) {
+/// Holds the batch thread inside the first micro-batch it scores until
+/// Release(), and records the row count of every scored micro-batch.
+class BatchGate : public ServeBatchObserver {
+ public:
+  void OnBatchScored(const Matrix& rows, const std::vector<int>&,
+                     const Predictor&) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    batch_rows_.push_back(rows.rows());
+    changed_.notify_all();
+    changed_.wait(lock, [this] { return released_; });
+  }
+  /// Blocks until the batch thread is held inside the first batch.
+  void AwaitHeld() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [this] { return !batch_rows_.empty(); });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    changed_.notify_all();
+  }
+  std::vector<size_t> batch_rows() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return batch_rows_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::condition_variable changed_;
+  std::vector<size_t> batch_rows_;
+  bool released_ = false;
+};
+
+TEST(ServeNet, GroupCommitCoalescesWhatQueuedWhileABatchScored) {
   Dataset data = TestData();
   const std::string path = ExportTestArtifact(
-      data, PreprocessorKind::kStandardScaler, "net_full_shards.afpa");
-  // A window far longer than the test may take: any answer well inside
-  // it shows that the batch thread did not wait the window out.
+      data, PreprocessorKind::kStandardScaler, "net_group_commit.afpa");
+  BatchGate gate;
   ServerOptions options;
-  options.max_delay_us = 2'000'000;
-  options.shard_rows = 256;
+  options.batch_observer = &gate;
   Predictor::Options predictor;
   predictor.num_threads = 2;
   TestServer harness(path, options, predictor);
-  EXPECT_EQ(harness.registry.num_threads(),
-            harness.registry.Acquire()->num_threads());
+  // Declared after the server, so it is destroyed first: a failed
+  // assertion never leaves Stop() joining a held batch thread.
+  struct ReleaseOnExit {
+    BatchGate* gate;
+    ~ReleaseOnExit() { gate->Release(); }
+  } release_on_exit{&gate};
   Predictor::LoadResult loaded = Predictor::Load(path, {});
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   BlockingFrameClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()).ok());
 
-  // One 512-row request fills a 256-row shard for both threads.
-  Matrix lone = ProbeRows(data, 512);
-  ASSERT_EQ(lone.rows(), 512u);
-  Result<std::vector<int>> want_lone = loaded.predictor().Predict(lone);
-  ASSERT_TRUE(want_lone.ok());
-  std::string request;
-  EncodePredictDense(lone, &request);
-  ServeResponse response;
-  auto start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(client.RoundTrip(request, &response).ok());
-  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
-  ASSERT_TRUE(response.ok()) << response.message;
-  EXPECT_EQ(response.predictions,
-            std::vector<int32_t>(want_lone.value().begin(),
-                                 want_lone.value().end()));
-  EXPECT_EQ(harness.server->counters().micro_batches, 1);
-
-  // 32 pipelined 16-row requests: each alone is far from a full shard,
-  // so the window keeps collecting them, and closes when the 512th row
-  // arrives. They are scored as one micro-batch.
+  // The first request, 32 that queue behind it, and a lone one.
   constexpr size_t kRequests = 32;
+  constexpr size_t kParts = kRequests + 2;
   constexpr size_t kRowsEach = 16;
+  const Matrix probe = ProbeRows(data, kParts * kRowsEach);
+  ASSERT_EQ(probe.rows(), kParts * kRowsEach);
   std::vector<Matrix> parts;
-  std::string burst;
-  for (size_t i = 0; i < kRequests; ++i) {
-    Matrix part(kRowsEach, lone.cols());
-    std::copy(lone.RowPtr(i * kRowsEach),
-              lone.RowPtr(i * kRowsEach) + kRowsEach * lone.cols(),
+  for (size_t i = 0; i < kParts; ++i) {
+    Matrix part(kRowsEach, probe.cols());
+    std::copy(probe.RowPtr(i * kRowsEach),
+              probe.RowPtr(i * kRowsEach) + kRowsEach * probe.cols(),
               part.RowPtr(0));
-    EncodePredictDense(part, &burst);
     parts.push_back(std::move(part));
   }
-  start = std::chrono::steady_clock::now();
+  // The first request is scored alone, and the gate holds the batch
+  // thread inside it.
+  std::string first;
+  EncodePredictDense(parts[0], &first);
+  ASSERT_TRUE(client.SendBytes(first).ok());
+  gate.AwaitHeld();
+
+  // 32 pipelined requests queue behind it. predict_requests counts a
+  // request once it is in the queue.
+  std::string burst;
+  for (size_t i = 1; i <= kRequests; ++i) {
+    EncodePredictDense(parts[i], &burst);
+  }
   ASSERT_TRUE(client.SendBytes(burst).ok());
-  for (const Matrix& part : parts) {
+  for (int i = 0; i < 1000 && harness.server->counters().predict_requests <
+                                  static_cast<long>(1 + kRequests);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(harness.server->counters().predict_requests,
+            static_cast<long>(1 + kRequests));
+  gate.Release();
+
+  // Every answer is the in-process one, in order.
+  for (size_t i = 0; i <= kRequests; ++i) {
     Frame frame;
     ASSERT_TRUE(client.RecvFrame(&frame).ok());
+    ServeResponse response;
     ASSERT_TRUE(DecodeResponseFrame(frame, &response));
     ASSERT_TRUE(response.ok()) << response.message;
-    Result<std::vector<int>> want = loaded.predictor().Predict(part);
+    Result<std::vector<int>> want = loaded.predictor().Predict(parts[i]);
     ASSERT_TRUE(want.ok());
     EXPECT_EQ(response.predictions,
-              std::vector<int32_t>(want.value().begin(), want.value().end()));
+              std::vector<int32_t>(want.value().begin(), want.value().end()))
+        << "request " << i;
   }
-  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
-  const ServerCounters counts = harness.server->counters();
-  EXPECT_EQ(counts.coalesced_requests, static_cast<long>(kRequests));
+  // The 32 that queued while the first scored form exactly one further
+  // micro-batch.
+  ServerCounters counts = harness.server->counters();
   EXPECT_EQ(counts.micro_batches, 2);
+  EXPECT_EQ(counts.coalesced_requests, static_cast<long>(kRequests));
+  EXPECT_EQ(gate.batch_rows(),
+            (std::vector<size_t>{kRowsEach, kRequests * kRowsEach}));
+
+  // A lone request is scored as its own batch: nothing waits for company.
+  std::string lone;
+  EncodePredictDense(parts.back(), &lone);
+  ServeResponse response;
+  ASSERT_TRUE(client.RoundTrip(lone, &response).ok());
+  ASSERT_TRUE(response.ok()) << response.message;
+  Result<std::vector<int>> want = loaded.predictor().Predict(parts.back());
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(response.predictions,
+            std::vector<int32_t>(want.value().begin(), want.value().end()));
+  counts = harness.server->counters();
+  EXPECT_EQ(counts.micro_batches, 3);
+  EXPECT_EQ(counts.coalesced_requests, static_cast<long>(kRequests));
 }
 
 TEST(ServeNet, OversizedRequestIsShedBusy) {
@@ -547,11 +608,7 @@ TEST(HotSwap, UnderConcurrentLoadResponsesAreNeverTorn) {
   const std::vector<int32_t> want_a = ReferencePredictions(path_a, probe);
   const std::vector<int32_t> want_b = ReferencePredictions(path_b, probe);
 
-  // Tight micro-batch delay so batches span several requests while the
-  // swaps land mid-stream.
-  ServerOptions options;
-  options.max_delay_us = 100;
-  TestServer harness(path_a, options);
+  TestServer harness(path_a);
   const int port = harness.server->port();
 
   constexpr int kWorkers = 4;

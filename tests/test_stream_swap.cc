@@ -6,6 +6,7 @@
 /// serving untouched, and a swap must rebuild the drift baseline around
 /// the new artifact's own reference stats.
 
+#include <atomic>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -282,6 +283,40 @@ TEST(StreamSwap, ResearcherRefusesTinySnapshots) {
   Status status = researcher.RunOnce(tiny);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(registry.Info().generation, 1);
+}
+
+TEST(StreamSwap, TriggerScoredByAReplacedPredictorStartsNoRun) {
+  // A window compared against a baseline that a swap already replaced
+  // must not start a run: the previous run may have swapped between the
+  // controller's staleness check and the trigger.
+  const std::string baseline = WriteTestArtifact("replaced_base.afpa",
+                                                 BaselineSpec());
+  ArtifactRegistry registry;
+  ASSERT_TRUE(registry.Swap(baseline).ok());
+  std::shared_ptr<const Predictor> replaced = registry.Acquire();
+  ASSERT_TRUE(registry.Reload().ok());
+
+  ResearchConfig config;
+  config.candidate_path = TempPath("replaced_candidate.afpa");
+  BackgroundResearcher researcher(&registry, config);
+  std::atomic<int> runs{0};
+  researcher.set_search_export_fn(
+      [&runs](const Dataset&, const std::string&) {
+        ++runs;
+        return Status::Internal("rigged: no candidate");
+      });
+
+  EXPECT_FALSE(researcher.TriggerAsync(TestData(), *replaced));
+  EXPECT_FALSE(researcher.busy());
+  EXPECT_EQ(researcher.counters().triggers_dropped, 1);
+  EXPECT_EQ(researcher.counters().triggers_accepted, 0);
+
+  // The live predictor's trigger still runs.
+  EXPECT_TRUE(researcher.TriggerAsync(TestData(), *registry.Acquire()));
+  researcher.WaitIdle();
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(researcher.counters().triggers_accepted, 1);
+  EXPECT_EQ(registry.Info().generation, 2);
 }
 
 TEST(StreamSwap, DefaultSearchBodyProducesServableArtifact) {

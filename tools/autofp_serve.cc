@@ -12,7 +12,7 @@
 ///                [--threads N] [--batch N] [--has-header]
 ///   autofp_serve listen --artifact FILE [--threads N] [--batch N]
 ///                [--host H] [--port P] [--max-batch-rows N]
-///                [--max-delay-us N] [--max-queue-rows N]
+///                [--max-queue-rows N]
 ///
 /// score: reads a numeric CSV and writes one prediction per input row.
 /// Rows may carry the training label as a trailing extra column (it is
@@ -80,7 +80,6 @@ struct Options {
   std::string host = "127.0.0.1";
   int port = 0;
   size_t max_batch_rows = 2048;
-  long max_delay_us = 200;
   size_t max_queue_rows = 1u << 16;
   // Streaming drift + background re-search (listen mode; enabled by
   // --candidate).
@@ -103,7 +102,7 @@ void PrintUsage() {
       "                    [--threads N] [--batch N] [--has-header]\n"
       "       autofp_serve listen --artifact FILE [--threads N] [--batch N]\n"
       "                    [--host H] [--port P] [--max-batch-rows N]\n"
-      "                    [--max-delay-us N] [--max-queue-rows N]\n"
+      "                    [--max-queue-rows N]\n"
       "  score: batch-score a CSV (one prediction per row; rows may carry\n"
       "         a trailing label column, which is ignored; malformed rows\n"
       "         are skipped and counted)\n"
@@ -117,7 +116,6 @@ void PrintUsage() {
       "  --host H           listen address (default 127.0.0.1)\n"
       "  --port P           listen port (default 0 = ephemeral)\n"
       "  --max-batch-rows N micro-batch row bound (default 2048)\n"
-      "  --max-delay-us N   micro-batch straggler wait (default 200)\n"
       "  --max-queue-rows N admission bound before BUSY (default 65536)\n"
       "  --candidate PATH   enable drift-triggered background re-search;\n"
       "                     candidate artifacts are exported to PATH and\n"
@@ -175,10 +173,6 @@ bool ParseArgs(int argc, char** argv, Options* options) {
     } else if (arg == "--max-batch-rows") {
       if (!cli::ParseSize(argc, argv, &i, "--max-batch-rows", 1,
                           &options->max_batch_rows))
-        return false;
-    } else if (arg == "--max-delay-us") {
-      if (!cli::ParseLong(argc, argv, &i, "--max-delay-us", 0,
-                          &options->max_delay_us))
         return false;
     } else if (arg == "--max-queue-rows") {
       if (!cli::ParseSize(argc, argv, &i, "--max-queue-rows", 1,
@@ -423,7 +417,6 @@ int RunListen(const Options& options) {
   server_options.host = options.host;
   server_options.port = options.port;
   server_options.max_batch_rows = options.max_batch_rows;
-  server_options.max_delay_us = options.max_delay_us;
   server_options.max_queue_rows = options.max_queue_rows;
   server_options.shard_rows = options.batch;
   server_options.batch_observer = stream.get();
