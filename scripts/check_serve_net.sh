@@ -117,6 +117,7 @@ rc=0
 wait "${server}" || rc=$?
 server=""
 [[ "${rc}" -eq 3 ]]
-grep -q "latency" "${workdir}/server.log"
+# The shutdown snapshot: one JSON line that carries the latency keys.
+grep '^stats: {' "${workdir}/server.log" | tail -n 1 | grep -q '"latency_batches":'
 
 echo "serve net check passed."

@@ -21,7 +21,7 @@ echo "=== tier-1: build + ctest ==="
 cmake -B "${repo_root}/build" -S "${repo_root}" \
   -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "${repo_root}/build" -j "$(nproc)"
-(cd "${repo_root}/build" && ctest --output-on-failure -j)
+(cd "${repo_root}/build" && ctest --output-on-failure -j "$(nproc)")
 
 echo "=== tsan: whole suite ==="
 "${repo_root}/scripts/check_tsan.sh"

@@ -158,8 +158,6 @@ class PipelineEvaluator : public EvaluatorInterface {
   /// attempt draws one decision from it, keyed by the request seed.
   /// Replaces any previous injector.
   void AttachFaultInjector(const FaultInjectorConfig& config);
-  /// The attached injector, or nullptr.
-  FaultInjector* fault_injector() { return fault_injector_.get(); }
 
   /// Attaches a prefix-transform cache: fitted-pipeline-prefix outputs are
   /// memoized so evaluating "A -> B -> C" after "A -> B" only fits C. The

@@ -96,13 +96,6 @@ class FaultInjector {
   /// the EvalRequest seed). Pure in the decision, counting in the stats.
   InjectionDecision DecisionFor(uint64_t stream);
 
-  /// Draws the decision for the next attempt of a sequential stream: the
-  /// decision for call index 0, 1, 2, ... in order.
-  InjectionDecision Next() {
-    return DecisionFor(static_cast<uint64_t>(
-        next_index_.fetch_add(1, std::memory_order_relaxed)));
-  }
-
   const FaultInjectorConfig& config() const { return config_; }
   long num_decisions() const {
     return num_decisions_.load(std::memory_order_relaxed);
@@ -116,7 +109,6 @@ class FaultInjector {
 
  private:
   FaultInjectorConfig config_;
-  std::atomic<long> next_index_{0};
   std::atomic<long> num_decisions_{0};
   std::atomic<long> num_injected_faults_{0};
   std::atomic<long> num_injected_slowdowns_{0};

@@ -8,11 +8,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "util/checksum.h"
+#include "util/csv.h"
 
 #ifndef MSG_NOSIGNAL
 #define MSG_NOSIGNAL 0
@@ -275,36 +277,6 @@ FrameDecoder::Outcome FrameDecoder::Next(Frame* frame, ServeError* error,
 
 // --- Payload parsing and execution ------------------------------------------
 
-bool ParseCsvRow(const std::string& line, std::vector<double>* cells,
-                 std::string* reason) {
-  cells->clear();
-  size_t start = 0;
-  while (true) {
-    size_t comma = line.find(',', start);
-    std::string cell = line.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    // Trim surrounding whitespace so "1.0, 2.0" parses.
-    size_t first = cell.find_first_not_of(" \t\r");
-    size_t last = cell.find_last_not_of(" \t\r");
-    if (first == std::string::npos) {
-      *reason = "empty cell";
-      return false;
-    }
-    cell = cell.substr(first, last - first + 1);
-    errno = 0;
-    char* end = nullptr;
-    double value = std::strtod(cell.c_str(), &end);
-    if (end != cell.c_str() + cell.size() || errno == ERANGE) {
-      *reason = "non-numeric cell '" + cell + "'";
-      return false;
-    }
-    cells->push_back(value);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return true;
-}
-
 bool ParseCsvRows(const std::string& text, Matrix* rows,
                   std::string* reason) {
   std::vector<std::vector<double>> parsed;
@@ -447,14 +419,15 @@ ServeResponse ExecutePredictRows(const Predictor& predictor,
   return response;
 }
 
-std::string FormatServeStats(const ServeStats& stats) {
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "batches=%ld\nrows=%ld\nrows_per_sec=%.0f\np50_ms=%.3f\n"
-                "p95_ms=%.3f\np99_ms=%.3f\n",
+std::string ServeStatsJson(const ServeStats& stats) {
+  char keys[256];
+  std::snprintf(keys, sizeof(keys),
+                "\"latency_batches\":%ld,\"latency_rows\":%ld,"
+                "\"rows_per_second\":%.1f,\"p50_ms\":%.3f,"
+                "\"p95_ms\":%.3f,\"p99_ms\":%.3f",
                 stats.batches, stats.rows, stats.rows_per_second,
                 stats.p50_ms, stats.p95_ms, stats.p99_ms);
-  return line;
+  return keys;
 }
 
 // --- Blocking client --------------------------------------------------------

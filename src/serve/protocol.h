@@ -50,7 +50,7 @@ enum class FrameType : uint8_t {
   kPredictions = 64,  ///< payload: u32 count | count * i32 class ids.
   kError = 65,        ///< payload: u16 ServeError code | detail text.
   kSwapped = 66,      ///< payload: human-readable swap summary.
-  kStatsReport = 67,  ///< payload: "key=value" lines.
+  kStatsReport = 67,  ///< payload: one flat JSON stats object.
   kPong = 68,         ///< empty payload.
 };
 
@@ -113,7 +113,7 @@ struct ServeResponse {
   FrameType type = FrameType::kPong;
   ServeError error = ServeError::kNone;  ///< kNone unless type == kError.
   std::vector<int32_t> predictions;  ///< kPredictions payload.
-  std::string message;  ///< error detail / swap summary / stats text.
+  std::string message;  ///< error detail / swap summary / stats JSON.
 
   bool ok() const { return error == ServeError::kNone; }
 
@@ -178,11 +178,6 @@ class FrameDecoder {
 
 // --- Payload parsing and execution (server and `score` surface) -------------
 
-/// Parses one CSV line into cells. Returns false (with a reason) on an
-/// empty or non-numeric cell.
-bool ParseCsvRow(const std::string& line, std::vector<double>* cells,
-                 std::string* reason);
-
 /// Parses newline-delimited CSV rows into a matrix. All rows must agree on
 /// width; blank lines are skipped. Returns false with a reason on any bad
 /// cell, ragged width, or zero data rows.
@@ -205,8 +200,10 @@ ServeError ParseRequestFrame(const Frame& frame, ServeRequest* request,
 ServeResponse ExecutePredictRows(const Predictor& predictor,
                                  const Matrix& rows, size_t shard_rows);
 
-/// "key=value" line block for a stats report.
-std::string FormatServeStats(const ServeStats& stats);
+/// The predictor's latency counters as flat JSON keys without braces
+/// ("latency_batches", "latency_rows", "rows_per_second", "p50_ms",
+/// "p95_ms", "p99_ms"): the latency part of a stats snapshot.
+std::string ServeStatsJson(const ServeStats& stats);
 
 // --- Blocking client --------------------------------------------------------
 

@@ -36,6 +36,25 @@ bool IsPredictType(FrameType type) {
   return type == FrameType::kPredictCsv || type == FrameType::kPredictDense;
 }
 
+/// `text` as a quoted JSON string.
+std::string JsonString(const std::string& text) {
+  std::string quoted = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      quoted += '\\';
+      quoted += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char escaped[8];
+      std::snprintf(escaped, sizeof(escaped), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      quoted += escaped;
+    } else {
+      quoted += c;
+    }
+  }
+  return quoted + "\"";
+}
+
 }  // namespace
 
 // --- Connection and queue item ----------------------------------------------
@@ -228,6 +247,36 @@ void ServeSocketServer::RequestReload() {
 ServerCounters ServeSocketServer::counters() const {
   std::lock_guard<std::mutex> lock(counters_mutex_);
   return counters_;
+}
+
+std::string ServeSocketServer::StatsJson() const {
+  const RegistryInfo info = registry_->Info();
+  const ServerCounters c = counters();
+  std::string json = "{\"generation\":" + std::to_string(info.generation) +
+                     ",\"artifact\":" + JsonString(info.path) +
+                     ",\"pipeline\":" + JsonString(info.pipeline) +
+                     ",\"model\":" + JsonString(info.model);
+  const std::pair<const char*, long> fields[] = {
+      {"connections_accepted", c.connections_accepted},
+      {"frames_received", c.frames_received},
+      {"predict_requests", c.predict_requests},
+      {"predict_rows", c.predict_rows},
+      {"micro_batches", c.micro_batches},
+      {"coalesced_requests", c.coalesced_requests},
+      {"busy_shed", c.busy_shed},
+      {"protocol_errors", c.protocol_errors},
+      {"swaps", c.swaps},
+      {"peer_disconnects", c.peer_disconnects}};
+  for (const auto& [name, value] : fields) {
+    json += ",\"" + std::string(name) + "\":" + std::to_string(value);
+  }
+  std::shared_ptr<const Predictor> live = registry_->Acquire();
+  if (live != nullptr) json += "," + ServeStatsJson(live->stats());
+  if (options_.batch_observer != nullptr) {
+    const std::string observed = options_.batch_observer->CountersJson();
+    if (!observed.empty()) json += "," + observed;
+  }
+  return json + "}";
 }
 
 void ServeSocketServer::WakeIo() {
@@ -685,30 +734,9 @@ void ServeSocketServer::ExecuteAdmin(const Pending& item) {
       return;
     }
     case FrameType::kStats: {
-      const RegistryInfo info = registry_->Info();
-      const ServerCounters counts = counters();
-      std::shared_ptr<const Predictor> live = registry_->Acquire();
-      std::string report;
-      report += "generation=" + std::to_string(info.generation) + "\n";
-      report += "artifact=" + info.path + "\n";
-      report += "pipeline=[" + info.pipeline + "]\n";
-      report += "model=" + info.model + "\n";
-      if (live != nullptr) report += FormatServeStats(live->stats());
-      report +=
-          "connections_accepted=" + std::to_string(counts.connections_accepted) +
-          "\nframes_received=" + std::to_string(counts.frames_received) +
-          "\npredict_requests=" + std::to_string(counts.predict_requests) +
-          "\npredict_rows=" + std::to_string(counts.predict_rows) +
-          "\nmicro_batches=" + std::to_string(counts.micro_batches) +
-          "\ncoalesced_requests=" + std::to_string(counts.coalesced_requests) +
-          "\nbusy_shed=" + std::to_string(counts.busy_shed) +
-          "\nprotocol_errors=" + std::to_string(counts.protocol_errors) +
-          "\nswaps=" + std::to_string(counts.swaps) +
-          "\npeer_disconnects=" + std::to_string(counts.peer_disconnects) +
-          "\n";
       ServeResponse response;
       response.type = FrameType::kStatsReport;
-      response.message = std::move(report);
+      response.message = StatsJson();
       PostResponse(item.conn_id, response);
       return;
     }

@@ -56,6 +56,10 @@ class ServeBatchObserver {
   virtual void OnBatchScored(const Matrix& rows,
                              const std::vector<int>& predictions,
                              const Predictor& predictor) = 0;
+  /// The observer's counters as flat JSON keys without braces, spliced
+  /// into the server's stats snapshot; empty when it has none. Called
+  /// from any thread.
+  virtual std::string CountersJson() const { return ""; }
 };
 
 struct ServerOptions {
@@ -124,6 +128,13 @@ class ServeSocketServer {
   void RequestReload();
 
   ServerCounters counters() const;
+
+  /// The whole stats snapshot as one flat JSON object: registry
+  /// generation, artifact path, pipeline and model, every ServerCounters
+  /// field, the live predictor's latency (ServeStatsJson) and the batch
+  /// observer's CountersJson. The STATS frame answers with it; the listen
+  /// tool prints it on SIGUSR1 and at shutdown. Thread-safe.
+  std::string StatsJson() const;
 
  private:
   struct Connection;

@@ -68,9 +68,9 @@ class StreamController : public ServeBatchObserver {
                      const Predictor& predictor) override;
 
   StreamCounters counters() const;
-  /// The counters as one flat JSON object fragment (keys only, no braces),
-  /// for splicing into the server's SIGUSR1 stats line.
-  std::string CountersJson() const;
+  /// ServeBatchObserver: the counters as flat JSON keys (no braces), for
+  /// the server's stats snapshot.
+  std::string CountersJson() const override;
 
   /// Blocks until no background research run is in flight (tests, final
   /// flush before shutdown).

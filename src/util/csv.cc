@@ -1,5 +1,8 @@
 #include "util/csv.h"
 
+#include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -19,22 +22,60 @@ std::vector<std::string> SplitLine(const std::string& line) {
 
 }  // namespace
 
+bool ParseCsvRow(const std::string& line, std::vector<double>* cells,
+                 std::string* reason) {
+  cells->clear();
+  size_t start = 0;
+  while (true) {
+    size_t comma = line.find(',', start);
+    std::string cell = line.substr(
+        start, comma == std::string::npos ? std::string::npos : comma - start);
+    // Trim surrounding whitespace so "1.0, 2.0" parses.
+    size_t first = cell.find_first_not_of(" \t\r");
+    size_t last = cell.find_last_not_of(" \t\r");
+    if (first == std::string::npos) {
+      *reason = "empty cell";
+      return false;
+    }
+    cell = cell.substr(first, last - first + 1);
+    errno = 0;
+    char* end = nullptr;
+    double value = std::strtod(cell.c_str(), &end);
+    // ERANGE also flags underflow to a subnormal or zero, which is still
+    // the nearest double; only overflow to +-inf is out of range.
+    if (end != cell.c_str() + cell.size() ||
+        (errno == ERANGE && std::isinf(value))) {
+      *reason = "non-numeric cell '" + cell + "'";
+      return false;
+    }
+    cells->push_back(value);
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return true;
+}
+
 Result<CsvTable> ParseCsv(const std::string& content, bool has_header) {
   CsvTable table;
   std::stringstream stream(content);
   std::string line;
   std::vector<std::vector<double>> rows;
+  std::vector<double> cells;
+  std::string reason;
   size_t line_number = 0;
   size_t expected_cols = 0;
   while (std::getline(stream, line)) {
     ++line_number;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    std::vector<std::string> cells = SplitLine(line);
     if (line_number == 1 && has_header) {
-      table.header = cells;
-      expected_cols = cells.size();
+      table.header = SplitLine(line);
+      expected_cols = table.header.size();
       continue;
+    }
+    if (!ParseCsvRow(line, &cells, &reason)) {
+      return Status::InvalidArgument("line " + std::to_string(line_number) +
+                                     ": " + reason);
     }
     if (expected_cols == 0) expected_cols = cells.size();
     if (cells.size() != expected_cols) {
@@ -44,18 +85,7 @@ Result<CsvTable> ParseCsv(const std::string& content, bool has_header) {
                                      " cells, got " +
                                      std::to_string(cells.size()));
     }
-    std::vector<double> row;
-    row.reserve(cells.size());
-    for (const std::string& cell : cells) {
-      char* end = nullptr;
-      double value = std::strtod(cell.c_str(), &end);
-      if (end == cell.c_str() || *end != '\0') {
-        return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                       ": non-numeric cell '" + cell + "'");
-      }
-      row.push_back(value);
-    }
-    rows.push_back(std::move(row));
+    rows.push_back(cells);
   }
   if (rows.empty()) {
     table.values = Matrix();
@@ -90,8 +120,10 @@ Status WriteCsv(const std::string& path,
   }
   for (size_t r = 0; r < values.rows(); ++r) {
     for (size_t c = 0; c < values.cols(); ++c) {
+      char cell[32];
+      std::snprintf(cell, sizeof(cell), "%.17g", values(r, c));
       if (c > 0) file << ',';
-      file << values(r, c);
+      file << cell;
     }
     file << '\n';
   }

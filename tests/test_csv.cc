@@ -1,7 +1,9 @@
 #include "util/csv.h"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -49,6 +51,20 @@ TEST(Csv, NonNumericCellFails) {
   EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(Csv, PaddedCellsAreTrimmed) {
+  Result<CsvTable> table = ParseCsv("1 , 2\n\t3,4 \r\n", false);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_TRUE(table.value().values == Matrix({{1.0, 2.0}, {3.0, 4.0}}));
+}
+
+TEST(Csv, OverflowingCellFails) {
+  for (const char* content : {"1,1e999\n", "-1e999,1\n"}) {
+    Result<CsvTable> table = ParseCsv(content, false);
+    ASSERT_FALSE(table.ok()) << content;
+    EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(Csv, RaggedRowFails) {
   Result<CsvTable> table = ParseCsv("1,2\n3\n", false);
   ASSERT_FALSE(table.ok());
@@ -62,12 +78,22 @@ TEST(Csv, MissingFileFails) {
 
 TEST(Csv, WriteThenReadRoundTrip) {
   std::string path = ::testing::TempDir() + "/autofp_csv_roundtrip.csv";
-  Matrix values = {{1.5, -2.0}, {3.0, 4.25}};
+  Matrix values = {{1.5, -2.0},
+                   {3.0, 4.25},
+                   {0.1, 1.0 / 3.0},
+                   {-1e-300, 123456789.123456789},
+                   {std::numeric_limits<double>::denorm_min(), -0.0}};
   ASSERT_TRUE(WriteCsv(path, {"x", "y"}, values).ok());
   Result<CsvTable> table = ReadCsv(path, /*has_header=*/true);
-  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
   EXPECT_EQ(table.value().header[1], "y");
-  EXPECT_TRUE(table.value().values == values);
+  const Matrix& read = table.value().values;
+  ASSERT_EQ(read.rows(), values.rows());
+  ASSERT_EQ(read.cols(), values.cols());
+  // Bit for bit: -0.0 == 0.0 would hide a lost sign.
+  EXPECT_EQ(std::memcmp(read.RowPtr(0), values.RowPtr(0),
+                        values.rows() * values.cols() * sizeof(double)),
+            0);
   std::remove(path.c_str());
 }
 

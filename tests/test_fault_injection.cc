@@ -31,8 +31,8 @@ TEST(FaultInjector, SameSeedSameDecisionStream) {
   FaultInjector a(config);
   FaultInjector b(config);
   for (int i = 0; i < 500; ++i) {
-    InjectionDecision da = a.Next();
-    InjectionDecision db = b.Next();
+    InjectionDecision da = a.DecisionFor(i);
+    InjectionDecision db = b.DecisionFor(i);
     EXPECT_EQ(da.failure, db.failure) << "call " << i;
     EXPECT_DOUBLE_EQ(da.delay_seconds, db.delay_seconds) << "call " << i;
   }
@@ -52,7 +52,7 @@ TEST(FaultInjector, DifferentSeedsDiverge) {
   FaultInjector b(config);
   int differences = 0;
   for (int i = 0; i < 200; ++i) {
-    if (a.Next().failure != b.Next().failure) ++differences;
+    if (a.DecisionFor(i).failure != b.DecisionFor(i).failure) ++differences;
   }
   EXPECT_GT(differences, 0);
 }
@@ -60,7 +60,7 @@ TEST(FaultInjector, DifferentSeedsDiverge) {
 TEST(FaultInjector, ZeroRatesNeverInject) {
   FaultInjector injector(FaultInjectorConfig{});
   for (int i = 0; i < 100; ++i) {
-    InjectionDecision decision = injector.Next();
+    InjectionDecision decision = injector.DecisionFor(i);
     EXPECT_EQ(decision.failure, EvalFailure::kNone);
     EXPECT_DOUBLE_EQ(decision.delay_seconds, 0.0);
   }

@@ -108,7 +108,7 @@ TEST(Protocol, ResponseRoundTrips) {
   swapped.message = "swapped generation=2";
   ServeResponse stats;
   stats.type = FrameType::kStatsReport;
-  stats.message = "rows=12\n";
+  stats.message = "{\"latency_rows\":12}";
   ServeResponse pong;
 
   std::string bytes;

@@ -2,10 +2,10 @@
 /// src/serve/registry.h): the hot-swap registry's publish semantics, the
 /// socket round trip's bit-identity with in-process PredictSharded,
 /// admission control, group-commit micro-batching, pipelined
-/// request/response ordering, an empty registry, and the headline
-/// concurrency property — a SWAP landing under live multi-connection load
-/// yields only whole-response old-artifact or new-artifact answers, never
-/// a torn mix.
+/// request/response ordering, the STATS snapshot, an empty registry, and
+/// the headline concurrency property — a SWAP landing under live
+/// multi-connection load yields only whole-response old-artifact or
+/// new-artifact answers, never a torn mix.
 
 #include <atomic>
 #include <chrono>
@@ -291,9 +291,12 @@ TEST(ServeNet, PipelinedRequestsAnswerInOrder) {
     if (want == FrameType::kStatsReport) {
       ServeResponse response;
       ASSERT_TRUE(DecodeResponseFrame(frame, &response));
-      EXPECT_NE(response.message.find("generation="), std::string::npos);
-      // Every ServerCounters field gets a line; the size check fails when
-      // a field is added without a name here.
+      EXPECT_NE(response.message.find("{\"generation\":1,"),
+                std::string::npos)
+          << response.message;
+      // Every ServerCounters field gets a key; the size check fails when
+      // a field is added without a name here. The live predictor's
+      // latency keys follow them.
       const char* const kCounterNames[] = {
           "connections_accepted", "frames_received", "predict_requests",
           "predict_rows",         "micro_batches",   "coalesced_requests",
@@ -301,13 +304,96 @@ TEST(ServeNet, PipelinedRequestsAnswerInOrder) {
           "peer_disconnects"};
       static_assert(sizeof(ServerCounters) ==
                     std::size(kCounterNames) * sizeof(long));
+      const char* const kLatencyNames[] = {
+          "latency_batches", "latency_rows", "rows_per_second",
+          "p50_ms",          "p95_ms",       "p99_ms"};
       for (const char* name : kCounterNames) {
-        EXPECT_NE(response.message.find("\n" + std::string(name) + "="),
+        EXPECT_NE(response.message.find(",\"" + std::string(name) + "\":"),
                   std::string::npos)
-            << name << " missing from:\n" << response.message;
+            << name << " missing from: " << response.message;
+      }
+      for (const char* name : kLatencyNames) {
+        EXPECT_NE(response.message.find(",\"" + std::string(name) + "\":"),
+                  std::string::npos)
+            << name << " missing from: " << response.message;
       }
     }
   }
+}
+
+/// Counts scored batches and reports them through CountersJson.
+class CountingObserver : public ServeBatchObserver {
+ public:
+  void OnBatchScored(const Matrix&, const std::vector<int>&,
+                     const Predictor&) override {
+    batches_.fetch_add(1);
+  }
+  std::string CountersJson() const override {
+    return "\"stub_batches\":" + std::to_string(batches_.load()) +
+           ",\"stub_last\":7";
+  }
+
+ private:
+  std::atomic<long> batches_{0};
+};
+
+TEST(ServeNet, StatsFrameIsOneJsonObjectWithObserverKeysAndEscapedPath) {
+  Dataset data = TestData();
+  const std::string path = ExportTestArtifact(
+      data, PreprocessorKind::kStandardScaler, "net_stats_\"q\\b.afpa");
+  CountingObserver observer;
+  ServerOptions options;
+  options.batch_observer = &observer;
+  TestServer harness(path, options);
+  BlockingFrameClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()).ok());
+
+  std::string request;
+  EncodePredictDense(ProbeRows(data, 4), &request);
+  ServeResponse response;
+  ASSERT_TRUE(client.RoundTrip(request, &response).ok());
+  ASSERT_TRUE(response.ok()) << response.message;
+  request.clear();
+  EncodeStats(&request);
+  ASSERT_TRUE(client.RoundTrip(request, &response).ok());
+  ASSERT_EQ(response.type, FrameType::kStatsReport);
+  const std::string& json = response.message;
+
+  // One flat object: outside string literals, the only braces are the
+  // first and the last byte, and every string literal is closed.
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  bool in_string = false;
+  int braces = 0;
+  for (size_t i = 0; i < json.size(); ++i) {
+    if (in_string) {
+      if (json[i] == '\\') {
+        ++i;
+      } else if (json[i] == '"') {
+        in_string = false;
+      }
+    } else if (json[i] == '"') {
+      in_string = true;
+    } else if (json[i] == '{' || json[i] == '}') {
+      ++braces;
+    }
+  }
+  EXPECT_FALSE(in_string) << json;
+  EXPECT_EQ(braces, 2) << json;
+
+  std::string escaped;
+  for (const char c : path) {
+    if (c == '"' || c == '\\') escaped += '\\';
+    escaped += c;
+  }
+  EXPECT_NE(json.find(",\"artifact\":\"" + escaped + "\","), std::string::npos)
+      << json;
+  EXPECT_NE(json.find(",\"latency_batches\":1,"), std::string::npos) << json;
+  // The observer's keys close the object.
+  EXPECT_NE(json.find(",\"stub_batches\":1,\"stub_last\":7}"),
+            std::string::npos)
+      << json;
 }
 
 /// Holds the batch thread inside the first micro-batch it scores until

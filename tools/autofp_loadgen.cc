@@ -33,6 +33,7 @@
 
 #include "serve/protocol.h"
 #include "cli_flags.h"
+#include "util/csv.h"
 #include "util/matrix.h"
 #include "util/timer.h"
 

@@ -25,8 +25,11 @@
 /// protocol (serve/protocol.h) with micro-batching and a hot-swap
 /// artifact registry: a SWAP frame — or SIGHUP — replaces the live
 /// artifact atomically under traffic. SIGINT/SIGTERM drain and exit 3.
-/// SIGUSR1 dumps one JSON line of server + latency + streaming counters
-/// to stderr ("stats: {...}").
+/// SIGUSR1 and shutdown print the server's stats snapshot as one JSON
+/// line on stderr ("stats: {...}"): registry generation, artifact path,
+/// pipeline and model, server counters, latency and, with --candidate,
+/// the streaming counters. The STATS frame answers with the same object.
+/// score prints the latency part of it the same way.
 ///
 /// With --candidate PATH, listen also runs the streaming control loop
 /// (see DESIGN.md "Streaming and drift"): every scored batch feeds a
@@ -55,6 +58,7 @@
 #include "serve/server.h"
 #include "stream/controller.h"
 #include "cli_flags.h"
+#include "util/csv.h"
 
 namespace {
 
@@ -243,54 +247,9 @@ bool ParseArgs(int argc, char** argv, Options* options) {
   return true;
 }
 
-void PrintStats(const Predictor& predictor) {
-  ServeStats stats = predictor.stats();
-  std::fprintf(stderr,
-               "latency: %ld batches, %ld rows, %.0f rows/s, "
-               "p50 %.3f ms, p95 %.3f ms, p99 %.3f ms\n",
-               stats.batches, stats.rows, stats.rows_per_second, stats.p50_ms,
-               stats.p95_ms, stats.p99_ms);
-}
-
-/// The SIGUSR1 dump: every counter the listen server has, as one JSON
-/// line on stderr (greppable as "stats: {"). The stream fragment is
-/// present only when the streaming control loop is wired in.
-void DumpStatsJson(const ServeSocketServer& server,
-                   const ArtifactRegistry& registry,
-                   const StreamController* stream) {
-  const ServerCounters counts = server.counters();
-  const RegistryInfo info = registry.Info();
-  std::string line = "stats: {";
-  char buffer[1024];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "\"generation\":%ld,\"connections_accepted\":%ld,"
-      "\"frames_received\":%ld,\"predict_requests\":%ld,"
-      "\"predict_rows\":%ld,\"micro_batches\":%ld,"
-      "\"coalesced_requests\":%ld,\"busy_shed\":%ld,"
-      "\"protocol_errors\":%ld,\"swaps\":%ld,\"peer_disconnects\":%ld",
-      info.generation, counts.connections_accepted, counts.frames_received,
-      counts.predict_requests, counts.predict_rows, counts.micro_batches,
-      counts.coalesced_requests, counts.busy_shed, counts.protocol_errors,
-      counts.swaps, counts.peer_disconnects);
-  line += buffer;
-  std::shared_ptr<const Predictor> live = registry.Acquire();
-  if (live != nullptr) {
-    const ServeStats stats = live->stats();
-    std::snprintf(buffer, sizeof(buffer),
-                  ",\"latency_batches\":%ld,\"latency_rows\":%ld,"
-                  "\"rows_per_second\":%.1f,\"p50_ms\":%.3f,"
-                  "\"p95_ms\":%.3f,\"p99_ms\":%.3f",
-                  stats.batches, stats.rows, stats.rows_per_second,
-                  stats.p50_ms, stats.p95_ms, stats.p99_ms);
-    line += buffer;
-  }
-  if (stream != nullptr) {
-    line += ",";
-    line += stream->CountersJson();
-  }
-  line += "}";
-  std::fprintf(stderr, "%s\n", line.c_str());
+/// Prints a stats snapshot as the greppable line "stats: {...}".
+void WriteStatsLine(const std::string& json) {
+  std::fprintf(stderr, "stats: %s\n", json.c_str());
   std::fflush(stderr);
 }
 
@@ -364,7 +323,7 @@ int RunScore(const Options& options, const Predictor& predictor) {
   }
   std::fprintf(stderr, "scored %zu rows (%ld skipped) -> %s\n", rows.rows(),
                skipped, options.out.c_str());
-  PrintStats(predictor);
+  WriteStatsLine("{" + ServeStatsJson(predictor.stats()) + "}");
   return 0;
 }
 
@@ -439,7 +398,7 @@ int RunListen(const Options& options) {
     }
     if (g_dump_requested != 0) {
       g_dump_requested = 0;
-      DumpStatsJson(server, registry, stream.get());
+      WriteStatsLine(server.StatsJson());
     }
     struct timespec nap = {0, 50 * 1000 * 1000};  // 50 ms
     ::nanosleep(&nap, nullptr);
@@ -449,18 +408,7 @@ int RunListen(const Options& options) {
   // swap; shutting down under it would race the registry teardown).
   if (stream != nullptr) stream->WaitForResearch();
 
-  const ServerCounters counts = server.counters();
-  std::fprintf(stderr,
-               "served %ld requests (%ld rows) over %ld connections: "
-               "%ld micro-batches, %ld coalesced, %ld busy-shed, "
-               "%ld protocol errors, %ld swaps, %ld peer disconnects\n",
-               counts.predict_requests, counts.predict_rows,
-               counts.connections_accepted, counts.micro_batches,
-               counts.coalesced_requests, counts.busy_shed,
-               counts.protocol_errors, counts.swaps,
-               counts.peer_disconnects);
-  std::shared_ptr<const Predictor> live = registry.Acquire();
-  if (live != nullptr) PrintStats(*live);
+  WriteStatsLine(server.StatsJson());
   return 3;
 }
 
