@@ -6,7 +6,8 @@
 /// the SIMD primitives the model inner loops ride (Dot, Axpy, the
 /// branchless histogram binning, the ReferenceStats Welford update) timed
 /// scalar vs vectorized, with element throughput and speedups, plus one
-/// LR Train split into its per-epoch forward phase and gradient sum, and
+/// LR Train split into its per-epoch forward phase and gradient sum (Train
+/// and the gradient also timed inside a 4-thread pool), and
 /// one MLP Train split into its per-step forward, backward and Adam, and
 /// GBDT scoring per row against PredictBatch on 256-row shards, as
 /// median, min and max over repeats. scripts/bench_snapshot.sh commits it as
@@ -28,6 +29,7 @@
 #include "nn/mlp_net.h"
 #include "serve/artifact.h"
 #include "util/simd.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -219,18 +221,21 @@ int RunModelRooflineReport(const char* path) {
   AddKernel(&snapshot, "running_moments_16col", moments_scalar, moments_simd,
             static_cast<double>(stream_rows.size()));
 
-  // LR Train at the search workloads' shape (9600x8, 2 classes) on one
-  // thread (the bench is off any pool), and one epoch's two phases: the
-  // forward phase idle pool workers may split into row blocks, and the
-  // gradient sum that stays on the caller.
+  // LR Train at the search workloads' shape (9600x8, 2 classes), and one
+  // epoch's two phases: the forward phase over 512-row blocks and the
+  // gradient sum over class x column-range items, both through
+  // ThreadPool::HelpFor. Off a pool (the bench's own thread) HelpFor is a
+  // plain loop; inside a task of a 4-thread pool the three idle workers
+  // may take blocks and items, as on a search worker whose pool has
+  // nothing else to run.
   const Dataset lr_data = MakeDataset(9600, 2, 8);
   const ModelConfig lr_config =
       ModelConfig::Defaults(ModelKind::kLogisticRegression);
-  const bench::Timing lr_train = bench::TimeRepeats([&] {
+  const auto lr_train_once = [&] {
     LogisticRegression model(lr_config);
     model.Train(lr_data.features, lr_data.labels, 2);
     benchmark::DoNotOptimize(model);
-  });
+  };
   std::vector<double> lr_weights(2 * 9);
   for (double& w : lr_weights) w = rng.Uniform(-0.5, 0.5);
   std::vector<double> lr_residuals(lr_data.features.rows() * 2);
@@ -243,17 +248,30 @@ int RunModelRooflineReport(const char* path) {
     benchmark::DoNotOptimize(lr_residuals.data());
     benchmark::ClobberMemory();
   });
-  const bench::Timing lr_gradient = bench::TimeRepeats([&] {
+  const auto lr_gradient_once = [&] {
     std::fill(lr_grad.begin(), lr_grad.end(), 0.0);
     LogisticRegression::AccumulateGradient(
         lr_data.features, lr_residuals.data(), 2, lr_grad.data());
     benchmark::DoNotOptimize(lr_grad.data());
     benchmark::ClobberMemory();
-  });
+  };
+  const bench::Timing lr_train = bench::TimeRepeats(lr_train_once);
+  const bench::Timing lr_gradient = bench::TimeRepeats(lr_gradient_once);
+  bench::Timing lr_train_pool;
+  bench::Timing lr_gradient_pool;
+  {
+    ThreadPool pool(4);
+    pool.ParallelFor(1, [&](size_t, int) {
+      lr_train_pool = bench::TimeRepeats(lr_train_once);
+      lr_gradient_pool = bench::TimeRepeats(lr_gradient_once);
+    });
+  }
   snapshot.Cell("lr_train_9600x8_2cls");
   snapshot.Time("train_ns", lr_train);
   snapshot.Time("epoch_forward_ns", lr_forward);
   snapshot.Time("epoch_gradient_ns", lr_gradient);
+  snapshot.Time("train_pool4_ns", lr_train_pool);
+  snapshot.Time("epoch_gradient_pool4_ns", lr_gradient_pool);
   snapshot.Figure("epochs", lr_config.lr_epochs);
   snapshot.Figure("forward_share",
                   lr_forward.median_ns /

@@ -408,6 +408,7 @@ SearchResult RunSearch(SearchAlgorithm* algorithm,
   result.interrupted = context.interrupted();
   result.num_threads = options.num_threads;
   result.num_workers = options.num_workers;
+  result.pool_busy_seconds = context.pool_busy_seconds();
   result.result_cache_hits = context.result_cache_hits();
   result.result_cache_misses = context.result_cache_misses();
   if (context.has_best()) {

@@ -166,6 +166,11 @@ class SearchContext {
   long result_cache_hits() const { return memo_hits_; }
   long result_cache_misses() const { return memo_misses_; }
 
+  /// ThreadPool::busy_seconds of the evaluation pool; 0 without one.
+  double pool_busy_seconds() const {
+    return pool_ != nullptr ? pool_->busy_seconds() : 0.0;
+  }
+
  private:
   /// Builds the canonical request for (pipeline, fraction, attempt).
   EvalRequest MakeRequest(const PipelineSpec& pipeline,
@@ -278,6 +283,10 @@ struct SearchResult {
   /// is read from the TransformCache its owner attached.
   int num_threads = 1;
   int num_workers = 0;
+  /// Summed wall time of the evaluation pool's tasks, HelpFor helpers
+  /// included (ThreadPool::busy_seconds); 0 when the run had no pool.
+  /// busy / (num_threads * elapsed_seconds) is the pool's utilisation.
+  double pool_busy_seconds = 0.0;
   long result_cache_hits = 0;
   long result_cache_misses = 0;
   /// Durable-run report: evaluations served from the resume journal, and

@@ -15,6 +15,73 @@ namespace {
 /// block (~20 us at 8 features) to pay for a helper's queue round trip.
 constexpr size_t kForwardBlockRows = 512;
 
+using simd::VecD;
+constexpr size_t kLanes = VecD::kLanes;
+
+// SumGradientRange holds its sums in arrays. The unroll pragmas let GCC
+// keep them in registers, as in nn/mlp_net.cc's tiles.
+
+/// Sums class k's gradient over columns [begin, end), at most
+/// LogisticRegression::kGradientRangeCols of them, into the class's row
+/// `g` of the gradient. Every sum stays in a register for the whole pass
+/// over the rows: whole V-vectors, then the ragged tail of < V::kLanes
+/// columns, then the intercept, which is stored when the range is the
+/// class's last. Each element is the chain of mul-then-add steps the
+/// per-row Axpy made, in row order, and a zero residual skips its row as
+/// it did there.
+template <typename V>
+void SumGradientRange(const Matrix& features, const double* residuals,
+                      int num_classes, int k, size_t begin, size_t end,
+                      double* g) {
+  constexpr size_t kMaxVecs =
+      LogisticRegression::kGradientRangeCols / V::kLanes;
+  constexpr size_t kMaxTail = V::kLanes - 1;
+  const size_t d = features.cols();
+  const size_t vecs = (end - begin) / V::kLanes;
+  const size_t tail_at = begin + vecs * V::kLanes;
+  const size_t tail = end - tail_at;
+  V acc[kMaxVecs];
+  double tail_acc[kMaxTail > 0 ? kMaxTail : 1];
+#pragma GCC unroll 8
+  for (size_t j = 0; j < kMaxVecs; ++j) {
+    acc[j] = j < vecs ? V::Load(g + begin + j * V::kLanes) : V::Zero();
+  }
+#pragma GCC unroll 4
+  for (size_t t = 0; t < kMaxTail; ++t) {
+    tail_acc[t] = t < tail ? g[tail_at + t] : 0.0;
+  }
+  // Only the class's last range touches the intercept: the other ranges
+  // of the class run concurrently with it.
+  const bool last = end == d;
+  double intercept = last ? g[d] : 0.0;
+  for (size_t r = 0; r < features.rows(); ++r) {
+    const double residual = residuals[r * num_classes + k];
+    if (residual == 0.0) continue;
+    const double* row = features.RowPtr(r);
+    const V scale = V::Set1(residual);
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kMaxVecs; ++j) {
+      if (j < vecs) {
+        acc[j] = acc[j] + scale * V::Load(row + begin + j * V::kLanes);
+      }
+    }
+#pragma GCC unroll 4
+    for (size_t t = 0; t < kMaxTail; ++t) {
+      if (t < tail) tail_acc[t] += residual * row[tail_at + t];
+    }
+    intercept += residual;
+  }
+#pragma GCC unroll 8
+  for (size_t j = 0; j < kMaxVecs; ++j) {
+    if (j < vecs) acc[j].Store(g + begin + j * V::kLanes);
+  }
+#pragma GCC unroll 4
+  for (size_t t = 0; t < kMaxTail; ++t) {
+    if (t < tail) g[tail_at + t] = tail_acc[t];
+  }
+  if (last) g[d] = intercept;
+}
+
 }  // namespace
 
 void LogisticRegression::ForwardRows(const Matrix& features,
@@ -55,18 +122,25 @@ void LogisticRegression::AccumulateGradient(const Matrix& features,
                                             const double* residuals,
                                             int num_classes, double* grad) {
   const size_t d = features.cols();
-  const size_t stride = d + 1;
-  for (size_t r = 0; r < features.rows(); ++r) {
-    const double* row = features.RowPtr(r);
-    const double* slot = residuals + r * num_classes;
-    for (int k = 0; k < num_classes; ++k) {
-      const double residual = slot[k];
-      if (residual == 0.0) continue;
-      double* g = grad + k * stride;
-      simd::Axpy(residual, row, g, d);
-      g[d] += residual;
+  const size_t ranges =
+      std::max<size_t>(1, (d + kGradientRangeCols - 1) / kGradientRangeCols);
+  const bool vectors = kLanes > 1 && !simd::ForceScalarEnabled();
+  // Each item owns its gradient elements, so whichever thread runs it,
+  // they get the same bits.
+  ThreadPool::HelpFor(static_cast<size_t>(num_classes) * ranges,
+                      [&](size_t item) {
+    const int k = static_cast<int>(item / ranges);
+    const size_t begin = (item % ranges) * kGradientRangeCols;
+    const size_t end = std::min(d, begin + kGradientRangeCols);
+    double* g = grad + k * (d + 1);
+    if (vectors) {
+      SumGradientRange<VecD>(features, residuals, num_classes, k, begin, end,
+                             g);
+    } else {
+      SumGradientRange<simd::ScalarD>(features, residuals, num_classes, k,
+                                      begin, end, g);
     }
-  }
+  });
 }
 
 void LogisticRegression::Train(const Matrix& features,
@@ -94,7 +168,7 @@ void LogisticRegression::Train(const Matrix& features,
                   std::min(n, (block + 1) * kForwardBlockRows),
                   residuals.data());
     });
-    // The gradient is summed on the caller in row order, so every element
+    // Each gradient element is summed by one thread in row order, so it
     // adds up in the same order whether or not helpers ran.
     params.ZeroGrad();
     AccumulateGradient(features, residuals.data(), num_classes,

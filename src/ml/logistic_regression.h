@@ -39,8 +39,14 @@ class LogisticRegression : public Classifier {
                           const std::vector<int>& labels,
                           const double* weights, int num_classes,
                           size_t begin, size_t end, double* residuals);
+  /// Gradient columns per item of AccumulateGradient: whole VecD lanes on
+  /// every backend (two AVX2 vectors, four NEON ones, eight scalars).
+  static constexpr size_t kGradientRangeCols = 8;
   /// Adds every row's residuals times the row (and the residuals to the
-  /// intercepts) into `grad`, in row order.
+  /// intercepts) into `grad`. The work is split into items of one class
+  /// and one range of kGradientRangeCols columns, run through
+  /// ThreadPool::HelpFor; each item sums its elements over the rows in
+  /// row order, so `grad` gets the bits of the row-at-a-time loop.
   static void AccumulateGradient(const Matrix& features,
                                  const double* residuals, int num_classes,
                                  double* grad);

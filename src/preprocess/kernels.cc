@@ -7,6 +7,7 @@
 #include "util/simd.h"
 #include "util/simd_math.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace autofp {
 namespace kernels {
@@ -41,6 +42,23 @@ VecD ClampFinite(VecD v) {
 /// to a stack buffer, so its lanes are rows.
 constexpr size_t kPowerBlockRows = 256;
 
+/// Runs fn(begin, end) over the row blocks of a `rows`-row matrix through
+/// ThreadPool::HelpFor: blocks of kTransformBlockRows rows, the last one
+/// also taking the remainder. A search's train split (9,600 rows in the
+/// e2e workloads) spreads over idle pool workers; a matrix of fewer than
+/// 2 * kTransformBlockRows rows, such as a 256-row serving shard, is one
+/// block and runs as a plain loop on its caller. Each element is
+/// transformed on its own, so the output is the same bytes whichever
+/// thread runs a block.
+template <typename Fn>
+void ForRowBlocks(size_t rows, const Fn& fn) {
+  const size_t blocks = std::max<size_t>(1, rows / kTransformBlockRows);
+  ThreadPool::HelpFor(blocks, [&](size_t block) {
+    const size_t begin = block * kTransformBlockRows;
+    fn(begin, block + 1 == blocks ? rows : begin + kTransformBlockRows);
+  });
+}
+
 /// Piecewise-linear empirical CDF of one value against a sorted table,
 /// exactly as the pre-kernel-layer QuantileTransformer computed it (the
 /// branchless UpperBoundIndex returns the same index std::upper_bound
@@ -62,6 +80,60 @@ double CdfScalar(double value, const double* refs, size_t n, double denom) {
 /// Clip CDF values away from {0,1} before the normal inverse, matching
 /// scikit-learn's bounded output (~±5.2 sigma).
 constexpr double kCdfEps = 1e-7;
+
+// The block bodies below take their inputs as values, not through a
+// lambda's captures, so the compiler keeps them in registers across the
+// calls inside the loops.
+
+/// The Power transform of rows [begin, end) of the row-major `p` with
+/// `cols` columns: one column at a time, in pieces of kPowerBlockRows rows
+/// copied out to a buffer, so the element functions run down the column
+/// on contiguous lanes with the column's parameters fixed.
+void PowerTransformRows(double* p, size_t cols, size_t begin, size_t end,
+                        const double* lambdas, const double* means,
+                        const double* stddevs, bool standardize) {
+  double x[kPowerBlockRows];
+  double logs[kPowerBlockRows];
+  for (size_t c = 0; c < cols; ++c) {
+    const double lambda = lambdas[c];
+    const double mean = means[c];
+    const double stddev = stddevs[c];
+    for (size_t r0 = begin; r0 < end; r0 += kPowerBlockRows) {
+      const size_t n = std::min(kPowerBlockRows, end - r0);
+      double* column = p + r0 * cols + c;
+      for (size_t i = 0; i < n; ++i) x[i] = column[i * cols];
+      Log1pAbs(x, n, logs);
+      YeoJohnson(x, logs, n, lambda, x);
+      for (size_t i = 0; i < n; ++i) {
+        double value = x[i];
+        if (standardize) value = (value - mean) / stddev;
+        column[i * cols] = ClampFinite(value);
+      }
+    }
+  }
+}
+
+/// The Quantile transform of rows [begin, end): one column at a time
+/// (stride cols), so the column's reference table stays in L1 for the
+/// pass; row order would cycle through every column's table per row.
+void QuantileTransformRows(double* p, size_t cols, size_t begin, size_t end,
+                           const std::vector<double>* references,
+                           bool to_normal) {
+  for (size_t c = 0; c < cols; ++c) {
+    const double* refs = references[c].data();
+    const size_t n = references[c].size();
+    const double denom = static_cast<double>(n - 1);
+    for (size_t r = begin; r < end; ++r) {
+      double& x = p[r * cols + c];
+      const double cdf = CdfScalar(x, refs, n, denom);
+      // A NaN value's cdf is NaN, and it passes through as the uniform
+      // output does: NormalInverseCdf aborts outside (0, 1).
+      x = to_normal && !std::isnan(cdf)
+              ? NormalInverseCdf(std::clamp(cdf, kCdfEps, 1.0 - kCdfEps))
+              : cdf;
+    }
+  }
+}
 
 }  // namespace
 
@@ -208,54 +280,22 @@ void PowerTransformColumns(Matrix& data, const std::vector<double>& lambdas,
                            const std::vector<double>& means,
                            const std::vector<double>& stddevs,
                            bool standardize) {
-  // One column at a time, in blocks of rows copied out to a buffer, so
-  // the element functions run down the column on contiguous lanes with
-  // the column's parameters fixed.
-  const size_t rows = data.rows();
   const size_t cols = data.cols();
   double* p = data.MutableRaw();
-  double x[kPowerBlockRows];
-  double logs[kPowerBlockRows];
-  for (size_t c = 0; c < cols; ++c) {
-    const double lambda = lambdas[c];
-    const double mean = means[c];
-    const double stddev = stddevs[c];
-    for (size_t r0 = 0; r0 < rows; r0 += kPowerBlockRows) {
-      const size_t n = std::min(kPowerBlockRows, rows - r0);
-      double* column = p + r0 * cols + c;
-      for (size_t i = 0; i < n; ++i) x[i] = column[i * cols];
-      Log1pAbs(x, n, logs);
-      YeoJohnson(x, logs, n, lambda, x);
-      for (size_t i = 0; i < n; ++i) {
-        double value = x[i];
-        if (standardize) value = (value - mean) / stddev;
-        column[i * cols] = ClampFinite(value);
-      }
-    }
-  }
+  ForRowBlocks(data.rows(), [&](size_t begin, size_t end) {
+    PowerTransformRows(p, cols, begin, end, lambdas.data(), means.data(),
+                       stddevs.data(), standardize);
+  });
 }
 
 void QuantileTransformColumns(
     Matrix& data, const std::vector<std::vector<double>>& references,
     bool to_normal) {
-  // One column at a time (stride cols), so the column's reference table
-  // stays in L1 for the whole pass; row order would cycle through every
-  // column's table per row.
-  const size_t rows = data.rows();
   const size_t cols = data.cols();
   double* p = data.MutableRaw();
-  for (size_t c = 0; c < cols; ++c) {
-    const double* refs = references[c].data();
-    const size_t n = references[c].size();
-    const double denom = static_cast<double>(n - 1);
-    for (size_t r = 0; r < rows; ++r) {
-      double& x = p[r * cols + c];
-      const double cdf = CdfScalar(x, refs, n, denom);
-      x = to_normal
-              ? NormalInverseCdf(std::clamp(cdf, kCdfEps, 1.0 - kCdfEps))
-              : cdf;
-    }
-  }
+  ForRowBlocks(data.rows(), [&](size_t begin, size_t end) {
+    QuantileTransformRows(p, cols, begin, end, references.data(), to_normal);
+  });
 }
 
 void ColumnAbsMax(const Matrix& data, std::vector<double>* out) {

@@ -13,10 +13,12 @@
 ///     is the reference the property tests compare the SIMD path against
 ///     bit for bit.
 ///
-/// Power walks one column at a time in blocks of rows, and its element
-/// function vectorizes down the column (lanes are rows); Quantile is
-/// scalar on every path and walks one column at a time, so the column's
-/// reference table stays hot for the whole pass.
+/// Power and Quantile split the rows into blocks of at least 1024 and run
+/// them through ThreadPool::HelpFor, so on a pool worker idle workers
+/// take some blocks; a matrix of fewer than 2048 rows is one block. Each
+/// block walks one column at a time: Power's element function vectorizes
+/// down the column (lanes are rows), and Quantile is scalar on every path
+/// and keeps the column's reference table hot for the block's pass.
 ///
 /// Exactness: every transform kernel here is bit-identical across
 /// backends (see util/simd.h's contract) because each element is
@@ -67,6 +69,11 @@ void Log1pAbs(const double* x, size_t n, double* out);
 void YeoJohnson(const double* x, const double* logs, size_t n,
                 double lambda, double* out);
 
+/// Least rows per ThreadPool::HelpFor index of PowerTransformColumns and
+/// QuantileTransformColumns: a matrix of n rows is max(1, n / 1024)
+/// blocks, the last one taking the remainder.
+inline constexpr size_t kTransformBlockRows = 1024;
+
 /// Yeo-Johnson per column, optionally standardized:
 /// data(r, c) = ClampFinite((YJ(x, lambdas[c]) - means[c]) / stddevs[c]).
 void PowerTransformColumns(Matrix& data, const std::vector<double>& lambdas,
@@ -77,7 +84,7 @@ void PowerTransformColumns(Matrix& data, const std::vector<double>& lambdas,
 /// Maps each value through its column's empirical CDF (piecewise-linear
 /// over `references[c]`, a sorted table of >= 2 entries), optionally
 /// through the normal inverse CDF. The table walk is the branchless
-/// simd::UpperBoundIndex.
+/// simd::UpperBoundIndex. A NaN value maps to NaN in both outputs.
 void QuantileTransformColumns(
     Matrix& data, const std::vector<std::vector<double>>& references,
     bool to_normal);

@@ -69,6 +69,7 @@ SearchResult RunTwoStep(const TwoStepConfig& config,
     best.prep_seconds += result.prep_seconds;
     best.train_seconds += result.train_seconds;
     best.pick_seconds += result.pick_seconds;
+    best.pool_busy_seconds += result.pool_busy_seconds;
     best.num_failures += result.num_failures;
     best.num_retries += result.num_retries;
     quarantined.insert(result.quarantined_pipelines.begin(),

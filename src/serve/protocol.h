@@ -203,6 +203,10 @@ ServeResponse ExecutePredictRows(const Predictor& predictor,
 /// The predictor's latency counters as flat JSON keys without braces
 /// ("latency_batches", "latency_rows", "rows_per_second", "p50_ms",
 /// "p95_ms", "p99_ms"): the latency part of a stats snapshot.
+/// "rows_per_second" is rows over summed scoring time, that is, scoring
+/// capacity, not the served rate: a server's snapshot also carries
+/// "uptime_s", and its served rate is predict_rows / uptime_s (between
+/// two snapshots, the ratio of their differences).
 std::string ServeStatsJson(const ServeStats& stats);
 
 // --- Blocking client --------------------------------------------------------

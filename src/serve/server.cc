@@ -205,6 +205,7 @@ Status ServeSocketServer::Start() {
 
   stop_.store(false);
   batcher_done_ = false;
+  start_time_ = std::chrono::steady_clock::now();
   io_thread_ = std::thread([this] { IoLoop(); });
   batch_thread_ = std::thread([this] { BatchLoop(); });
   started_ = true;
@@ -276,7 +277,11 @@ std::string ServeSocketServer::StatsJson() const {
     const std::string observed = options_.batch_observer->CountersJson();
     if (!observed.empty()) json += "," + observed;
   }
-  return json + "}";
+  const std::chrono::duration<double> uptime =
+      std::chrono::steady_clock::now() - start_time_;
+  char tail[48];
+  std::snprintf(tail, sizeof(tail), ",\"uptime_s\":%.6f}", uptime.count());
+  return json + tail;
 }
 
 void ServeSocketServer::WakeIo() {

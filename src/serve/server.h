@@ -26,6 +26,7 @@
 /// BUSY response instead of queueing without bound.
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -131,9 +132,13 @@ class ServeSocketServer {
 
   /// The whole stats snapshot as one flat JSON object: registry
   /// generation, artifact path, pipeline and model, every ServerCounters
-  /// field, the live predictor's latency (ServeStatsJson) and the batch
-  /// observer's CountersJson. The STATS frame answers with it; the listen
-  /// tool prints it on SIGUSR1 and at shutdown. Thread-safe.
+  /// field, the live predictor's latency (ServeStatsJson), the batch
+  /// observer's CountersJson and, last, "uptime_s", the seconds since
+  /// Start(). The served rate is predict_rows / uptime_s (between two
+  /// snapshots, the ratio of their differences); the latency keys'
+  /// rows_per_second is scoring capacity. The STATS frame answers
+  /// with it; the listen tool prints it on SIGUSR1 and at shutdown.
+  /// Thread-safe.
   std::string StatsJson() const;
 
  private:
@@ -174,6 +179,7 @@ class ServeSocketServer {
   int port_ = 0;
   std::atomic<bool> stop_{false};
   bool started_ = false;
+  std::chrono::steady_clock::time_point start_time_{};  ///< Set by Start().
 
   // I/O-thread state (no lock: touched only by the I/O thread after
   // Start()).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 
 #include "util/logging.h"
 
@@ -114,14 +115,24 @@ void ThreadPool::WorkerLoop(int worker) {
       queue_.pop_front();
       if (task.help != nullptr) ++task.help->started;
     }
+    const auto start = std::chrono::steady_clock::now();
     if (task.help != nullptr) {
       task.help->Drain();
+    } else {
+      (*task.batch->fn)(task.index, worker);
+    }
+    // Counted before the task reports done, so a caller that returns
+    // from ParallelFor reads its tasks' time.
+    const auto busy = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::steady_clock::now() - start);
+    busy_ns_.fetch_add(static_cast<uint64_t>(busy.count()),
+                       std::memory_order_relaxed);
+    if (task.help != nullptr) {
       std::lock_guard<std::mutex> lock(task.help->mutex);
       ++task.help->finished;
       task.help->done.notify_all();
       continue;
     }
-    (*task.batch->fn)(task.index, worker);
     {
       // Notify while holding the batch mutex: the caller's wait can only
       // observe remaining == 0 (and destroy the Batch) after this lock is

@@ -6,7 +6,9 @@
 /// it (the paper's Section 5.3 shows Prep + Train dominate every search),
 /// and the Predictor shards big serving batches over it.
 
+#include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -56,6 +58,15 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
+  /// Wall time of every task the workers have run, summed: ParallelFor
+  /// indices and HelpFor helpers alike (a HelpFor caller's own indices
+  /// count inside the task it runs in). Divided by num_threads() times
+  /// the elapsed time, it is the pool's utilisation.
+  double busy_seconds() const {
+    return static_cast<double>(busy_ns_.load(std::memory_order_relaxed)) *
+           1e-9;
+  }
+
  private:
   /// Per-ParallelFor completion state, shared by that call's tasks.
   struct Batch {
@@ -80,6 +91,7 @@ class ThreadPool {
   std::condition_variable work_available_;
   std::deque<Task> queue_;
   bool stopping_ = false;
+  std::atomic<uint64_t> busy_ns_{0};
   std::vector<std::thread> workers_;
 };
 

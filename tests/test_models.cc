@@ -126,7 +126,8 @@ TEST(LogisticRegression, ScaleSensitivity) {
 }
 
 /// LogisticRegression::Train as it was before its epochs split into a
-/// row-block forward phase and a serial gradient sum: one loop per row
+/// row-block forward phase and a gradient sum over class and column-range
+/// items: one loop per row
 /// computes the logits, the softmax and the residuals, then adds the
 /// residuals into the gradient. Returns the SaveState bytes it would have
 /// written.
@@ -194,44 +195,49 @@ std::string TrainedLrState(const ModelConfig& config, const Matrix& features,
 
 /// Requires the SaveState bytes of today's Train to equal the row loop's,
 /// trained plain, alone on a 4-thread pool with three idle workers to take
-/// row blocks, and as four concurrent fits that compete for helpers.
+/// row blocks and gradient items, and as four concurrent fits that compete
+/// for helpers. The widths give gradient ranges of whole vectors, ragged
+/// last ranges and ranges narrower than one vector, over 2 to 5 classes.
 void ExpectTrainsMatchTheRowLoop() {
   ThreadPool pool(4);
-  for (int classes : {2, 3}) {
-    for (double l2 : {0.0, 1e-4}) {
-      // 1300 rows is two full 512-row blocks and a partial third.
-      for (size_t n : {size_t{1}, size_t{1300}}) {
-        Rng rng(41 + classes + n);
-        Matrix features(n, 8);
-        std::vector<int> labels(n);
-        for (size_t r = 0; r < n; ++r) {
-          for (size_t c = 0; c < 8; ++c) features(r, c) = rng.Gaussian();
-          // A wide column drives some softmaxes to exactly 1, so some
-          // residuals are exactly 0 and skip the gradient.
-          features(r, 7) *= 100.0;
-          labels[r] = features(r, 0) + 0.5 * rng.Gaussian() > 0.0
-                          ? classes - 1
-                          : rng.UniformInt(0, classes - 2);
-        }
-        ModelConfig config =
-            ModelConfig::Defaults(ModelKind::kLogisticRegression);
-        config.lr_l2 = l2;
-        const std::string reference =
-            RowLoopLrState(config, features, labels, classes);
-        const std::string where = std::to_string(classes) + " classes, l2 " +
-                                  std::to_string(l2) + ", n " +
-                                  std::to_string(n);
-        EXPECT_TRUE(TrainedLrState(config, features, labels, classes) ==
-                    reference)
-            << where << ", plain";
-        for (size_t fits : {size_t{1}, size_t{4}}) {
-          std::vector<std::string> states(fits);
-          pool.ParallelFor(fits, [&](size_t i, int) {
-            states[i] = TrainedLrState(config, features, labels, classes);
-          });
-          for (size_t i = 0; i < fits; ++i) {
-            EXPECT_TRUE(states[i] == reference)
-                << where << ", " << fits << " fits in a pool, fit " << i;
+  for (int classes : {2, 3, 4, 5}) {
+    for (size_t d : {size_t{1}, size_t{5}, size_t{8}, size_t{9}, size_t{20}}) {
+      for (double l2 : {0.0, 1e-4}) {
+        // 1300 rows is two full 512-row blocks and a partial third.
+        for (size_t n : {size_t{1}, size_t{1300}}) {
+          Rng rng(41 + classes + n + 100 * d);
+          Matrix features(n, d);
+          std::vector<int> labels(n);
+          for (size_t r = 0; r < n; ++r) {
+            for (size_t c = 0; c < d; ++c) features(r, c) = rng.Gaussian();
+            // A wide column drives some softmaxes to exactly 1, so some
+            // residuals are exactly 0 and skip the gradient.
+            features(r, d - 1) *= 100.0;
+            labels[r] = features(r, 0) + 0.5 * rng.Gaussian() > 0.0
+                            ? classes - 1
+                            : rng.UniformInt(0, classes - 2);
+          }
+          ModelConfig config =
+              ModelConfig::Defaults(ModelKind::kLogisticRegression);
+          config.lr_l2 = l2;
+          const std::string reference =
+              RowLoopLrState(config, features, labels, classes);
+          const std::string where =
+              std::to_string(classes) + " classes, " + std::to_string(d) +
+              " columns, l2 " + std::to_string(l2) + ", n " +
+              std::to_string(n);
+          EXPECT_TRUE(TrainedLrState(config, features, labels, classes) ==
+                      reference)
+              << where << ", plain";
+          for (size_t fits : {size_t{1}, size_t{4}}) {
+            std::vector<std::string> states(fits);
+            pool.ParallelFor(fits, [&](size_t i, int) {
+              states[i] = TrainedLrState(config, features, labels, classes);
+            });
+            for (size_t i = 0; i < fits; ++i) {
+              EXPECT_TRUE(states[i] == reference)
+                  << where << ", " << fits << " fits in a pool, fit " << i;
+            }
           }
         }
       }

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -12,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include "data/benchmark_suite.h"
+#include "preprocess/kernels.h"
 #include "preprocess/power_transformer.h"
 #include "preprocess/quantile_transformer.h"
 #include "util/checksum.h"
 #include "util/random.h"
+#include "util/simd.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -454,6 +457,82 @@ TEST(FitInPool, HelpedFitsWriteThePlainFitsBytes) {
       for (size_t i = 0; i < fits; ++i) {
         EXPECT_TRUE(states[i] == plain)
             << pinned.name << ", " << fits << " fits, fit " << i;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Transform exactness: Power and Quantile transform row blocks through
+// ThreadPool::HelpFor, and a transform, plain or with idle pool workers
+// taking its blocks, writes the bytes of one row at a time.
+
+/// `rows` rows in FitEdgeMatrix's six columns, with +-1e300 in column 4,
+/// NaN in column 5 and the constant 2.5 in column 3.
+Matrix TransformEdgeMatrix(size_t rows) {
+  const double kSmall[] = {-2.0, -1.0, -0.0, 0.0, 1.0, 3.0};
+  Rng rng(4077 + rows);
+  Matrix data(rows, 6);
+  for (size_t r = 0; r < rows; ++r) {
+    data(r, 0) = rng.Gaussian(0.0, 3.0);
+    data(r, 1) = std::exp(rng.Gaussian(0.0, 1.0));
+    data(r, 2) = kSmall[rng.UniformInt(0, 5)];
+    data(r, 3) = 2.5;
+    data(r, 4) = r % 7 == 3   ? 1e300
+                 : r % 7 == 5 ? -1e300
+                              : rng.Gaussian(1.0, 2.0);
+    data(r, 5) = r % 11 == 4 ? std::numeric_limits<double>::quiet_NaN()
+                             : -std::exp(rng.Gaussian(0.0, 1.5));
+  }
+  return data;
+}
+
+TEST(TransformInPool, HelpedTransformsWriteThePlainBytes) {
+  const Matrix fit_data = FitEdgeMatrix();
+  constexpr size_t kBlock = kernels::kTransformBlockRows;
+  ThreadPool pool(4);
+  for (const PinnedFit& pinned : PinnedFits()) {
+    auto step = MakePreprocessor(pinned.config);
+    step->Fit(fit_data);
+    for (size_t rows : {kBlock - 1, kBlock, kBlock + 1, 3 * kBlock + 7}) {
+      const Matrix input = TransformEdgeMatrix(rows);
+      const auto transformed = [&] {
+        Matrix data = input;
+        step->TransformInPlace(data);
+        return data;
+      };
+      // The reference transforms one row at a time, each a block of its
+      // own, so it cannot share a fault in how the rows are split.
+      Matrix reference = input;
+      for (size_t r = 0; r < rows; ++r) {
+        Matrix row = input.SelectRows({r});
+        step->TransformInPlace(row);
+        std::memcpy(reference.RowPtr(r), row.RowPtr(0),
+                    input.cols() * sizeof(double));
+      }
+      const size_t bytes = reference.size() * sizeof(double);
+      for (bool scalar : {false, true}) {
+        simd::ScopedForceScalar force(scalar);
+        const std::string where = std::string(pinned.name) + ", " +
+                                  std::to_string(rows) + " rows" +
+                                  (scalar ? ", forced scalar" : "");
+        const Matrix alone = transformed();
+        EXPECT_EQ(std::memcmp(alone.Raw(), reference.Raw(), bytes), 0)
+            << where << ", plain";
+        // Alone in the pool with three idle workers to take blocks, then
+        // four at once, each competing for helpers with the others.
+        for (size_t transforms : {size_t{1}, size_t{4}}) {
+          std::vector<Matrix> outputs(transforms);
+          pool.ParallelFor(transforms, [&](size_t i, int) {
+            outputs[i] = transformed();
+          });
+          for (size_t i = 0; i < transforms; ++i) {
+            EXPECT_EQ(std::memcmp(outputs[i].Raw(), reference.Raw(), bytes),
+                      0)
+                << where << ", " << transforms << " in a pool, transform "
+                << i;
+          }
+        }
       }
     }
   }

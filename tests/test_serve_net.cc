@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -390,10 +391,17 @@ TEST(ServeNet, StatsFrameIsOneJsonObjectWithObserverKeysAndEscapedPath) {
   EXPECT_NE(json.find(",\"artifact\":\"" + escaped + "\","), std::string::npos)
       << json;
   EXPECT_NE(json.find(",\"latency_batches\":1,"), std::string::npos) << json;
-  // The observer's keys close the object.
-  EXPECT_NE(json.find(",\"stub_batches\":1,\"stub_last\":7}"),
-            std::string::npos)
-      << json;
+  // The observer's keys come last but for the uptime, which closes the
+  // object with a positive value.
+  const std::string tail =
+      ",\"stub_batches\":1,\"stub_last\":7,\"uptime_s\":";
+  const size_t at = json.find(tail);
+  ASSERT_NE(at, std::string::npos) << json;
+  char* parsed_end = nullptr;
+  const double uptime =
+      std::strtod(json.c_str() + at + tail.size(), &parsed_end);
+  EXPECT_GT(uptime, 0.0) << json;
+  EXPECT_EQ(parsed_end, json.c_str() + json.size() - 1) << json;
 }
 
 /// Holds the batch thread inside the first micro-batch it scores until

@@ -690,9 +690,17 @@ int main(int argc, char** argv) {
     const TransformCache::Stats prefix = prefix_cache != nullptr
                                              ? prefix_cache->stats()
                                              : TransformCache::Stats{};
-    std::printf("engine         : %d threads | result cache %ld/%ld hits | "
-                "prefix cache %ld/%ld hits\n",
-                result.num_threads, result.result_cache_hits,
+    // The pool's utilisation: its busy time over threads x elapsed. One
+    // thread runs no pool, so it has no figure.
+    char util[32] = "-";
+    if (result.num_threads > 1 && result.elapsed_seconds > 0.0) {
+      std::snprintf(util, sizeof(util), "%.2f",
+                    result.pool_busy_seconds /
+                        (result.num_threads * result.elapsed_seconds));
+    }
+    std::printf("engine         : %d threads, pool util %s | result cache "
+                "%ld/%ld hits | prefix cache %ld/%ld hits\n",
+                result.num_threads, util, result.result_cache_hits,
                 result.result_cache_hits + result.result_cache_misses,
                 prefix.hits, prefix.hits + prefix.misses);
   }
