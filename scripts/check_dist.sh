@@ -14,6 +14,12 @@
 # bytes. Unharmed worker-count identity is one mode of the exactness
 # oracle (tests/test_exactness.cc).
 #
+# Local fallback gives the same outcomes as a worker, so journal identity
+# alone would pass a wire that silently failed every worker. Each
+# scenario therefore also reads the run's "workers :" line: no scenario
+# may see a corrupt frame, and each must show the fault it injected
+# (crashes and re-leases, or straggler revocations).
+#
 # Usage: scripts/check_dist.sh [--binary PATH] [--quick]
 #   --binary PATH   autofp binary (default: build/tools/autofp, built if
 #                   missing)
@@ -56,6 +62,33 @@ fail() {
 
 best_line() { grep '^best pipeline' "$1"; }
 
+# One counter off a run's "workers :" line, e.g. `worker_stat OUT crashes`.
+worker_stat() {
+  grep '^workers ' "$1" | grep -o "[0-9]* $2" | cut -d' ' -f1 || true
+}
+
+# require_stats TAG OUT [NAME=MIN ...]: OUT's "workers :" line shows
+# 0 corrupt frames and at least MIN of each named counter. Returns 1
+# (after reporting) on a miss.
+require_stats() {
+  local tag="$1" out="$2"; shift 2
+  local corrupt
+  corrupt="$(worker_stat "${out}" corrupt)"
+  if [[ "${corrupt}" != 0 ]]; then
+    fail "${tag}: expected 0 corrupt frames, got '${corrupt}'"
+    return 1
+  fi
+  local need name value
+  for need in "$@"; do
+    name="${need%=*}"
+    value="$(worker_stat "${out}" "${name}")"
+    if [[ -z "${value}" || "${value}" -lt "${need#*=}" ]]; then
+      fail "${tag}: expected ${name} >= ${need#*=}, got '${value}'"
+      return 1
+    fi
+  done
+}
+
 # Orphaned workers carry "--worker-dataset ${workdir}/..." on their
 # command line; the workdir path makes the pattern unique to this run
 # (and never matches this script or a concurrent ctest job).
@@ -68,11 +101,12 @@ timeout 120 "${bin}" "${common_args[@]}" --journal "${ref_journal}" \
     > "${ref_out}"
 "${bin}" --dump-journal "${ref_journal}" > "${workdir}/ref.dump"
 
-# One scenario: run with the given env + extra args, require success and
-# a journal byte-identical to the reference. Env assignments ("K=V")
-# come first, then "--", then extra CLI flags.
+# One scenario: run with the given env + extra args, require success, a
+# journal byte-identical to the reference, and the worker counters named
+# in NEEDS (a space-separated list of NAME=MIN for require_stats). Env
+# assignments ("K=V") come after NEEDS, then "--", then extra CLI flags.
 run_scenario() {
-  local tag="$1"; shift
+  local tag="$1" needs="$2"; shift 2
   local env_vars=()
   while [[ $# -gt 0 && "$1" != "--" ]]; do
     env_vars+=("$1"); shift
@@ -95,6 +129,8 @@ run_scenario() {
     fail "${tag}: best pipeline differs"
     return
   fi
+  # NEEDS is unquoted on purpose: one word per counter.
+  require_stats "${tag}" "${out}" ${needs} || return 0
   echo "ok: ${tag}"
 }
 
@@ -102,16 +138,17 @@ run_scenario() {
 #    it takes its next leased request after N results, so each crash
 #    strands that request; repeatedly, including a request that exhausts
 #    its lease attempts into local fallback.
-run_scenario "crash-every-5" AUTOFP_WORKER_CRASH_AFTER_EVALS=5 \
-    -- --workers 4
-run_scenario "crash-staggered" AUTOFP_WORKER_CRASH_AFTER_EVALS="0=3,2=7" \
-    -- --workers 4
+run_scenario "crash-every-5" "crashes=1 re-leases=1" \
+    AUTOFP_WORKER_CRASH_AFTER_EVALS=5 -- --workers 4
+run_scenario "crash-staggered" "crashes=1 re-leases=1" \
+    AUTOFP_WORKER_CRASH_AFTER_EVALS="0=3,2=7" -- --workers 4
 
 if [[ ${quick} -eq 0 ]]; then
   # 2. Forced straggler: worker 0 stalls far past the lease deadline and
   #    is revoked; its lease is re-leased and the run converges.
-  run_scenario "straggler" AUTOFP_WORKER_STALL_AFTER_EVALS="0=2" \
-      AUTOFP_WORKER_STALL_SECONDS=60 -- --workers 4 --lease-deadline 2
+  run_scenario "straggler" "stragglers=1" \
+      AUTOFP_WORKER_STALL_AFTER_EVALS="0=2" AUTOFP_WORKER_STALL_SECONDS=60 \
+      -- --workers 4 --lease-deadline 2
 
   # 3. External SIGKILL of live workers mid-run (the ungraceful version
   #    of scenario 1: no exit hook, just a dead pipe). A longer run with
@@ -126,17 +163,25 @@ if [[ ${quick} -eq 0 ]]; then
   timeout 120 "${bin}" "${long_args[@]}" --workers 4 \
       --journal "${sigkill_journal}" > "${sigkill_out}" &
   coordinator=$!
-  for _ in 1 2 3; do
-    sleep 0.1
-    pkill -KILL -f "worker-dataset ${workdir}" 2> /dev/null || true
+  # A round counts only when pkill matched a worker, and rounds go on
+  # while the coordinator runs, so on a fast host the kills still land
+  # before the run ends instead of after it.
+  kills=0
+  while [[ ${kills} -lt 3 ]] && kill -0 "${coordinator}" 2> /dev/null; do
+    sleep 0.05
+    if pkill -KILL -f "worker-dataset ${workdir}" 2> /dev/null; then
+      kills=$((kills + 1))
+    fi
   done
   if ! wait "${coordinator}"; then
     fail "sigkill: coordinator did not survive its workers being killed"
   else
     "${bin}" --dump-journal "${sigkill_journal}" > "${workdir}/sigkill.dump"
-    cmp -s "${workdir}/long-ref.dump" "${workdir}/sigkill.dump" \
-        || fail "sigkill: merged journal differs from the single-process run"
-    echo "ok: sigkill"
+    if ! cmp -s "${workdir}/long-ref.dump" "${workdir}/sigkill.dump"; then
+      fail "sigkill: merged journal differs from the single-process run"
+    elif require_stats "sigkill" "${sigkill_out}" crashes=1; then
+      echo "ok: sigkill"
+    fi
   fi
 
   # 4. Coordinator crash: kill the coordinator at a journal append while
@@ -171,7 +216,8 @@ if [[ ${quick} -eq 0 ]]; then
           || fail "coord-crash: resumed journal differs from the single-process run"
       [[ "$(best_line "${ref_out}")" == "$(best_line "${resume_out}")" ]] \
           || fail "coord-crash: best pipeline differs after resume"
-      echo "ok: coord-crash + orphan exit + resume"
+      require_stats "coord-crash" "${resume_out}" \
+          && echo "ok: coord-crash + orphan exit + resume"
     fi
   fi
 fi

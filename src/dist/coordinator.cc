@@ -10,13 +10,23 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "core/run_journal.h"
 
 namespace autofp {
 namespace {
+
+/// Re-spawns allowed beyond the initial fleet of `num_workers` before the
+/// coordinator stops replacing dead workers: generous, so that only a
+/// fleet that keeps dying falls back to local evaluation.
+int RespawnBudget(int num_workers) { return 64 + 16 * num_workers; }
+
+/// Seconds Shutdown() waits for workers to exit before SIGKILL.
+constexpr double kShutdownGraceSeconds = 2.0;
 
 double MonotonicSeconds() {
   return std::chrono::duration<double>(
@@ -93,9 +103,7 @@ DistributedEvaluator::DistributedEvaluator(EvaluatorInterface* local,
     : local_(local), spawner_(std::move(spawner)), options_(options) {
   options_.num_workers = std::max(1, options_.num_workers);
   respawn_budget_ =
-      options_.num_workers + (options_.max_respawns < 0
-                                  ? 64 + 16 * options_.num_workers
-                                  : options_.max_respawns);
+      options_.num_workers + RespawnBudget(options_.num_workers);
   workers_.resize(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) workers_[i].index = i;
 }
@@ -168,9 +176,8 @@ void DistributedEvaluator::FailWorker(Worker* worker, bool kill,
   if (worker->fd < 0) return;
   if (!worker->ready) ++consecutive_spawn_failures_;  // died before HELLO.
   if (worker->lease_id != 0) {
-    std::optional<Lease> lease = leases_.Revoke(worker->lease_id);
+    round->queue.push_back({worker->slot, worker->attempts});
     worker->lease_id = 0;
-    if (lease.has_value() && round != nullptr) RequeueLease(*lease, round);
   }
   ::close(worker->fd);
   worker->fd = -1;
@@ -184,39 +191,26 @@ void DistributedEvaluator::FailWorker(Worker* worker, bool kill,
   }
 }
 
-void DistributedEvaluator::RequeueLease(const Lease& lease, Round* round) {
-  std::vector<size_t> remaining = lease.RemainingSlots();
-  if (remaining.empty()) return;
-  PendingBatch batch;
-  batch.slots = std::move(remaining);
-  batch.attempts = lease.batch_attempts;
-  round->queue.push_back(std::move(batch));
-}
-
-void DistributedEvaluator::ResolveWithoutWorkers(const PendingBatch& batch,
+void DistributedEvaluator::ResolveWithoutWorkers(const PendingSlot& pending,
                                                  Round* round) {
-  for (size_t slot : batch.slots) {
-    if (round->done[slot]) continue;
-    const EvalRequest& request = (*round->requests)[slot];
-    if (options_.allow_local_fallback) {
-      (*round->results)[slot] = local_->Evaluate(request, &scratch_);
-      ++stats_.local_fallback_evals;
-    } else {
-      (*round->results)[slot] = WorkerLostEvaluation(request);
-      ++stats_.worker_lost_evals;
-    }
-    round->done[slot] = 1;
-    --round->remaining;
+  const EvalRequest& request = (*round->requests)[pending.slot];
+  if (options_.allow_local_fallback) {
+    (*round->results)[pending.slot] = local_->Evaluate(request, &scratch_);
+    ++stats_.local_fallback_evals;
+  } else {
+    (*round->results)[pending.slot] = WorkerLostEvaluation(request);
+    ++stats_.worker_lost_evals;
   }
+  --round->remaining;
 }
 
 void DistributedEvaluator::AssignLeases(Round* round) {
   auto drain_exhausted = [&] {
     while (!round->queue.empty() &&
            round->queue.front().attempts >= options_.max_lease_attempts) {
-      PendingBatch batch = std::move(round->queue.front());
+      PendingSlot pending = round->queue.front();
       round->queue.pop_front();
-      ResolveWithoutWorkers(batch, round);
+      ResolveWithoutWorkers(pending, round);
     }
   };
   drain_exhausted();
@@ -225,27 +219,21 @@ void DistributedEvaluator::AssignLeases(Round* round) {
     if (worker.fd < 0 || !worker.ready || worker.lease_id != 0) continue;
     drain_exhausted();
     if (round->queue.empty()) break;
-    PendingBatch batch = std::move(round->queue.front());
+    const PendingSlot pending = round->queue.front();
     round->queue.pop_front();
-    const double deadline =
-        MonotonicSeconds() + options_.lease_deadline_seconds;
-    const Lease& lease = leases_.Issue(std::move(batch.slots), worker.index,
-                                       deadline, batch.attempts + 1);
+    worker.lease_id = next_lease_id_++;
+    worker.slot = pending.slot;
+    worker.attempts = pending.attempts + 1;
+    worker.deadline = MonotonicSeconds() + options_.lease_deadline_seconds;
     DistLease message;
-    message.lease_id = lease.id;
-    message.generation = lease.generation;
-    message.deadline_seconds = options_.lease_deadline_seconds;
-    message.requests.reserve(lease.slots.size());
-    for (size_t slot : lease.slots) {
-      message.requests.push_back((*round->requests)[slot]);
-    }
+    message.lease_id = worker.lease_id;
+    message.request = (*round->requests)[pending.slot];
     std::string bytes;
     EncodeLeaseFrame(message, &bytes);
     ++stats_.leases_issued;
-    if (batch.attempts > 0) ++stats_.re_leases;
-    worker.lease_id = lease.id;
+    if (pending.attempts > 0) ++stats_.re_leases;
     if (!SendFrameBytes(worker.fd, bytes)) {
-      // The worker died between leases: revoke, requeue, reap.
+      // The worker died between leases: requeue and reap.
       ++stats_.worker_crashes;
       FailWorker(&worker, /*kill=*/false, round);
     }
@@ -280,35 +268,13 @@ void DistributedEvaluator::HandleFrame(Worker* worker, const Frame& frame,
       FailWorker(worker, /*kill=*/true, round);
       return;
     }
-    std::optional<size_t> slot =
-        leases_.AcceptResult(result.lease_id, result.generation,
-                             result.offset);
-    if (!slot.has_value() || round->done[*slot]) {
+    if (worker->lease_id == 0 || result.lease_id != worker->lease_id) {
       ++stats_.stale_results;
       return;
     }
-    (*round->results)[*slot] = EvaluationFromRecord(result.record);
-    round->done[*slot] = 1;
+    worker->lease_id = 0;
+    (*round->results)[worker->slot] = EvaluationFromRecord(result.record);
     --round->remaining;
-    return;
-  }
-  if (frame.type == static_cast<uint8_t>(DistFrameType::kLeaseDone)) {
-    DistLeaseDone done;
-    if (!DecodeLeaseDoneFrame(frame, &done)) {
-      ++stats_.corrupt_frame_revocations;
-      FailWorker(worker, /*kill=*/true, round);
-      return;
-    }
-    std::optional<Lease> lease = leases_.Release(done.lease_id,
-                                                 done.generation);
-    if (!lease.has_value()) {
-      ++stats_.stale_results;
-      return;
-    }
-    if (worker->lease_id == done.lease_id) worker->lease_id = 0;
-    // Defensive: a LEASE_DONE with unanswered slots (a worker bug) must
-    // not strand them.
-    RequeueLease(*lease, round);
     return;
   }
   // Any other type from a worker is a protocol violation.
@@ -365,20 +331,24 @@ void DistributedEvaluator::ReadWorker(Worker* worker, Round* round) {
 void DistributedEvaluator::PollWorkers(Round* round) {
   std::vector<struct pollfd> pfds;
   std::vector<int> indices;
+  // Wake by the earliest lease deadline, so stragglers expire on time.
+  double next_deadline = std::numeric_limits<double>::infinity();
   for (const Worker& worker : workers_) {
-    if (worker.fd < 0) continue;
+    if (worker.fd < 0) continue;  // a dead worker holds no lease.
     struct pollfd pfd;
     pfd.fd = worker.fd;
     pfd.events = POLLIN;
     pfd.revents = 0;
     pfds.push_back(pfd);
     indices.push_back(worker.index);
+    if (worker.lease_id != 0) {
+      next_deadline = std::min(next_deadline, worker.deadline);
+    }
   }
   if (pfds.empty()) return;
   int timeout_ms = 100;
-  std::optional<double> next_deadline = leases_.NextDeadline();
-  if (next_deadline.has_value()) {
-    double wait = (*next_deadline - MonotonicSeconds()) * 1000.0;
+  if (std::isfinite(next_deadline)) {
+    double wait = (next_deadline - MonotonicSeconds()) * 1000.0;
     timeout_ms = static_cast<int>(
         std::min(200.0, std::max(0.0, wait)));
   }
@@ -393,18 +363,13 @@ void DistributedEvaluator::PollWorkers(Round* round) {
 
 void DistributedEvaluator::ExpireLeases(Round* round) {
   const double now = MonotonicSeconds();
-  for (uint64_t id : leases_.ExpiredLeases(now)) {
-    std::optional<Lease> lease = leases_.Revoke(id);
-    if (!lease.has_value()) continue;
+  for (Worker& worker : workers_) {
+    if (worker.lease_id == 0 || worker.deadline > now) continue;
     ++stats_.straggler_revocations;
-    RequeueLease(*lease, round);
-    // Kill the straggler: a worker past its deadline cannot be trusted
-    // to come back, and a fresh one is one respawn away.
-    Worker& worker = workers_[static_cast<size_t>(lease->worker_index)];
-    if (worker.fd >= 0 && worker.lease_id == id) {
-      worker.lease_id = 0;  // already revoked above.
-      FailWorker(&worker, /*kill=*/true, round);
-    }
+    // Kill the straggler and requeue its slot: a worker past its
+    // deadline cannot be trusted to come back, and a fresh one is one
+    // respawn away.
+    FailWorker(&worker, /*kill=*/true, round);
   }
 }
 
@@ -421,25 +386,22 @@ std::vector<Evaluation> DistributedEvaluator::EvaluateAll(
   Round round;
   round.requests = &requests;
   round.results = &results;
-  round.done.assign(requests.size(), 0);
   round.remaining = requests.size();
   // One request per lease, in request order: each idle worker pulls the
   // next one, so a round keeps every live worker busy until its tail.
   for (size_t slot = 0; slot < requests.size(); ++slot) {
-    PendingBatch batch;
-    batch.slots.push_back(slot);
-    round.queue.push_back(std::move(batch));
+    round.queue.push_back({slot, 0});
   }
 
   while (round.remaining > 0) {
     MaintainFleet();
-    if (live_workers() == 0 && leases_.active() == 0 &&
-        !AnySpawnableWorker()) {
-      // The fleet is gone for good: resolve everything in-process.
+    if (live_workers() == 0 && !AnySpawnableWorker()) {
+      // The fleet is gone for good (a dead worker holds no lease):
+      // resolve everything in-process.
       while (!round.queue.empty()) {
-        PendingBatch batch = std::move(round.queue.front());
+        PendingSlot pending = round.queue.front();
         round.queue.pop_front();
-        ResolveWithoutWorkers(batch, &round);
+        ResolveWithoutWorkers(pending, &round);
       }
       continue;
     }
@@ -463,8 +425,7 @@ void DistributedEvaluator::Shutdown() {
       worker.decoder.reset();
     }
   }
-  const double deadline =
-      MonotonicSeconds() + options_.shutdown_grace_seconds;
+  const double deadline = MonotonicSeconds() + kShutdownGraceSeconds;
   for (Worker& worker : workers_) {
     if (worker.pid <= 0) continue;
     for (;;) {

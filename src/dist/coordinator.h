@@ -5,17 +5,20 @@
 /// search"): a DistributedEvaluator behind EvaluatorInterface that leases
 /// EvalRequests one at a time to whichever worker process is idle, over
 /// CRC-framed socketpairs, and merges their outcomes back into request
-/// order. Because every evaluation is a pure function of its request
-/// (EvalRequest::DeriveSeed), a re-leased request reproduces the crashed
-/// worker's missing outcome exactly — so worker death, straggler
-/// revocation and corrupt frames cost wall-clock, never determinism, and
-/// the coordinator-side journal (SearchContext's single choke point, one
-/// layer up) is byte-identical to a single-process run.
+/// order. A worker holds at most one lease, so its slot carries the
+/// lease itself (id, round slot, attempts, deadline) and its RESULT frees
+/// it; there is no separate lease table. Because every evaluation is a
+/// pure function of its request (EvalRequest::DeriveSeed), a re-leased
+/// request reproduces the crashed worker's missing outcome exactly — so
+/// worker death, straggler revocation and corrupt frames cost
+/// wall-clock, never determinism, and the coordinator-side journal
+/// (SearchContext's single choke point, one layer up) is byte-identical
+/// to a single-process run.
 ///
 /// Failure policy per lease: a worker that crashes (EOF), straggles past
 /// the lease deadline, or desyncs its frame stream loses the lease; its
-/// unanswered request is re-leased up to max_lease_attempts times, then
-/// resolved locally (allow_local_fallback) or reported as the transient
+/// request is re-leased up to max_lease_attempts times, then resolved
+/// locally (allow_local_fallback) or reported as the transient
 /// EvalFailure::kWorkerLost so the search framework's existing
 /// retry/quarantine taxonomy decides the terminal outcome.
 
@@ -29,7 +32,6 @@
 #include <vector>
 
 #include "core/evaluator.h"
-#include "dist/lease.h"
 #include "dist/wire.h"
 #include "util/status.h"
 
@@ -67,16 +69,11 @@ struct DistOptions {
   /// When nonzero, a worker HELLO carrying a different dataset
   /// fingerprint is refused (killed and counted as a spawn failure).
   uint64_t expected_dataset_fingerprint = 0;
-  /// Re-spawns allowed beyond the initial fleet before the coordinator
-  /// stops replacing dead workers. < 0 picks a generous default.
-  int max_respawns = -1;
   /// When the fleet is unusable (spawns failing, respawn budget gone),
   /// evaluate remaining requests in-process via the local evaluator —
   /// outcome-identical, just slower. When false, exhausted requests
   /// report EvalFailure::kWorkerLost instead.
   bool allow_local_fallback = true;
-  /// Seconds Shutdown() waits for workers to exit before SIGKILL.
-  double shutdown_grace_seconds = 2.0;
 };
 
 /// Observability counters (monotonic over the evaluator's lifetime).
@@ -88,7 +85,7 @@ struct DistStats {
   long hello_rejects = 0;         ///< fingerprint-mismatched workers.
   long leases_issued = 0;
   long re_leases = 0;             ///< leases re-issued after revocation.
-  long stale_results = 0;         ///< late answers from revoked leases.
+  long stale_results = 0;         ///< RESULTs not for the sender's lease.
   long local_fallback_evals = 0;
   long worker_lost_evals = 0;     ///< kWorkerLost outcomes reported.
 };
@@ -134,30 +131,34 @@ class DistributedEvaluator : public EvaluatorInterface {
     pid_t pid = -1;
     int fd = -1;          ///< coordinator end of the socketpair; -1 = dead.
     bool ready = false;   ///< HELLO received and accepted.
-    uint64_t lease_id = 0;  ///< outstanding lease, 0 = idle.
+    /// The worker's one outstanding lease; 0 = idle. The other lease
+    /// fields are meaningful only while it is nonzero.
+    uint64_t lease_id = 0;
+    size_t slot = 0;      ///< the round slot the lease answers.
+    int attempts = 0;     ///< times that slot has been leased, this one too.
+    double deadline = 0.0;  ///< expiry on MonotonicSeconds' clock.
     std::unique_ptr<FrameDecoder> decoder;  ///< fresh per spawn.
   };
 
-  /// Round slots awaiting a lease: one fresh request, or what a revoked
+  /// A round slot awaiting a lease: a fresh request, or one a revoked
   /// lease left unanswered.
-  struct PendingBatch {
-    std::vector<size_t> slots;
-    int attempts = 0;  ///< times this content has been leased so far.
+  struct PendingSlot {
+    size_t slot = 0;
+    int attempts = 0;  ///< times this slot has been leased so far.
   };
 
   /// Per-EvaluateAll mutable state, threaded through the helpers.
   struct Round {
     const std::vector<EvalRequest>* requests = nullptr;
     std::vector<Evaluation>* results = nullptr;
-    std::vector<char> done;
     size_t remaining = 0;
-    std::deque<PendingBatch> queue;
+    std::deque<PendingSlot> queue;
   };
 
   bool SpawnWorker(int index);
   void MaintainFleet();
-  /// Tears down a worker: revokes its lease (requeueing unanswered
-  /// slots), closes the pipe, optionally SIGKILLs, reaps the pid.
+  /// Tears down a worker: requeues its leased slot, closes the pipe,
+  /// optionally SIGKILLs, reaps the pid.
   void FailWorker(Worker* worker, bool kill, Round* round);
   void AssignLeases(Round* round);
   void PollWorkers(Round* round);
@@ -165,17 +166,16 @@ class DistributedEvaluator : public EvaluatorInterface {
   void ReadWorker(Worker* worker, Round* round);
   void HandleFrame(Worker* worker, const Frame& frame, Round* round);
   void ExpireLeases(Round* round);
-  void RequeueLease(const Lease& lease, Round* round);
-  /// Resolves a batch that exhausted its lease attempts (local fallback
+  /// Resolves a slot that exhausted its lease attempts (local fallback
   /// or kWorkerLost).
-  void ResolveWithoutWorkers(const PendingBatch& batch, Round* round);
+  void ResolveWithoutWorkers(const PendingSlot& pending, Round* round);
   bool AnySpawnableWorker() const;
 
   EvaluatorInterface* local_;
   WorkerSpawner spawner_;
   DistOptions options_;
   std::vector<Worker> workers_;
-  LeaseTable leases_;
+  uint64_t next_lease_id_ = 1;
   DistStats stats_;
   int respawn_budget_ = 0;
   int consecutive_spawn_failures_ = 0;

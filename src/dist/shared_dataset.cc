@@ -35,12 +35,9 @@ struct MapCursor {
     return true;
   }
 
-  bool ReadBytes(void* out, size_t count) {
-    if (size - pos < count) return false;
-    std::memcpy(out, data + pos, count);
-    pos += count;
-    return true;
-  }
+  /// Bytes not yet read: every length the header declares is checked
+  /// against this before anything is allocated or wrapped.
+  size_t remaining() const { return size - pos; }
 };
 
 }  // namespace
@@ -136,11 +133,10 @@ Result<Dataset> MapSharedDataset(const std::string& path) {
       !cursor.Read(&name_len)) {
     return fail("truncated header");
   }
+  if (cursor.remaining() < name_len) return fail("truncated name");
   Dataset dataset;
-  dataset.name.resize(name_len);
-  if (!cursor.ReadBytes(dataset.name.data(), name_len)) {
-    return fail("truncated name");
-  }
+  dataset.name.assign(data + cursor.pos, name_len);
+  cursor.pos += name_len;
   dataset.num_classes = static_cast<int>(num_classes);
   const uint64_t cells = rows * cols;
   if (cols != 0 && cells / cols != rows) return fail("shape overflow");
@@ -148,10 +144,9 @@ Result<Dataset> MapSharedDataset(const std::string& path) {
   // re-checked: the CRC already covered it).
   const size_t pad = (kSharedDatasetAlign - cursor.pos % kSharedDatasetAlign) %
                      kSharedDatasetAlign;
-  if (cursor.size - cursor.pos < pad) return fail("truncated padding");
+  if (cursor.remaining() < pad) return fail("truncated padding");
   cursor.pos += pad;
-  const size_t feature_bytes = static_cast<size_t>(cells) * sizeof(double);
-  if (cursor.size - cursor.pos < feature_bytes) {
+  if (cells > cursor.remaining() / sizeof(double)) {
     return fail("truncated feature block");
   }
   // Zero-copy: the feature matrix is a read-only view straight into the
@@ -160,14 +155,17 @@ Result<Dataset> MapSharedDataset(const std::string& path) {
   // aligned in memory.
   const auto* features =
       reinterpret_cast<const double*>(data + cursor.pos);
-  cursor.pos += feature_bytes;
+  cursor.pos += static_cast<size_t>(cells) * sizeof(double);
+  if (rows > cursor.remaining() / sizeof(int32_t)) {
+    return fail("truncated label block");
+  }
   dataset.features = Matrix::WrapConstRowMajor(
       features, static_cast<size_t>(rows), static_cast<size_t>(cols), backing);
   dataset.labels.resize(static_cast<size_t>(rows));
-  for (size_t i = 0; i < dataset.labels.size(); ++i) {
-    int32_t label = 0;
-    if (!cursor.Read(&label)) return fail("truncated label block");
-    dataset.labels[i] = label;
+  for (int& label : dataset.labels) {
+    int32_t stored = 0;
+    cursor.Read(&stored);
+    label = stored;
   }
   if (cursor.pos != cursor.size) return fail("trailing bytes");
 

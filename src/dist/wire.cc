@@ -55,8 +55,6 @@ bool FrameIs(const Frame& frame, DistFrameType type) {
 
 void EncodeHelloFrame(const DistHello& hello, std::string* out) {
   std::string payload;
-  AppendPod(&payload, hello.pid);
-  AppendPod(&payload, hello.worker_index);
   AppendPod(&payload, hello.dataset_fingerprint);
   EncodeDistFrame(DistFrameType::kHello, payload, out);
 }
@@ -64,61 +62,42 @@ void EncodeHelloFrame(const DistHello& hello, std::string* out) {
 bool DecodeHelloFrame(const Frame& frame, DistHello* hello) {
   if (!FrameIs(frame, DistFrameType::kHello)) return false;
   size_t pos = 0;
-  return ReadPodAt(frame.payload, &pos, &hello->pid) &&
-         ReadPodAt(frame.payload, &pos, &hello->worker_index) &&
-         ReadPodAt(frame.payload, &pos, &hello->dataset_fingerprint) &&
+  return ReadPodAt(frame.payload, &pos, &hello->dataset_fingerprint) &&
          pos == frame.payload.size();
 }
 
 void EncodeLeaseFrame(const DistLease& lease, std::string* out) {
   std::string payload;
   AppendPod(&payload, lease.lease_id);
-  AppendPod(&payload, lease.generation);
-  AppendPod(&payload, lease.deadline_seconds);
-  AppendPod(&payload, static_cast<uint32_t>(lease.requests.size()));
-  for (const EvalRequest& request : lease.requests) {
-    AppendString(&payload, request.pipeline.ToString());
-    AppendPod(&payload, request.budget_fraction);
-    AppendPod(&payload, request.deadline_seconds);
-    AppendPod(&payload, request.seed);
-  }
+  AppendString(&payload, lease.request.pipeline.ToString());
+  AppendPod(&payload, lease.request.budget_fraction);
+  AppendPod(&payload, lease.request.deadline_seconds);
+  AppendPod(&payload, lease.request.seed);
   EncodeDistFrame(DistFrameType::kLease, payload, out);
 }
 
 bool DecodeLeaseFrame(const Frame& frame, DistLease* lease) {
   if (!FrameIs(frame, DistFrameType::kLease)) return false;
   size_t pos = 0;
-  uint32_t count = 0;
+  std::string spec_text;
+  EvalRequest& request = lease->request;
   if (!ReadPodAt(frame.payload, &pos, &lease->lease_id) ||
-      !ReadPodAt(frame.payload, &pos, &lease->generation) ||
-      !ReadPodAt(frame.payload, &pos, &lease->deadline_seconds) ||
-      !ReadPodAt(frame.payload, &pos, &count)) {
+      !ReadStringAt(frame.payload, &pos, &spec_text) ||
+      !ReadPodAt(frame.payload, &pos, &request.budget_fraction) ||
+      !ReadPodAt(frame.payload, &pos, &request.deadline_seconds) ||
+      !ReadPodAt(frame.payload, &pos, &request.seed) ||
+      pos != frame.payload.size()) {
     return false;
   }
-  lease->requests.clear();
-  lease->requests.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string spec_text;
-    EvalRequest request;
-    if (!ReadStringAt(frame.payload, &pos, &spec_text) ||
-        !ReadPodAt(frame.payload, &pos, &request.budget_fraction) ||
-        !ReadPodAt(frame.payload, &pos, &request.deadline_seconds) ||
-        !ReadPodAt(frame.payload, &pos, &request.seed)) {
-      return false;
-    }
-    Result<PipelineSpec> spec = ParsePipelineSpec(spec_text);
-    if (!spec.ok()) return false;
-    request.pipeline = std::move(spec.value());
-    lease->requests.push_back(std::move(request));
-  }
-  return pos == frame.payload.size();
+  Result<PipelineSpec> spec = ParsePipelineSpec(spec_text);
+  if (!spec.ok()) return false;
+  request.pipeline = std::move(spec.value());
+  return true;
 }
 
 void EncodeResultFrame(const DistResult& result, std::string* out) {
   std::string payload;
   AppendPod(&payload, result.lease_id);
-  AppendPod(&payload, result.generation);
-  AppendPod(&payload, result.offset);
   payload += EncodeJournalRecordPayload(result.record);
   EncodeDistFrame(DistFrameType::kResult, payload, out);
 }
@@ -126,29 +105,13 @@ void EncodeResultFrame(const DistResult& result, std::string* out) {
 bool DecodeResultFrame(const Frame& frame, DistResult* result) {
   if (!FrameIs(frame, DistFrameType::kResult)) return false;
   size_t pos = 0;
-  if (!ReadPodAt(frame.payload, &pos, &result->lease_id) ||
-      !ReadPodAt(frame.payload, &pos, &result->generation) ||
-      !ReadPodAt(frame.payload, &pos, &result->offset)) {
-    return false;
-  }
-  return DecodeJournalRecordPayload(frame.payload.data() + pos,
+  // The pipeline must parse: the coordinator turns the record back into
+  // an Evaluation, which requires a valid spec.
+  return ReadPodAt(frame.payload, &pos, &result->lease_id) &&
+         DecodeJournalRecordPayload(frame.payload.data() + pos,
                                     frame.payload.size() - pos,
-                                    &result->record);
-}
-
-void EncodeLeaseDoneFrame(const DistLeaseDone& done, std::string* out) {
-  std::string payload;
-  AppendPod(&payload, done.lease_id);
-  AppendPod(&payload, done.generation);
-  EncodeDistFrame(DistFrameType::kLeaseDone, payload, out);
-}
-
-bool DecodeLeaseDoneFrame(const Frame& frame, DistLeaseDone* done) {
-  if (!FrameIs(frame, DistFrameType::kLeaseDone)) return false;
-  size_t pos = 0;
-  return ReadPodAt(frame.payload, &pos, &done->lease_id) &&
-         ReadPodAt(frame.payload, &pos, &done->generation) &&
-         pos == frame.payload.size();
+                                    &result->record) &&
+         ParsePipelineSpec(result->record.pipeline).ok();
 }
 
 void EncodeShutdownFrame(std::string* out) {

@@ -10,6 +10,10 @@
 /// types live in their own range (>= 128) so a dist frame can never be
 /// confused with a serve request or response.
 ///
+/// A worker says HELLO once, then answers each LEASE (one request) with
+/// one RESULT until SHUTDOWN. A worker holds at most one lease, so the
+/// RESULT itself frees it.
+///
 /// Evaluator outcomes travel in the run journal's own record encoding
 /// (EncodeJournalRecordPayload): one serialization of an outcome, whether
 /// it crosses a process boundary or lands on disk.
@@ -18,7 +22,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/evaluator.h"
 #include "core/run_journal.h"
@@ -29,15 +32,13 @@ namespace autofp {
 /// Dist frame types. Kept >= 128: serve requests are < 64 and serve
 /// responses < 128, so the ranges never collide on a shared decoder.
 enum class DistFrameType : uint8_t {
-  /// worker -> coordinator, once at startup: identity + the fingerprint
-  /// of the dataset the worker actually mapped.
+  /// worker -> coordinator, once at startup: the fingerprint of the
+  /// dataset the worker actually mapped.
   kHello = 128,
-  /// coordinator -> worker: a lease over a batch of EvalRequests.
+  /// coordinator -> worker: a lease over one EvalRequest.
   kLease = 129,
-  /// worker -> coordinator: one completed outcome within a lease.
+  /// worker -> coordinator: the outcome that answers a lease.
   kResult = 130,
-  /// worker -> coordinator: every request in the lease was answered.
-  kLeaseDone = 131,
   /// coordinator -> worker: drain and exit cleanly.
   kShutdown = 132,
 };
@@ -50,56 +51,41 @@ inline constexpr int kWorkerCrashExitCode = 87;
 
 /// Worker startup announcement.
 struct DistHello {
-  int32_t pid = 0;
-  uint32_t worker_index = 0;
   /// DatasetFingerprint of the dataset the worker loaded; the coordinator
   /// refuses to lease work to a worker evaluating against different data.
   uint64_t dataset_fingerprint = 0;
 };
 
-/// One lease: a batch of requests a single worker is responsible for
-/// until the deadline. `generation` is a monotonically increasing stamp;
-/// results carrying a stale (lease_id, generation) pair — from a revoked
-/// straggler that answered late — are discarded, never double-counted.
+/// One lease: one request a single worker is responsible for until the
+/// coordinator's deadline. The coordinator numbers leases from 1 and
+/// never reuses an id.
 struct DistLease {
   uint64_t lease_id = 0;
-  uint64_t generation = 0;
-  /// Informational copy of the coordinator's deadline (the coordinator
-  /// enforces it; workers may use it to pace themselves).
-  double deadline_seconds = 0.0;
-  std::vector<EvalRequest> requests;
+  EvalRequest request;
 };
 
-/// One completed outcome: `offset` indexes into the lease's request
-/// vector; the outcome itself is a journal record (journal-grade
-/// encoding, coordinator re-journals it through the single choke point).
+/// The outcome that answers lease `lease_id`, as a journal record
+/// (journal-grade encoding; the coordinator re-journals it through the
+/// single choke point). A result whose id is not the worker's current
+/// lease is stale and ignored.
 struct DistResult {
   uint64_t lease_id = 0;
-  uint64_t generation = 0;
-  uint32_t offset = 0;
   JournalRecord record;
-};
-
-/// Worker's declaration that a lease is fully answered.
-struct DistLeaseDone {
-  uint64_t lease_id = 0;
-  uint64_t generation = 0;
 };
 
 /// Frame encoders: each appends one complete framed message to `*out`.
 void EncodeHelloFrame(const DistHello& hello, std::string* out);
 void EncodeLeaseFrame(const DistLease& lease, std::string* out);
 void EncodeResultFrame(const DistResult& result, std::string* out);
-void EncodeLeaseDoneFrame(const DistLeaseDone& done, std::string* out);
 void EncodeShutdownFrame(std::string* out);
 
 /// Frame decoders: each returns false unless `frame` is a well-formed
 /// message of the matching type (wrong type byte, short payload, trailing
-/// bytes and unparseable pipeline specs all fail).
+/// bytes and unparseable pipeline specs all fail). Every length is
+/// checked against the bytes present before anything is allocated.
 bool DecodeHelloFrame(const Frame& frame, DistHello* hello);
 bool DecodeLeaseFrame(const Frame& frame, DistLease* lease);
 bool DecodeResultFrame(const Frame& frame, DistResult* result);
-bool DecodeLeaseDoneFrame(const Frame& frame, DistLeaseDone* done);
 
 /// Writes all of `bytes` to `fd` (EINTR-safe, SIGPIPE suppressed).
 /// Returns false on any hard error — EPIPE/ECONNRESET when the peer died.

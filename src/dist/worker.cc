@@ -68,7 +68,7 @@ WorkerHooks WorkerHooksFromEnv(int worker_index) {
   return hooks;
 }
 
-int RunDistWorker(int fd, int worker_index, uint64_t dataset_fingerprint,
+int RunDistWorker(int fd, uint64_t dataset_fingerprint,
                   EvaluatorInterface* evaluator, const WorkerHooks& hooks) {
   FrameChannel channel(fd);
   TransformScratch scratch;
@@ -76,8 +76,6 @@ int RunDistWorker(int fd, int worker_index, uint64_t dataset_fingerprint,
   bool stalled_once = false;
 
   DistHello hello;
-  hello.pid = static_cast<int32_t>(::getpid());
-  hello.worker_index = static_cast<uint32_t>(worker_index);
   hello.dataset_fingerprint = dataset_fingerprint;
   std::string bytes;
   EncodeHelloFrame(hello, &bytes);
@@ -102,45 +100,33 @@ int RunDistWorker(int fd, int worker_index, uint64_t dataset_fingerprint,
     DistLease lease;
     if (!DecodeLeaseFrame(frame, &lease)) return 1;
 
-    for (size_t i = 0; i < lease.requests.size(); ++i) {
-      // A revoked worker whose replacement already took the lease should
-      // not keep burning CPU once its coordinator is gone.
-      if (channel.PeerClosed()) return 0;
-      // The crash point fires as the worker takes a request, so the
-      // simulated crash always strands a leased, unanswered request.
-      if (hooks.crash_after_results > 0 &&
-          results_sent >= hooks.crash_after_results) {
-        std::_Exit(kWorkerCrashExitCode);
-      }
-      const EvalRequest& request = lease.requests[i];
-
-      const double start = MonotonicSeconds();
-      Evaluation evaluation = evaluator->Evaluate(request, &scratch);
-      const double elapsed = MonotonicSeconds() - start;
-
-      if (!stalled_once && hooks.stall_after_results >= 0 &&
-          results_sent >= hooks.stall_after_results) {
-        stalled_once = true;
-        if (!StallWatchingPeer(&channel, hooks.stall_seconds)) return 0;
-      }
-
-      DistResult result;
-      result.lease_id = lease.lease_id;
-      result.generation = lease.generation;
-      result.offset = static_cast<uint32_t>(i);
-      result.record = MakeJournalRecord(evaluation, request.seed, elapsed);
-      bytes.clear();
-      EncodeResultFrame(result, &bytes);
-      if (!channel.Send(bytes)) return 0;  // coordinator died mid-lease.
-      ++results_sent;
+    // An orphan whose coordinator died after sending this lease should
+    // not burn CPU on an answer nobody reads.
+    if (channel.PeerClosed()) return 0;
+    // The crash point fires as the worker takes a request, so the
+    // simulated crash always strands a leased, unanswered request.
+    if (hooks.crash_after_results > 0 &&
+        results_sent >= hooks.crash_after_results) {
+      std::_Exit(kWorkerCrashExitCode);
     }
 
-    DistLeaseDone done;
-    done.lease_id = lease.lease_id;
-    done.generation = lease.generation;
+    const double start = MonotonicSeconds();
+    Evaluation evaluation = evaluator->Evaluate(lease.request, &scratch);
+    const double elapsed = MonotonicSeconds() - start;
+
+    if (!stalled_once && hooks.stall_after_results >= 0 &&
+        results_sent >= hooks.stall_after_results) {
+      stalled_once = true;
+      if (!StallWatchingPeer(&channel, hooks.stall_seconds)) return 0;
+    }
+
+    DistResult result;
+    result.lease_id = lease.lease_id;
+    result.record = MakeJournalRecord(evaluation, lease.request.seed, elapsed);
     bytes.clear();
-    EncodeLeaseDoneFrame(done, &bytes);
-    if (!channel.Send(bytes)) return 0;
+    EncodeResultFrame(result, &bytes);
+    if (!channel.Send(bytes)) return 0;  // coordinator died mid-lease.
+    ++results_sent;
   }
 }
 

@@ -4,9 +4,9 @@
 /// The distributed worker loop (see DESIGN.md "Distributed search"): a
 /// worker process connects back to its coordinator over an inherited
 /// socketpair fd, announces itself (HELLO with the fingerprint of the
-/// dataset it mapped), then serves leases — evaluating each request and
-/// streaming one RESULT frame per outcome so the coordinator loses at
-/// most the in-flight evaluation when the worker dies. Workers never
+/// dataset it mapped), then answers each LEASE, which carries one
+/// request, with one RESULT frame, so the coordinator loses at most the
+/// in-flight evaluation when the worker dies. Workers never
 /// retry (the coordinator owns the retry/quarantine taxonomy) and never
 /// touch the journal (the coordinator's single choke point journals every
 /// outcome). A worker whose coordinator dies sees EOF/EPIPE on the pipe
@@ -41,7 +41,7 @@ WorkerHooks WorkerHooksFromEnv(int worker_index);
 /// Runs the worker loop on `fd` until shutdown. Returns the process exit
 /// code: 0 for a clean exit (SHUTDOWN frame or coordinator death), 1 on
 /// a protocol error from the coordinator.
-int RunDistWorker(int fd, int worker_index, uint64_t dataset_fingerprint,
+int RunDistWorker(int fd, uint64_t dataset_fingerprint,
                   EvaluatorInterface* evaluator, const WorkerHooks& hooks);
 
 }  // namespace autofp

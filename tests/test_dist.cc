@@ -1,10 +1,9 @@
 /// Tests of the distributed-search stack (src/dist/): the wire codec's
-/// round trips and rejection of malformed frames, the lease table's
-/// (id, generation) staleness discipline, the shared-dataset hand-off
-/// file's corruption taxonomy, and the DistributedEvaluator end to end
-/// over real forked workers (InProcessWorkerSpawner) — including the
-/// headline robustness property: worker crashes, stragglers and
-/// fingerprint mismatches cost wall-clock, never results.
+/// round trips and rejection of malformed frames, the shared-dataset
+/// hand-off file's corruption taxonomy, and the DistributedEvaluator end
+/// to end over real forked workers (InProcessWorkerSpawner) — including
+/// the headline robustness property: worker crashes, stragglers, stale
+/// answers and fingerprint mismatches cost wall-clock, never results.
 
 #include <unistd.h>
 
@@ -20,7 +19,6 @@
 #include "core/run_journal.h"
 #include "data/benchmark_suite.h"
 #include "dist/coordinator.h"
-#include "dist/lease.h"
 #include "dist/shared_dataset.h"
 #include "dist/wire.h"
 #include "dist/worker.h"
@@ -29,6 +27,11 @@
 
 namespace autofp {
 namespace {
+
+template <typename T>
+void AppendPodForTest(std::string* out, T value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -57,8 +60,6 @@ Frame DecodeOneFrame(const std::string& bytes) {
 
 TEST(DistWire, HelloRoundTrip) {
   DistHello hello;
-  hello.pid = 4242;
-  hello.worker_index = 3;
   hello.dataset_fingerprint = 0xDEADBEEFCAFEF00Dull;
   std::string bytes;
   EncodeHelloFrame(hello, &bytes);
@@ -66,52 +67,23 @@ TEST(DistWire, HelloRoundTrip) {
   EXPECT_EQ(frame.type, static_cast<uint8_t>(DistFrameType::kHello));
   DistHello decoded;
   ASSERT_TRUE(DecodeHelloFrame(frame, &decoded));
-  EXPECT_EQ(decoded.pid, hello.pid);
-  EXPECT_EQ(decoded.worker_index, hello.worker_index);
   EXPECT_EQ(decoded.dataset_fingerprint, hello.dataset_fingerprint);
 }
 
-TEST(DistWire, LeaseRoundTripCarriesFullRequests) {
+DistLease SampleLease() {
   DistLease lease;
   lease.lease_id = 7;
-  lease.generation = 19;
-  lease.deadline_seconds = 2.5;
-  EvalRequest first;
-  first.pipeline = SpecOf({PreprocessorKind::kStandardScaler,
-                           PreprocessorKind::kBinarizer});
-  first.budget_fraction = 0.25;
-  first.deadline_seconds = 1.5;
-  first.seed = 0x1234567890ABCDEFull;
-  EvalRequest second;
-  second.pipeline = SpecOf({});  // the empty pipeline must survive too
-  second.budget_fraction = 1.0;
-  second.deadline_seconds = -1.0;
-  second.seed = 99;
-  lease.requests = {first, second};
-
-  std::string bytes;
-  EncodeLeaseFrame(lease, &bytes);
-  Frame frame = DecodeOneFrame(bytes);
-  DistLease decoded;
-  ASSERT_TRUE(DecodeLeaseFrame(frame, &decoded));
-  EXPECT_EQ(decoded.lease_id, 7u);
-  EXPECT_EQ(decoded.generation, 19u);
-  EXPECT_DOUBLE_EQ(decoded.deadline_seconds, 2.5);
-  ASSERT_EQ(decoded.requests.size(), 2u);
-  EXPECT_EQ(decoded.requests[0].pipeline.ToString(),
-            first.pipeline.ToString());
-  EXPECT_DOUBLE_EQ(decoded.requests[0].budget_fraction, 0.25);
-  EXPECT_DOUBLE_EQ(decoded.requests[0].deadline_seconds, 1.5);
-  EXPECT_EQ(decoded.requests[0].seed, first.seed);
-  EXPECT_TRUE(decoded.requests[1].pipeline.empty());
-  EXPECT_EQ(decoded.requests[1].seed, 99u);
+  lease.request.pipeline = SpecOf({PreprocessorKind::kStandardScaler,
+                                   PreprocessorKind::kBinarizer});
+  lease.request.budget_fraction = 0.25;
+  lease.request.deadline_seconds = 1.5;
+  lease.request.seed = 0x1234567890ABCDEFull;
+  return lease;
 }
 
-TEST(DistWire, ResultRoundTripIsJournalGrade) {
+DistResult SampleResult() {
   DistResult result;
   result.lease_id = 11;
-  result.generation = 23;
-  result.offset = 2;
   result.record.pipeline = SpecOf({PreprocessorKind::kMinMaxScaler}).ToString();
   result.record.budget_fraction = 0.5;
   result.record.seed = 77;
@@ -123,15 +95,43 @@ TEST(DistWire, ResultRoundTripIsJournalGrade) {
   result.record.elapsed_seconds = 0.125;
   result.record.prep_seconds = 0.0625;
   result.record.train_seconds = 0.03125;
+  return result;
+}
 
+TEST(DistWire, LeaseRoundTripCarriesFullRequests) {
+  const DistLease lease = SampleLease();
+  std::string bytes;
+  EncodeLeaseFrame(lease, &bytes);
+  Frame frame = DecodeOneFrame(bytes);
+  DistLease decoded;
+  ASSERT_TRUE(DecodeLeaseFrame(frame, &decoded));
+  EXPECT_EQ(decoded.lease_id, 7u);
+  EXPECT_EQ(decoded.request.pipeline.ToString(),
+            lease.request.pipeline.ToString());
+  EXPECT_DOUBLE_EQ(decoded.request.budget_fraction, 0.25);
+  EXPECT_DOUBLE_EQ(decoded.request.deadline_seconds, 1.5);
+  EXPECT_EQ(decoded.request.seed, lease.request.seed);
+
+  // The empty pipeline must survive too.
+  DistLease empty;
+  empty.lease_id = 8;
+  empty.request.seed = 99;
+  bytes.clear();
+  EncodeLeaseFrame(empty, &bytes);
+  ASSERT_TRUE(DecodeLeaseFrame(DecodeOneFrame(bytes), &decoded));
+  EXPECT_EQ(decoded.lease_id, 8u);
+  EXPECT_TRUE(decoded.request.pipeline.empty());
+  EXPECT_EQ(decoded.request.seed, 99u);
+}
+
+TEST(DistWire, ResultRoundTripIsJournalGrade) {
+  const DistResult result = SampleResult();
   std::string bytes;
   EncodeResultFrame(result, &bytes);
   Frame frame = DecodeOneFrame(bytes);
   DistResult decoded;
   ASSERT_TRUE(DecodeResultFrame(frame, &decoded));
   EXPECT_EQ(decoded.lease_id, 11u);
-  EXPECT_EQ(decoded.generation, 23u);
-  EXPECT_EQ(decoded.offset, 2u);
   // The payload is the journal's own record codec: the outcome that
   // crossed the pipe re-journals byte-identically.
   EXPECT_EQ(EncodeJournalRecordPayload(decoded.record),
@@ -141,28 +141,85 @@ TEST(DistWire, ResultRoundTripIsJournalGrade) {
   EXPECT_EQ(evaluation.status.code(), StatusCode::kOutOfRange);
 }
 
-TEST(DistWire, LeaseDoneRoundTripAndTypeConfusionRejected) {
-  DistLeaseDone done;
-  done.lease_id = 5;
-  done.generation = 6;
+/// Frames `payload` as `type` with a valid CRC and decodes it back
+/// through the real FrameDecoder, so only the message decoder can object.
+Frame ValidCrcFrame(DistFrameType type, const std::string& payload) {
   std::string bytes;
-  EncodeLeaseDoneFrame(done, &bytes);
-  Frame frame = DecodeOneFrame(bytes);
-  DistLeaseDone decoded;
-  ASSERT_TRUE(DecodeLeaseDoneFrame(frame, &decoded));
-  EXPECT_EQ(decoded.lease_id, 5u);
-  EXPECT_EQ(decoded.generation, 6u);
+  EncodeFrame(static_cast<FrameType>(type), payload, &bytes);
+  return DecodeOneFrame(bytes);
+}
 
-  // Decoders refuse frames of the wrong type and short payloads.
-  DistHello hello;
-  EXPECT_FALSE(DecodeHelloFrame(frame, &hello));
-  frame.payload.resize(frame.payload.size() / 2);
-  EXPECT_FALSE(DecodeLeaseDoneFrame(frame, &decoded));
+bool DecodeAs(DistFrameType type, const Frame& frame) {
+  switch (type) {
+    case DistFrameType::kHello: {
+      DistHello hello;
+      return DecodeHelloFrame(frame, &hello);
+    }
+    case DistFrameType::kLease: {
+      DistLease lease;
+      return DecodeLeaseFrame(frame, &lease);
+    }
+    case DistFrameType::kResult: {
+      DistResult result;
+      return DecodeResultFrame(frame, &result);
+    }
+    case DistFrameType::kShutdown:
+      break;
+  }
+  return false;
+}
+
+TEST(DistWire, EveryPrefixExtensionAndTypeConfusionIsRejected) {
+  std::string hello_bytes;
+  EncodeHelloFrame(DistHello{0xDEADBEEFCAFEF00Dull}, &hello_bytes);
+  std::string lease_bytes;
+  EncodeLeaseFrame(SampleLease(), &lease_bytes);
+  std::string result_bytes;
+  EncodeResultFrame(SampleResult(), &result_bytes);
+  const std::vector<Frame> valid = {DecodeOneFrame(hello_bytes),
+                                    DecodeOneFrame(lease_bytes),
+                                    DecodeOneFrame(result_bytes)};
+  const DistFrameType types[] = {DistFrameType::kHello, DistFrameType::kLease,
+                                 DistFrameType::kResult};
+
+  for (size_t t = 0; t < valid.size(); ++t) {
+    const std::string& payload = valid[t].payload;
+    ASSERT_TRUE(DecodeAs(types[t], valid[t]));
+    for (size_t length = 0; length < payload.size(); ++length) {
+      EXPECT_FALSE(
+          DecodeAs(types[t], ValidCrcFrame(types[t], payload.substr(0, length))))
+          << "type " << static_cast<int>(types[t]) << " prefix " << length;
+    }
+    EXPECT_FALSE(DecodeAs(types[t], ValidCrcFrame(types[t], payload + '\0')))
+        << "type " << static_cast<int>(types[t]) << " plus a trailing byte";
+    // A frame of one type never decodes as another.
+    for (size_t other = 0; other < valid.size(); ++other) {
+      if (other != t) {
+        EXPECT_FALSE(DecodeAs(types[other], valid[t]));
+      }
+    }
+  }
+
+  // The batch layout's LEASE (lease_id, generation, deadline, then a
+  // request count of 0xFFFFFFFF and no requests): a 41-byte CRC-valid
+  // frame that once sized an allocation from the count.
+  std::string batch_payload(24, '\0');
+  batch_payload.append(4, '\xFF');
+  const Frame batch = ValidCrcFrame(DistFrameType::kLease, batch_payload);
+  EXPECT_FALSE(DecodeAs(DistFrameType::kLease, batch));
+
+  // A RESULT whose record names an unparseable pipeline is refused at the
+  // wire; EvaluationFromRecord would abort the coordinator on it.
+  DistResult garbage = SampleResult();
+  garbage.record.pipeline = "NoSuchPreprocessor";
+  std::string garbage_bytes;
+  EncodeResultFrame(garbage, &garbage_bytes);
+  EXPECT_FALSE(DecodeAs(DistFrameType::kResult, DecodeOneFrame(garbage_bytes)));
 }
 
 TEST(DistWire, CorruptedBytesDesyncTheDecoder) {
   DistHello hello;
-  hello.pid = 1;
+  hello.dataset_fingerprint = 1;
   std::string bytes;
   EncodeHelloFrame(hello, &bytes);
   bytes[bytes.size() / 2] ^= 0x40;  // flip one payload/CRC bit
@@ -173,71 +230,6 @@ TEST(DistWire, CorruptedBytesDesyncTheDecoder) {
   std::string detail;
   EXPECT_EQ(decoder.Next(&frame, &error, &detail),
             FrameDecoder::Outcome::kBad);
-}
-
-// --- Lease table ------------------------------------------------------------
-
-TEST(LeaseTable, IssueAcceptRelease) {
-  LeaseTable table;
-  const Lease& lease = table.Issue({4, 9, 2}, /*worker_index=*/1,
-                                   /*deadline=*/10.0, /*batch_attempts=*/1);
-  const uint64_t id = lease.id;
-  const uint64_t generation = lease.generation;
-  EXPECT_EQ(table.active(), 1u);
-  EXPECT_EQ(table.leases_issued(), 1u);
-
-  // Results resolve offsets to the round slots they answer.
-  EXPECT_EQ(table.AcceptResult(id, generation, 1), std::optional<size_t>(9));
-  EXPECT_EQ(table.AcceptResult(id, generation, 0), std::optional<size_t>(4));
-  // Duplicates and out-of-range offsets are stale, not fatal.
-  EXPECT_EQ(table.AcceptResult(id, generation, 1), std::nullopt);
-  EXPECT_EQ(table.AcceptResult(id, generation, 3), std::nullopt);
-  ASSERT_NE(table.Find(id), nullptr);
-  EXPECT_EQ(table.Find(id)->RemainingSlots(), std::vector<size_t>{2});
-  EXPECT_FALSE(table.Find(id)->AllDone());
-  EXPECT_EQ(table.AcceptResult(id, generation, 2), std::optional<size_t>(2));
-  EXPECT_TRUE(table.Find(id)->AllDone());
-
-  // Release with a stale generation is refused; the real one removes it.
-  EXPECT_EQ(table.Release(id, generation + 1), std::nullopt);
-  std::optional<Lease> released = table.Release(id, generation);
-  ASSERT_TRUE(released.has_value());
-  EXPECT_TRUE(released->AllDone());
-  EXPECT_EQ(table.active(), 0u);
-}
-
-TEST(LeaseTable, RevokedStragglersCannotDoubleCount) {
-  LeaseTable table;
-  const Lease& first = table.Issue({0, 1}, 0, 1.0, 1);
-  const uint64_t first_id = first.id;
-  const uint64_t first_generation = first.generation;
-
-  // Deadline passes; the coordinator revokes and re-leases the remainder.
-  EXPECT_EQ(table.ExpiredLeases(2.0), std::vector<uint64_t>{first_id});
-  std::optional<Lease> revoked = table.Revoke(first_id);
-  ASSERT_TRUE(revoked.has_value());
-  const Lease& second = table.Issue(revoked->RemainingSlots(), 1, 5.0, 2);
-  EXPECT_GT(second.generation, first_generation);
-  EXPECT_EQ(second.batch_attempts, 2);
-
-  // The straggler answers late under its old stamp: discarded, both for
-  // results and for LEASE_DONE.
-  EXPECT_EQ(table.AcceptResult(first_id, first_generation, 0), std::nullopt);
-  EXPECT_EQ(table.Release(first_id, first_generation), std::nullopt);
-  // The re-lease's answers land normally.
-  EXPECT_EQ(table.AcceptResult(second.id, second.generation, 0),
-            std::optional<size_t>(0));
-}
-
-TEST(LeaseTable, NextDeadlineTracksTheEarliestLease) {
-  LeaseTable table;
-  EXPECT_EQ(table.NextDeadline(), std::nullopt);
-  table.Issue({0}, 0, 7.0, 1);
-  const Lease& early = table.Issue({1}, 1, 3.0, 1);
-  EXPECT_EQ(table.NextDeadline(), std::optional<double>(3.0));
-  table.Revoke(early.id);
-  EXPECT_EQ(table.NextDeadline(), std::optional<double>(7.0));
-  EXPECT_TRUE(table.ExpiredLeases(5.0).empty());
 }
 
 // --- Shared dataset ---------------------------------------------------------
@@ -291,6 +283,44 @@ TEST(SharedDataset, CorruptionAndTruncationAreTypedErrors) {
   }
   EXPECT_FALSE(MapSharedDataset(truncated_path).ok());
 
+  // CRC-valid files whose header sizes exceed the file: each once
+  // crashed the loader before any bounds check ran.
+  struct Crafted {
+    const char* what;
+    uint64_t rows;
+    uint64_t cols;
+    uint32_t name_len;
+    size_t file_bytes;
+  };
+  const Crafted crafted[] = {
+      // The feature size wraps to 0, and the fingerprint pass read far
+      // past the mapping (SIGBUS).
+      {"cols 2^61", 1, uint64_t{1} << 61, 0, 72},
+      // Sized a 4 GiB name before checking the bytes (bad_alloc).
+      {"name_len 0xFFFFFFFF", 1, 1, 0xFFFFFFFFu, 68},
+      // Sized a 2^61-entry label vector (length_error).
+      {"rows 2^61", uint64_t{1} << 61, 1, 0, 68},
+  };
+  const std::string crafted_path = TempPath("shared_crafted.ds");
+  for (const Crafted& c : crafted) {
+    std::string file;
+    AppendPodForTest(&file, kSharedDatasetMagic);
+    AppendPodForTest(&file, kSharedDatasetVersion);
+    AppendPodForTest(&file, uint64_t{0});  // fingerprint
+    AppendPodForTest(&file, uint32_t{2});  // num_classes
+    AppendPodForTest(&file, c.rows);
+    AppendPodForTest(&file, c.cols);
+    AppendPodForTest(&file, c.name_len);
+    file.resize(c.file_bytes - sizeof(uint32_t), '\0');
+    AppendPodForTest(&file, Crc32(file.data(), file.size()));
+    ASSERT_EQ(file.size(), c.file_bytes);
+    { std::ofstream out(crafted_path, std::ios::binary); out << file; }
+    Result<Dataset> mapped = MapSharedDataset(crafted_path);
+    ASSERT_FALSE(mapped.ok()) << c.what;
+    EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument)
+        << c.what << ": " << mapped.status().ToString();
+  }
+
   // Not our file at all.
   const std::string foreign_path = TempPath("shared_foreign.ds");
   { std::ofstream out(foreign_path, std::ios::binary); out << "hello"; }
@@ -301,6 +331,7 @@ TEST(SharedDataset, CorruptionAndTruncationAreTypedErrors) {
   std::remove(flipped_path.c_str());
   std::remove(truncated_path.c_str());
   std::remove(foreign_path.c_str());
+  std::remove(crafted_path.c_str());
 }
 
 // --- DistributedEvaluator over forked workers -------------------------------
@@ -375,10 +406,9 @@ struct DistHarness {
   explicit DistHarness(DistOptions options, WorkerHooks hooks = {}) {
     options.expected_dataset_fingerprint = kTestFingerprint;
     evaluator = std::make_unique<DistributedEvaluator>(
-        &local, InProcessWorkerSpawner([hooks](int fd, int worker_index) {
+        &local, InProcessWorkerSpawner([hooks](int fd, int) {
           SyntheticEvaluator worker_local;
-          return RunDistWorker(fd, worker_index, kTestFingerprint,
-                               &worker_local, hooks);
+          return RunDistWorker(fd, kTestFingerprint, &worker_local, hooks);
         }),
         options);
   }
@@ -408,6 +438,58 @@ TEST(DistributedEvaluator, MatchesLocalSequentialResultsInOrder) {
   EXPECT_EQ(Canonical(again), Canonical(want));
   harness.evaluator->Shutdown();
   EXPECT_EQ(harness.evaluator->live_workers(), 0);
+}
+
+TEST(DistributedEvaluator, ResultsForAnotherLeaseAreCountedStaleAndIgnored) {
+  SyntheticEvaluator reference;
+  const std::vector<EvalRequest> requests = MakeRequests(5);
+  const std::vector<Evaluation> want = reference.EvaluateAll(requests);
+
+  // A hand-written worker: it answers its first lease once under a wrong
+  // lease id (carrying a wrong outcome), then answers every lease right.
+  auto worker_main = [](int fd, int) {
+    FrameChannel channel(fd);
+    SyntheticEvaluator worker_local;
+    std::string bytes;
+    EncodeHelloFrame(DistHello{kTestFingerprint}, &bytes);
+    if (!channel.Send(bytes)) return 0;
+    bool sent_stale = false;
+    for (;;) {
+      Frame frame;
+      if (channel.Recv(&frame) != FrameChannel::RecvOutcome::kFrame) return 0;
+      DistLease lease;
+      if (!DecodeLeaseFrame(frame, &lease)) return 0;  // SHUTDOWN
+      const Evaluation evaluation = worker_local.Evaluate(lease.request);
+      DistResult result;
+      result.record = MakeJournalRecord(evaluation, lease.request.seed, 0.0);
+      if (!sent_stale) {
+        sent_stale = true;
+        DistResult stale = result;
+        stale.lease_id = lease.lease_id + 1000;
+        stale.record.accuracy = 0.5 * evaluation.accuracy + 0.125;
+        bytes.clear();
+        EncodeResultFrame(stale, &bytes);
+        if (!channel.Send(bytes)) return 0;
+      }
+      result.lease_id = lease.lease_id;
+      bytes.clear();
+      EncodeResultFrame(result, &bytes);
+      if (!channel.Send(bytes)) return 0;
+    }
+  };
+
+  SyntheticEvaluator local;
+  DistOptions options;
+  options.num_workers = 1;
+  options.expected_dataset_fingerprint = kTestFingerprint;
+  DistributedEvaluator evaluator(&local, InProcessWorkerSpawner(worker_main),
+                                 options);
+  const std::vector<Evaluation> got = evaluator.EvaluateAll(requests);
+  EXPECT_EQ(Canonical(got), Canonical(want));
+  EXPECT_EQ(evaluator.stats().stale_results, 1);
+  EXPECT_EQ(evaluator.stats().local_fallback_evals, 0);
+  EXPECT_EQ(evaluator.stats().leases_issued,
+            static_cast<long>(requests.size()));
 }
 
 TEST(DistributedEvaluator, WorkerCrashesCostNothingButTime) {
@@ -461,11 +543,11 @@ TEST(DistributedEvaluator, FingerprintMismatchedWorkersAreRefused) {
   options.num_workers = 2;
   options.expected_dataset_fingerprint = kTestFingerprint;
   DistributedEvaluator evaluator(
-      &local, InProcessWorkerSpawner([](int fd, int worker_index) {
+      &local, InProcessWorkerSpawner([](int fd, int) {
         SyntheticEvaluator worker_local;
         // The worker mapped the wrong data: HELLO carries the truth.
-        return RunDistWorker(fd, worker_index, kTestFingerprint ^ 1,
-                             &worker_local, WorkerHooks{});
+        return RunDistWorker(fd, kTestFingerprint ^ 1, &worker_local,
+                             WorkerHooks{});
       }),
       options);
   const std::vector<Evaluation> got = evaluator.EvaluateAll(requests);

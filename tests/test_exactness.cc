@@ -165,8 +165,8 @@ SearchRun RunMode(const std::string& algorithm, uint64_t seed, Mode mode,
     dist_options.expected_dataset_fingerprint = dataset_fp;
     dist = std::make_unique<DistributedEvaluator>(
         &evaluator,
-        InProcessWorkerSpawner([&evaluator, dataset_fp](int fd, int index) {
-          return RunDistWorker(fd, index, dataset_fp, &evaluator, {});
+        InProcessWorkerSpawner([&evaluator, dataset_fp](int fd, int) {
+          return RunDistWorker(fd, dataset_fp, &evaluator, {});
         }),
         dist_options);
     options.num_workers = 3;

@@ -360,8 +360,8 @@ int RunWorkerMode(const Options& options) {
   std::unique_ptr<PipelineEvaluator> evaluator =
       MakeEvaluator(options, dataset.value(), model_kind);
   WorkerHooks hooks = WorkerHooksFromEnv(options.worker_index);
-  return RunDistWorker(options.worker_fd, options.worker_index, fingerprint,
-                       evaluator.get(), hooks);
+  return RunDistWorker(options.worker_fd, fingerprint, evaluator.get(),
+                       hooks);
 }
 
 /// Prints a journal's canonical listing (JournalListing): byte-identical
