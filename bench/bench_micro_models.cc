@@ -6,8 +6,8 @@
 /// the SIMD primitives the model inner loops ride (Dot, Axpy, the
 /// branchless histogram binning, the ReferenceStats Welford update) timed
 /// scalar vs vectorized, with element throughput and speedups, plus one
-/// LR Train split into its per-epoch forward phase and gradient sum (Train
-/// and the gradient also timed inside a 4-thread pool), and
+/// LR Train split into its per-epoch forward phase and gradient sum (all
+/// three also timed inside a 4-thread pool), and
 /// one MLP Train split into its per-step forward, backward and Adam, and
 /// GBDT scoring per row against PredictBatch on 256-row shards, as
 /// median, min and max over repeats. scripts/bench_snapshot.sh commits it as
@@ -240,14 +240,13 @@ int RunModelRooflineReport(const char* path) {
   for (double& w : lr_weights) w = rng.Uniform(-0.5, 0.5);
   std::vector<double> lr_residuals(lr_data.features.rows() * 2);
   std::vector<double> lr_grad(lr_weights.size());
-  const bench::Timing lr_forward = bench::TimeRepeats([&] {
-    LogisticRegression::ForwardRows(lr_data.features, lr_data.labels,
-                                    lr_weights.data(), 2, 0,
-                                    lr_data.features.rows(),
-                                    lr_residuals.data());
+  const auto lr_forward_once = [&] {
+    LogisticRegression::Forward(lr_data.features, lr_data.labels,
+                                lr_weights.data(), 2, lr_residuals.data());
     benchmark::DoNotOptimize(lr_residuals.data());
     benchmark::ClobberMemory();
-  });
+  };
+  const bench::Timing lr_forward = bench::TimeRepeats(lr_forward_once);
   const auto lr_gradient_once = [&] {
     std::fill(lr_grad.begin(), lr_grad.end(), 0.0);
     LogisticRegression::AccumulateGradient(
@@ -258,11 +257,13 @@ int RunModelRooflineReport(const char* path) {
   const bench::Timing lr_train = bench::TimeRepeats(lr_train_once);
   const bench::Timing lr_gradient = bench::TimeRepeats(lr_gradient_once);
   bench::Timing lr_train_pool;
+  bench::Timing lr_forward_pool;
   bench::Timing lr_gradient_pool;
   {
     ThreadPool pool(4);
     pool.ParallelFor(1, [&](size_t, int) {
       lr_train_pool = bench::TimeRepeats(lr_train_once);
+      lr_forward_pool = bench::TimeRepeats(lr_forward_once);
       lr_gradient_pool = bench::TimeRepeats(lr_gradient_once);
     });
   }
@@ -271,11 +272,14 @@ int RunModelRooflineReport(const char* path) {
   snapshot.Time("epoch_forward_ns", lr_forward);
   snapshot.Time("epoch_gradient_ns", lr_gradient);
   snapshot.Time("train_pool4_ns", lr_train_pool);
+  snapshot.Time("epoch_forward_pool4_ns", lr_forward_pool);
   snapshot.Time("epoch_gradient_pool4_ns", lr_gradient_pool);
   snapshot.Figure("epochs", lr_config.lr_epochs);
   snapshot.Figure("forward_share",
                   lr_forward.median_ns /
                       (lr_forward.median_ns + lr_gradient.median_ns));
+  snapshot.Figure("pool4_speedup",
+                  lr_train.median_ns / lr_train_pool.median_ns);
 
   // MLP Train at the workers workload's shape (sylvine_syn's 3279x20
   // training split, 2 classes, default config), and one minibatch step's

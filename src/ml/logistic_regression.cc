@@ -11,15 +11,15 @@ namespace autofp {
 
 namespace {
 
-/// Rows per HelpFor index in an epoch's forward phase: enough work per
-/// block (~20 us at 8 features) to pay for a helper's queue round trip.
+/// Rows per HelpFor index in an epoch's forward phase: ~7 us of row tiles
+/// at 8 features and 2 classes.
 constexpr size_t kForwardBlockRows = 512;
 
 using simd::VecD;
 constexpr size_t kLanes = VecD::kLanes;
 
-// SumGradientRange holds its sums in arrays. The unroll pragmas let GCC
-// keep them in registers, as in nn/mlp_net.cc's tiles.
+// SumGradientRange and ForwardTiles hold their sums in arrays. The unroll
+// pragmas let GCC keep them in registers, as in nn/mlp_net.cc's tiles.
 
 /// Sums class k's gradient over columns [begin, end), at most
 /// LogisticRegression::kGradientRangeCols of them, into the class's row
@@ -82,40 +82,140 @@ void SumGradientRange(const Matrix& features, const double* residuals,
   if (last) g[d] = intercept;
 }
 
-}  // namespace
-
-void LogisticRegression::ForwardRows(const Matrix& features,
-                                     const std::vector<int>& labels,
-                                     const double* weights, int num_classes,
-                                     size_t begin, size_t end,
-                                     double* residuals) {
+/// Writes the residuals of rows [begin, end) in tiles of V::kLanes rows,
+/// lane r of a tile holding its row r. Each lane makes the row loop's IEEE
+/// operations in the row loop's order, so every residual keeps its bits:
+///   - the logit is w[d] + Dot(w, row, d), summed as Dot sums it on V:
+///     whole V-vectors, V::SumEach for the horizontal add, then the tail;
+///   - the max (strict > from -1e300, in class order), z = logit - max,
+///     the denominator in class order, the division, the label term and
+///     the 1/n scale are one lane op each;
+///   - exp stays libm's std::exp of the clamped z, called only where
+///     z != 0 (exp(0) is exactly 1), or once per row for two classes.
+/// A ragged last tile repeats its last row in the spare lanes and stores
+/// only its own rows.
+template <typename V>
+void ForwardTiles(const Matrix& features, const std::vector<int>& labels,
+                  const double* weights, int num_classes, size_t begin,
+                  size_t end, double* residuals) {
+  constexpr size_t kL = V::kLanes;
   const size_t d = features.cols();
   const size_t stride = d + 1;
-  const double inv_n = 1.0 / static_cast<double>(features.rows());
-  for (size_t r = begin; r < end; ++r) {
-    const double* row = features.RowPtr(r);
-    // The row's slot holds its logits, then its exps, then its residuals.
-    double* slot = residuals + r * num_classes;
-    double max_logit = -1e300;
+  const size_t vec_end = d - d % kL;
+  const V inv_n = V::Set1(1.0 / static_cast<double>(features.rows()));
+  const V zero = V::Zero();
+  const V one = V::Set1(1.0);
+  // Class k's lanes at tile + k * kL: its logits, then its z, its exps
+  // and its residuals.
+  std::vector<double> tile(static_cast<size_t>(num_classes) * kL);
+  for (size_t base = begin; base < end; base += kL) {
+    const size_t count = std::min(kL, end - base);
+    const double* rows[kL];
+    double row_labels[kL];
+#pragma GCC unroll 4
+    for (size_t r = 0; r < kL; ++r) {
+      const size_t row = base + std::min(r, count - 1);
+      rows[r] = features.RowPtr(row);
+      row_labels[r] = labels[row];
+    }
+    V max_logit = V::Set1(-1e300);
     for (int k = 0; k < num_classes; ++k) {
       const double* w = weights + k * stride;
-      const double sum = w[d] + simd::Dot(w, row, d);
-      slot[k] = sum;
-      if (sum > max_logit) max_logit = sum;
+      V acc[kL];
+#pragma GCC unroll 4
+      for (size_t r = 0; r < kL; ++r) acc[r] = zero;
+      for (size_t i = 0; i < vec_end; i += kL) {
+        const V wv = V::Load(w + i);
+#pragma GCC unroll 4
+        for (size_t r = 0; r < kL; ++r) {
+          acc[r] = acc[r] + wv * V::Load(rows[r] + i);
+        }
+      }
+      V sum = V::SumEach(acc);
+      for (size_t i = vec_end; i < d; ++i) {
+        double column[kL];
+#pragma GCC unroll 4
+        for (size_t r = 0; r < kL; ++r) column[r] = rows[r][i];
+        sum = sum + V::Set1(w[i]) * V::Load(column);
+      }
+      const V logit = V::Set1(w[d]) + sum;
+      logit.Store(tile.data() + k * kL);
+      max_logit = V::Select(V::Gt(logit, max_logit), logit, max_logit);
     }
-    double denom = 0.0;
     for (int k = 0; k < num_classes; ++k) {
-      // exp(0) is exactly 1: the max logit's class skips the call.
-      const double z = slot[k] - max_logit;
-      slot[k] = z == 0.0 ? 1.0 : std::exp(std::clamp(z, -500.0, 0.0));
-      denom += slot[k];
+      double* lanes = tile.data() + k * kL;
+      (V::Load(lanes) - max_logit).Store(lanes);
     }
+    // With two classes the max class's z is 0, so the other z is z0 + z1
+    // exactly and one exp serves the row. A tile with a row that has no
+    // zero z (NaN logits, or none above the -1e300 start) takes the
+    // per-entry path. The test is branch-free: which class holds the max
+    // varies from row to row.
+    bool one_exp = num_classes == 2;
+#pragma GCC unroll 4
+    for (size_t r = 0; r < kL; ++r) {
+      one_exp &= (tile[r] == 0.0) | (tile[kL + r] == 0.0);
+    }
+    if (one_exp) {
+      double e[kL];
+#pragma GCC unroll 4
+      for (size_t r = 0; r < kL; ++r) {
+        e[r] = std::exp(std::clamp(tile[r] + tile[kL + r], -500.0, 0.0));
+      }
+      const V exps = V::Load(e);
+      for (int k = 0; k < 2; ++k) {
+        double* lanes = tile.data() + k * kL;
+        // z is <= 0 or NaN, so 0 <= z holds exactly where z == 0.
+        const V z = V::Load(lanes);
+        V::Select(V::Le(zero, z), one, exps).Store(lanes);
+      }
+    } else {
+      for (double& z : tile) {
+        z = z == 0.0 ? 1.0 : std::exp(std::clamp(z, -500.0, 0.0));
+      }
+    }
+    V denom = zero;
     for (int k = 0; k < num_classes; ++k) {
-      double residual = slot[k] / denom - (labels[r] == k ? 1.0 : 0.0);
-      residual *= inv_n;
-      slot[k] = residual;
+      denom = denom + V::Load(tile.data() + k * kL);
+    }
+    const V label = V::Load(row_labels);
+    for (int k = 0; k < num_classes; ++k) {
+      double* lanes = tile.data() + k * kL;
+      // Labels are small integers: |label - k| <= 0 only where they match.
+      const V is_label =
+          V::Select(V::Le((label - V::Set1(k)).Abs(), zero), one, zero);
+      ((V::Load(lanes) / denom - is_label) * inv_n).Store(lanes);
+    }
+    for (size_t r = 0; r < count; ++r) {
+      double* slot = residuals + (base + r) * num_classes;
+      for (int k = 0; k < num_classes; ++k) slot[k] = tile[k * kL + r];
     }
   }
+}
+
+}  // namespace
+
+void LogisticRegression::Forward(const Matrix& features,
+                                 const std::vector<int>& labels,
+                                 const double* weights, int num_classes,
+                                 double* residuals) {
+  const size_t n = features.rows();
+  // simd::Dot sums in DotScalar's order when forced scalar; so does the
+  // one-lane tile.
+  const bool vectors = kLanes > 1 && !simd::ForceScalarEnabled();
+  // Rows are independent, so idle pool workers may take blocks of them.
+  ThreadPool::HelpFor((n + kForwardBlockRows - 1) / kForwardBlockRows,
+                      [&](size_t block) {
+    const size_t begin = block * kForwardBlockRows;
+    const size_t end = std::min(n, begin + kForwardBlockRows);
+    if (vectors) {
+      ForwardTiles<VecD>(features, labels, weights, num_classes, begin, end,
+                         residuals);
+    } else {
+      ForwardTiles<simd::ScalarD>(features, labels, weights, num_classes,
+                                  begin, end, residuals);
+    }
+  });
 }
 
 void LogisticRegression::AccumulateGradient(const Matrix& features,
@@ -159,15 +259,9 @@ void LogisticRegression::Train(const Matrix& features,
   AdamConfig adam;
   adam.learning_rate = config_.lr_step;
   std::vector<double> residuals(n * num_classes);
-  const size_t blocks = (n + kForwardBlockRows - 1) / kForwardBlockRows;
   for (int epoch = 0; epoch < config_.lr_epochs; ++epoch) {
-    // Rows are independent, so idle pool workers may take blocks of them.
-    ThreadPool::HelpFor(blocks, [&](size_t block) {
-      ForwardRows(features, labels, params.value.data(), num_classes,
-                  block * kForwardBlockRows,
-                  std::min(n, (block + 1) * kForwardBlockRows),
-                  residuals.data());
-    });
+    Forward(features, labels, params.value.data(), num_classes,
+            residuals.data());
     // Each gradient element is summed by one thread in row order, so it
     // adds up in the same order whether or not helpers ran.
     params.ZeroGrad();
@@ -186,23 +280,22 @@ void LogisticRegression::Train(const Matrix& features,
   weights_ = std::move(params.value);
 }
 
-std::vector<double> LogisticRegression::DecisionFunction(const double* row,
-                                                         size_t cols) const {
+int LogisticRegression::Predict(const double* row, size_t cols) const {
   AUTOFP_CHECK_EQ(cols, num_features_);
   AUTOFP_CHECK_GT(num_classes_, 0) << "Predict before Train";
   const size_t stride = num_features_ + 1;
-  std::vector<double> scores(num_classes_);
+  // The first maximum wins, as std::max_element picks it.
+  int best = 0;
+  double best_score = 0.0;
   for (int k = 0; k < num_classes_; ++k) {
     const double* w = weights_.data() + k * stride;
-    scores[k] = w[num_features_] + simd::Dot(w, row, num_features_);
+    const double score = w[num_features_] + simd::Dot(w, row, num_features_);
+    if (k == 0 || best_score < score) {
+      best = k;
+      best_score = score;
+    }
   }
-  return scores;
-}
-
-int LogisticRegression::Predict(const double* row, size_t cols) const {
-  std::vector<double> scores = DecisionFunction(row, cols);
-  return static_cast<int>(std::max_element(scores.begin(), scores.end()) -
-                          scores.begin());
+  return best;
 }
 
 void LogisticRegression::SaveState(std::ostream& out) const {

@@ -28,17 +28,16 @@ class LogisticRegression : public Classifier {
   void SaveState(std::ostream& out) const override;
   Status LoadState(std::istream& in) override;
 
-  /// Per-class decision scores for one row (exposed for tests).
-  std::vector<double> DecisionFunction(const double* row, size_t cols) const;
-
   /// The two phases of one training epoch (public for the model roofline
-  /// bench). ForwardRows writes the softmax residuals of rows [begin, end),
-  /// scaled by 1/n, to residuals[r * num_classes + k] under `weights`
-  /// (the layout of weights_). Rows are independent.
-  static void ForwardRows(const Matrix& features,
-                          const std::vector<int>& labels,
-                          const double* weights, int num_classes,
-                          size_t begin, size_t end, double* residuals);
+  /// bench). Forward writes every row's softmax residuals, scaled by 1/n,
+  /// to residuals[r * num_classes + k] under `weights` (the layout of
+  /// weights_). Rows are independent: blocks of 512 run through
+  /// ThreadPool::HelpFor, and each block runs in tiles of VecD::kLanes
+  /// rows whose lanes repeat the row-at-a-time loop's operations, so the
+  /// residuals get its bits.
+  static void Forward(const Matrix& features, const std::vector<int>& labels,
+                      const double* weights, int num_classes,
+                      double* residuals);
   /// Gradient columns per item of AccumulateGradient: whole VecD lanes on
   /// every backend (two AVX2 vectors, four NEON ones, eight scalars).
   static constexpr size_t kGradientRangeCols = 8;

@@ -24,7 +24,9 @@
 /// is ever emitted (the build also passes -ffp-contract=off so the
 /// compiler cannot contract the scalar references either). The only
 /// helpers that reassociate — and are therefore tolerance-gated, not
-/// bit-exact — are the horizontal reductions: VecD::Sum() and Dot().
+/// bit-exact against a scalar loop — are the horizontal reductions:
+/// VecD::Sum(), VecD::SumEach() (lane r is exactly acc[r].Sum()) and
+/// Dot().
 ///
 /// Loads and stores are unaligned-safe; Matrix storage is 64-byte
 /// aligned (util/aligned.h) purely as a performance property.
@@ -143,6 +145,8 @@ struct ScalarD {
   }
 
   double Sum() const { return v; }
+  /// One Sum() per vector of acc[0..kLanes), lane r holding acc[r]'s.
+  static ScalarD SumEach(const ScalarD* acc) { return acc[0]; }
   double Lane(size_t) const { return v; }
 };
 
@@ -212,6 +216,20 @@ struct VecD {
     __m128d swap = _mm_unpackhi_pd(pair, pair);
     return _mm_cvtsd_f64(_mm_add_sd(pair, swap));
   }
+  /// Lane r is acc[r].Sum(), bit for bit: the half-swaps pair row r's
+  /// lanes as Sum() does, (a0 + a2, a1 + a3) with the low half first, and
+  /// the unpacks bring each row's two pair sums into lane r for the last
+  /// add, again in Sum()'s operand order.
+  static VecD SumEach(const VecD* acc) {
+    const auto pairs = [](__m256d a, __m256d b) {
+      return _mm256_add_pd(_mm256_permute2f128_pd(a, b, 0x20),
+                           _mm256_permute2f128_pd(a, b, 0x31));
+    };
+    const __m256d even = pairs(acc[0].v, acc[2].v);  // rows 0 and 2.
+    const __m256d odd = pairs(acc[1].v, acc[3].v);   // rows 1 and 3.
+    return {_mm256_add_pd(_mm256_unpacklo_pd(even, odd),
+                          _mm256_unpackhi_pd(even, odd))};
+  }
 
   double Lane(size_t i) const {
     alignas(32) double lanes[4];
@@ -270,6 +288,10 @@ struct VecD {
   }
 
   double Sum() const { return vgetq_lane_f64(v, 0) + vgetq_lane_f64(v, 1); }
+  /// Lane r is acc[r].Sum(): the pairwise add is lane 0 + lane 1 per input.
+  static VecD SumEach(const VecD* acc) {
+    return {vpaddq_f64(acc[0].v, acc[1].v)};
+  }
   double Lane(size_t i) const {
     return i == 0 ? vgetq_lane_f64(v, 0) : vgetq_lane_f64(v, 1);
   }

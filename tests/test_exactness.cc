@@ -11,6 +11,15 @@
 /// use the reassociating simd::Dot. The MLP and LSTM surrogates of PMNE, PME,
 /// PLNE and PLE use it too: they pass the scalar mode only because at
 /// this seed its low-bit differences flip no pick.
+///
+/// One LR configuration, TEVO_H with LR as the model, runs in every mode
+/// but scalar. LR's epoch splits its forward rows and its gradient sum
+/// over idle pool workers, which threads4 exercises. Its logits sum in
+/// simd::Dot's vector order, which forced scalar replaces with
+/// DotScalar's, so LR's weights differ in low bits between the two paths.
+/// At this seed that flips no validation prediction, so scalar would pass
+/// too, but only by luck; it joins when Dot sums in one order on every
+/// backend (ROADMAP item 9).
 
 #include <unistd.h>
 
@@ -103,18 +112,26 @@ void WriteCrashedJournal(const std::string& path, uint64_t options_fp,
 /// resume17's kill point falls in the second round.
 constexpr char kTwoStep[] = "TwoStep";
 
-/// Runs `algorithm` (or kTwoStep) under `mode` as `autofp --data
-/// suite:blood_syn --model XGB --budget 40 --fault-rate 0.15 --max-retries
-/// 2 --journal FILE` would (the CLI's split and fault-injector seed), and
-/// checks what the mode itself promises. Resume modes start from
-/// `reference`'s records and resume the way the CLI does.
+/// The LR configuration: TEVO_H, the paper's leading search, with LR
+/// instead of XGB as the model.
+constexpr char kTevoLr[] = "TEVO_H_LR";
+
+/// Runs `algorithm` (or kTwoStep, or kTevoLr) under `mode` as `autofp
+/// --data suite:blood_syn --model XGB --budget 40 --fault-rate 0.15
+/// --max-retries 2 --journal FILE` would (`--model LR` for kTevoLr; the
+/// CLI's split and fault-injector seed), and checks what the mode itself
+/// promises. Resume modes start from `reference`'s records and resume the
+/// way the CLI does.
 SearchRun RunMode(const std::string& algorithm, uint64_t seed, Mode mode,
                   const SearchRun* reference = nullptr) {
   const Dataset dataset = GetSuiteDataset("blood_syn").value();
   Rng rng(seed);
   TrainValidSplit split = SplitTrainValid(dataset, 0.8, &rng);
-  PipelineEvaluator evaluator(split.train, split.valid,
-                              ModelConfig::Defaults(ModelKind::kXgboost));
+  const bool lr = algorithm == kTevoLr;
+  PipelineEvaluator evaluator(
+      split.train, split.valid,
+      ModelConfig::Defaults(lr ? ModelKind::kLogisticRegression
+                               : ModelKind::kXgboost));
   FaultInjectorConfig injector;
   injector.fault_rate = 0.15;
   injector.seed = seed ^ 0x5EEDFA17;
@@ -184,7 +201,7 @@ SearchRun RunMode(const std::string& algorithm, uint64_t seed, Mode mode,
       run.result = RunTwoStep(two_step, search_evaluator,
                               ParameterSpace::LowCardinality(), options);
     } else {
-      auto search = MakeSearchAlgorithm(algorithm).value();
+      auto search = MakeSearchAlgorithm(lr ? "TEVO_H" : algorithm).value();
       run.result = RunSearch(search.get(), search_evaluator,
                              SearchSpace::Default(), options);
     }
@@ -233,6 +250,11 @@ const std::vector<std::string> kConfigs = OracleConfigs();
 class Exactness
     : public ::testing::TestWithParam<std::tuple<std::string, Mode>> {};
 
+std::string ExactnessName(
+    const ::testing::TestParamInfo<Exactness::ParamType>& info) {
+  return std::get<0>(info.param) + "_" + ModeName(std::get<1>(info.param));
+}
+
 TEST_P(Exactness, MatchesOneThreadRun) {
   const auto [algorithm, mode] = GetParam();
   const SearchRun reference = RunMode(algorithm, kSeed, Mode::kThreads1);
@@ -246,9 +268,14 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Mode::kThreads4, Mode::kWorkers3,
                                          Mode::kResume3, Mode::kResume17,
                                          Mode::kScalar)),
-    [](const ::testing::TestParamInfo<Exactness::ParamType>& info) {
-      return std::get<0>(info.param) + "_" + ModeName(std::get<1>(info.param));
-    });
+    ExactnessName);
+
+INSTANTIATE_TEST_SUITE_P(
+    OracleLr, Exactness,
+    ::testing::Combine(::testing::Values(kTevoLr),
+                       ::testing::Values(Mode::kThreads4, Mode::kWorkers3,
+                                         Mode::kResume3, Mode::kResume17)),
+    ExactnessName);
 
 /// The oracle is not vacuous: faults fire and are retried, HYPERBAND
 /// trains on partial budgets, and the listing sees the seed.
@@ -273,6 +300,12 @@ TEST_P(ExactnessReference, IsNonVacuous) {
 
 INSTANTIATE_TEST_SUITE_P(Oracle, ExactnessReference,
                          ::testing::ValuesIn(kConfigs),
+                         [](const ::testing::TestParamInfo<std::string>& i) {
+                           return i.param;
+                         });
+
+INSTANTIATE_TEST_SUITE_P(OracleLr, ExactnessReference,
+                         ::testing::Values(kTevoLr),
                          [](const ::testing::TestParamInfo<std::string>& i) {
                            return i.param;
                          });

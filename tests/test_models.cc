@@ -1,7 +1,10 @@
 #include "ml/model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -125,12 +128,37 @@ TEST(LogisticRegression, ScaleSensitivity) {
   EXPECT_GT(scaled_accuracy, raw_accuracy + 0.03);
 }
 
+/// One row of an LR epoch's forward phase as a row loop computes it: the
+/// logits w[d] + Dot(w, row, d), the softmax from the max logit (strict >
+/// from -1e300) and the residuals, scaled by inv_n, into residuals[k].
+void RowLoopResiduals(const double* row, size_t d, int label,
+                      const double* weights, int num_classes, double inv_n,
+                      double* residuals) {
+  const size_t stride = d + 1;
+  std::vector<double> logits(num_classes);
+  std::vector<double> probs(num_classes);
+  double max_logit = -1e300;
+  for (int k = 0; k < num_classes; ++k) {
+    const double* w = weights + k * stride;
+    const double sum = w[d] + simd::Dot(w, row, d);
+    logits[k] = sum;
+    if (sum > max_logit) max_logit = sum;
+  }
+  double denom = 0.0;
+  for (int k = 0; k < num_classes; ++k) {
+    probs[k] = std::exp(std::clamp(logits[k] - max_logit, -500.0, 0.0));
+    denom += probs[k];
+  }
+  for (int k = 0; k < num_classes; ++k) {
+    residuals[k] = probs[k] / denom - (label == k ? 1.0 : 0.0);
+    residuals[k] *= inv_n;
+  }
+}
+
 /// LogisticRegression::Train as it was before its epochs split into a
 /// row-block forward phase and a gradient sum over class and column-range
-/// items: one loop per row
-/// computes the logits, the softmax and the residuals, then adds the
-/// residuals into the gradient. Returns the SaveState bytes it would have
-/// written.
+/// items: one loop per row computes the row's residuals, then adds them
+/// into the gradient. Returns the SaveState bytes it would have written.
 std::string RowLoopLrState(const ModelConfig& config, const Matrix& features,
                            const std::vector<int>& labels, int num_classes) {
   const size_t d = features.cols();
@@ -140,28 +168,16 @@ std::string RowLoopLrState(const ModelConfig& config, const Matrix& features,
   params.Resize(static_cast<size_t>(num_classes) * stride);
   AdamConfig adam;
   adam.learning_rate = config.lr_step;
-  std::vector<double> logits(num_classes);
-  std::vector<double> probs(num_classes);
+  std::vector<double> residuals(num_classes);
   const double inv_n = 1.0 / static_cast<double>(n);
   for (int epoch = 0; epoch < config.lr_epochs; ++epoch) {
     params.ZeroGrad();
     for (size_t r = 0; r < n; ++r) {
       const double* row = features.RowPtr(r);
-      double max_logit = -1e300;
+      RowLoopResiduals(row, d, labels[r], params.value.data(), num_classes,
+                       inv_n, residuals.data());
       for (int k = 0; k < num_classes; ++k) {
-        const double* w = params.value.data() + k * stride;
-        const double sum = w[d] + simd::Dot(w, row, d);
-        logits[k] = sum;
-        if (sum > max_logit) max_logit = sum;
-      }
-      double denom = 0.0;
-      for (int k = 0; k < num_classes; ++k) {
-        probs[k] = std::exp(std::clamp(logits[k] - max_logit, -500.0, 0.0));
-        denom += probs[k];
-      }
-      for (int k = 0; k < num_classes; ++k) {
-        double residual = probs[k] / denom - (labels[r] == k ? 1.0 : 0.0);
-        residual *= inv_n;
+        const double residual = residuals[k];
         if (residual == 0.0) continue;
         double* g = params.grad.data() + k * stride;
         simd::Axpy(residual, row, g, d);
@@ -198,13 +214,25 @@ std::string TrainedLrState(const ModelConfig& config, const Matrix& features,
 /// row blocks and gradient items, and as four concurrent fits that compete
 /// for helpers. The widths give gradient ranges of whole vectors, ragged
 /// last ranges and ranges narrower than one vector, over 2 to 5 classes.
+/// The row counts leave 0 to 3 rows in the forward phase's last tile.
 void ExpectTrainsMatchTheRowLoop() {
   ThreadPool pool(4);
+  struct Shape {
+    size_t n;
+    double wide;  ///< the scale of the last column.
+  };
+  // 1300 rows is two full 512-row blocks and a partial third. A last
+  // column near 1e300 gives it a gradient near 1e299, whose square
+  // overflows Adam's second moment to Inf, so its weight stays 0 and the
+  // logits stay finite; ExpectForwardMatchesTheRowLoop below drives them
+  // off the finite range.
+  const Shape shapes[] = {{1, 100.0},    {2, 100.0},    {3, 100.0},
+                          {3, 1e300},    {1300, 100.0}, {1301, 100.0},
+                          {1302, 100.0}, {1303, 100.0}, {1303, 1e300}};
   for (int classes : {2, 3, 4, 5}) {
     for (size_t d : {size_t{1}, size_t{5}, size_t{8}, size_t{9}, size_t{20}}) {
       for (double l2 : {0.0, 1e-4}) {
-        // 1300 rows is two full 512-row blocks and a partial third.
-        for (size_t n : {size_t{1}, size_t{1300}}) {
+        for (const auto [n, wide] : shapes) {
           Rng rng(41 + classes + n + 100 * d);
           Matrix features(n, d);
           std::vector<int> labels(n);
@@ -212,7 +240,7 @@ void ExpectTrainsMatchTheRowLoop() {
             for (size_t c = 0; c < d; ++c) features(r, c) = rng.Gaussian();
             // A wide column drives some softmaxes to exactly 1, so some
             // residuals are exactly 0 and skip the gradient.
-            features(r, d - 1) *= 100.0;
+            features(r, d - 1) *= wide;
             labels[r] = features(r, 0) + 0.5 * rng.Gaussian() > 0.0
                             ? classes - 1
                             : rng.UniformInt(0, classes - 2);
@@ -225,7 +253,7 @@ void ExpectTrainsMatchTheRowLoop() {
           const std::string where =
               std::to_string(classes) + " classes, " + std::to_string(d) +
               " columns, l2 " + std::to_string(l2) + ", n " +
-              std::to_string(n);
+              std::to_string(n) + ", wide " + std::to_string(wide);
           EXPECT_TRUE(TrainedLrState(config, features, labels, classes) ==
                       reference)
               << where << ", plain";
@@ -250,6 +278,94 @@ TEST(LrEpochBlocks, TrainsMatchTheRowLoop) { ExpectTrainsMatchTheRowLoop(); }
 TEST(LrEpochBlocks, ScalarTrainsMatchTheScalarRowLoop) {
   simd::ScopedForceScalar scalar(true);
   ExpectTrainsMatchTheRowLoop();
+}
+
+/// Requires Forward's residuals to equal RowLoopResiduals' byte for
+/// byte where the logits leave the finite range. Column 0 weighs +1e10 in
+/// even classes and -1e10 in odd ones, and with d >= 2 the last column
+/// -1e10 in all, so in every other tile of four rows a row has:
+///   - +Inf and -Inf logits (x0 = +-1e300), so the max is infinite and
+///     every z is NaN or -Inf;
+///   - Inf - Inf = NaN logits (x0 = x_last = 1e300);
+///   - every logit near -1e301 (x_last = 1e291), under the -1e300 start
+///     of the max, so no z is 0;
+///   - a NaN cell.
+/// The other tiles hold finite rows only. Each logit has at most one NaN
+/// source, so its NaN payload does not depend on the order of an add. A
+/// second pass, on finite rows only, gives each class's column-0 weight a
+/// NaN of its own payload, so every logit is NaN, no z is 0, and each
+/// residual keeps its class's payload only on the per-entry exp path.
+void ExpectForwardMatchesTheRowLoop(int classes, size_t d, size_t n,
+                                    bool nan_weights) {
+  Rng rng(7 + classes + 10 * d + 100 * n);
+  const size_t stride = d + 1;
+  std::vector<double> weights(classes * stride);
+  for (int k = 0; k < classes; ++k) {
+    for (size_t j = 0; j < stride; ++j) {
+      weights[k * stride + j] = rng.Uniform(-0.5, 0.5);
+    }
+    weights[k * stride] = k % 2 == 0 ? 1e10 : -1e10;
+    if (d >= 2) weights[k * stride + d - 1] = -1e10;
+    if (nan_weights) {
+      weights[k * stride] =
+          std::bit_cast<double>(0x7FF8000000000000ull | (k + 1));
+    }
+  }
+  Matrix features(n, d);
+  std::vector<int> labels(n);
+  for (size_t r = 0; r < n; ++r) {
+    labels[r] = static_cast<int>(r % classes);
+    for (size_t c = 0; c < d; ++c) features(r, c) = rng.Gaussian();
+    if (nan_weights || (r / 4) % 2 == 0) continue;
+    switch (r % 5) {
+      case 0: features(r, 0) = 1e300; break;
+      case 1: features(r, 0) = -1e300; break;
+      case 2:
+        features(r, 0) = 1e300;
+        features(r, d - 1) = 1e300;
+        break;
+      case 3: features(r, d - 1) = d >= 2 ? 1e291 : -1e291; break;
+      default:
+        features(r, d - 1) = std::numeric_limits<double>::quiet_NaN();
+        break;
+    }
+  }
+  std::vector<double> expected(n * classes);
+  for (size_t r = 0; r < n; ++r) {
+    RowLoopResiduals(features.RowPtr(r), d, labels[r], weights.data(),
+                     classes, 1.0 / static_cast<double>(n),
+                     expected.data() + r * classes);
+  }
+  std::vector<double> actual(n * classes);
+  LogisticRegression::Forward(features, labels, weights.data(), classes,
+                              actual.data());
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        n * classes * sizeof(double)),
+            0)
+      << classes << " classes, " << d << " columns, n " << n
+      << (nan_weights ? ", NaN weights" : "");
+}
+
+void ExpectForwardMatchesTheRowLoopOffTheFiniteRange() {
+  for (int classes : {2, 3}) {
+    for (size_t d : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5},
+                     size_t{8}, size_t{13}}) {
+      for (size_t n : {size_t{1}, size_t{5}, size_t{10}, size_t{23}}) {
+        for (bool nan_weights : {false, true}) {
+          ExpectForwardMatchesTheRowLoop(classes, d, n, nan_weights);
+        }
+      }
+    }
+  }
+}
+
+TEST(LrEpochBlocks, ForwardMatchesTheRowLoopOffTheFiniteRange) {
+  ExpectForwardMatchesTheRowLoopOffTheFiniteRange();
+}
+
+TEST(LrEpochBlocks, ScalarForwardMatchesTheScalarRowLoopOffTheFiniteRange) {
+  simd::ScopedForceScalar scalar(true);
+  ExpectForwardMatchesTheRowLoopOffTheFiniteRange();
 }
 
 TEST(Gbdt, ScaleInvarianceOfTrees) {

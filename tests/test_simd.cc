@@ -198,6 +198,51 @@ TEST(Simd, DotIsWithinToleranceOfScalarAndExactWhenForced) {
   }
 }
 
+TEST(Simd, SumEachLaneIsThatVectorsSum) {
+  Rng rng(2024);
+  // Quiet NaNs with distinct payloads and signs. An add of two NaNs
+  // returns one of them, and which one follows the operand order the
+  // compiler picks for a commutative add, in Sum() as anywhere; so a NaN
+  // sum is compared as NaN, every other sum bit for bit.
+  const auto nan = [](uint64_t payload, bool negative) {
+    return std::bit_cast<double>((negative ? 0xFFF8000000000000ull
+                                           : 0x7FF8000000000000ull) |
+                                 payload);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<double> values =
+        InterestingValues(rng, VecD::kLanes * VecD::kLanes);
+    for (double& v : values) {
+      switch (rng.UniformInt(0, 11)) {
+        case 0: v = inf; break;
+        case 1: v = -inf; break;
+        case 2: v = nan(static_cast<uint64_t>(rng.UniformInt(1, 1000)),
+                        rng.UniformInt(0, 1) == 1); break;
+        case 3: v = std::numeric_limits<double>::denorm_min() *
+                    rng.UniformInt(-5, 5); break;
+        default: break;
+      }
+    }
+    VecD acc[VecD::kLanes];
+    for (size_t r = 0; r < VecD::kLanes; ++r) {
+      acc[r] = VecD::Load(values.data() + r * VecD::kLanes);
+    }
+    const VecD sums = VecD::SumEach(acc);
+    for (size_t r = 0; r < VecD::kLanes; ++r) {
+      const double expected = acc[r].Sum();
+      if (std::isnan(expected)) {
+        EXPECT_TRUE(std::isnan(sums.Lane(r))) << "trial " << trial;
+      } else {
+        EXPECT_TRUE(BitEqual(sums.Lane(r), expected))
+            << "trial " << trial << ", lane " << r;
+      }
+    }
+    const simd::ScalarD one = simd::ScalarD::Load(values.data());
+    EXPECT_TRUE(BitEqual(simd::ScalarD::SumEach(&one).v, one.Sum()));
+  }
+}
+
 TEST(Simd, AxpyIsBitIdenticalToScalarLoop) {
   Rng rng(1234);
   for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 15u, 16u, 17u, 64u,
