@@ -1,5 +1,5 @@
-/// Robustness under injected faults: runs all 15 search algorithms with a
-/// deterministic FaultInjector at fault rates {0, 0.05, 0.2} and reports
+/// Robustness under injected faults: runs all 15 search algorithms with
+/// deterministic fault injection at fault rates {0, 0.05, 0.2} and reports
 /// best-accuracy degradation versus the fault-free run, plus the fault
 /// bookkeeping (failed attempts / retries / quarantined pipelines) from
 /// SearchResult. A production search service must survive degenerate
@@ -25,21 +25,18 @@ SearchResult RunAtRate(const std::string& algorithm_name, double fault_rate,
                        const TrainValidSplit& split) {
   PipelineEvaluator evaluator(split.train, split.valid,
                               bench::BenchModel(ModelKind::kLogisticRegression));
-  if (fault_rate > 0.0) {
-    FaultInjectorConfig injector;
-    injector.fault_rate = fault_rate;
-    injector.slowdown_rate = fault_rate / 2.0;
-    injector.slowdown_seconds = 10.0;  // guaranteed to trip the deadline.
-    injector.seed = kSeed;
-    evaluator.AttachFaultInjector(injector);
-  }
   // The 5 s per-evaluation deadline is generous for real evaluations on
   // this dataset; only injected slowdowns exceed it.
-  Budget budget = Budget::Evaluations(kBudget).WithEvalDeadline(5.0);
-  FaultPolicy policy;
-  policy.max_retries = 2;
+  SearchOptions options{Budget::Evaluations(kBudget).WithEvalDeadline(5.0),
+                        kSeed};
+  options.fault_policy.max_retries = 2;
+  options.fault_injection.fault_rate = fault_rate;
+  options.fault_injection.slowdown_rate = fault_rate / 2.0;
+  options.fault_injection.slowdown_seconds = 10.0;  // past the deadline.
+  options.fault_injection.seed = kSeed;
   auto algorithm = MakeSearchAlgorithm(algorithm_name).value();
-  return RunSearch(algorithm.get(), &evaluator, SearchSpace::Default(), {budget, kSeed, policy});
+  return RunSearch(algorithm.get(), &evaluator, SearchSpace::Default(),
+                   options);
 }
 
 }  // namespace

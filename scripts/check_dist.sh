@@ -2,12 +2,13 @@
 # Chaos harness for the distributed search runtime (src/dist/).
 #
 # The contract under test: worker failures may cost wall-clock, never
-# results. For one fixed configuration this script asserts that the
-# merged run journal of a 4-worker run is byte-identical (canonical
-# --dump-journal listing) to a single-process run under injected worker
-# crashes (AUTOFP_WORKER_CRASH_AFTER_EVALS), under forced stragglers
-# revoked at the lease deadline (AUTOFP_WORKER_STALL_AFTER_EVALS), and
-# under external SIGKILL of live workers mid-run. It also kills the
+# results. For one fixed, fault-injected configuration this script
+# asserts that the merged run journal of a 4-worker run is
+# byte-identical (canonical --dump-journal listing) to a single-process
+# run under injected worker crashes (AUTOFP_WORKER_CRASH_AFTER_EVALS),
+# under forced stragglers revoked at the lease deadline
+# (AUTOFP_WORKER_STALL_AFTER_EVALS), and under external SIGKILL of live
+# workers mid-run. It also kills the
 # *coordinator* at a journal append (AUTOFP_CRASH_AFTER_APPENDS),
 # requires every orphaned worker to exit promptly, and requires the
 # resumed 4-worker run (the CLI's --resume path) to converge to the same
@@ -51,7 +52,11 @@ trap 'rm -rf "${workdir}"' EXIT
 # workdir so anything a killed coordinator leaves behind is cleaned up.
 export TMPDIR="${workdir}"
 
-common_args=(--data suite:blood_syn --budget 40 --seed 7 --algorithm RS)
+# Injected faults are drawn by the coordinator's search before dispatch,
+# never by the workers, so every scenario also replays the same faults
+# and retries as the single-process reference.
+common_args=(--data suite:blood_syn --budget 40 --seed 7 --algorithm RS
+             --fault-rate 0.15)
 coordinator_crash_exit=86  # kCrashPointExitCode
 failures=0
 
@@ -100,6 +105,9 @@ ref_out="${workdir}/ref.out"
 timeout 120 "${bin}" "${common_args[@]}" --journal "${ref_journal}" \
     > "${ref_out}"
 "${bin}" --dump-journal "${ref_journal}" > "${workdir}/ref.dump"
+# The injected faults must fire, or the scenarios replay none of them.
+grep -q '^failures .*, [1-9][0-9]* retries' "${ref_out}" \
+    || fail "reference: --fault-rate injected no retried fault"
 
 # One scenario: run with the given env + extra args, require success, a
 # journal byte-identical to the reference, and the worker counters named
@@ -153,7 +161,8 @@ if [[ ${quick} -eq 0 ]]; then
   # 3. External SIGKILL of live workers mid-run (the ungraceful version
   #    of scenario 1: no exit hook, just a dead pipe). A longer run with
   #    its own reference so the kills land while leases are in flight.
-  long_args=(--data suite:blood_syn --budget 300 --seed 7 --algorithm RS)
+  long_args=(--data suite:blood_syn --budget 300 --seed 7 --algorithm RS
+             --fault-rate 0.15)
   long_journal="${workdir}/long-ref.journal"
   timeout 120 "${bin}" "${long_args[@]}" --journal "${long_journal}" \
       > /dev/null

@@ -13,18 +13,6 @@ namespace autofp {
 
 namespace {
 
-Evaluation FailedEvaluation(const PipelineSpec& pipeline,
-                            double budget_fraction, EvalFailure failure,
-                            Status status) {
-  Evaluation result;
-  result.pipeline = pipeline;
-  result.budget_fraction = budget_fraction;
-  result.failure = failure;
-  result.status = std::move(status);
-  result.accuracy = kPenaltyAccuracy;
-  return result;
-}
-
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -54,6 +42,17 @@ std::string SubsampleKey(double effective_fraction, uint64_t seed) {
 
 }  // namespace
 
+Evaluation FailedEvaluation(const EvalRequest& request, EvalFailure failure,
+                            Status status) {
+  Evaluation result;
+  result.pipeline = request.pipeline;
+  result.budget_fraction = request.budget_fraction;
+  result.failure = failure;
+  result.status = std::move(status);
+  result.accuracy = kPenaltyAccuracy;
+  return result;
+}
+
 uint64_t EvalRequest::DeriveSeed(uint64_t root, const PipelineSpec& pipeline,
                                  double budget_fraction, int attempt) {
   uint64_t fraction_bits = 0;
@@ -74,10 +73,6 @@ PipelineEvaluator::PipelineEvaluator(Dataset train, Dataset valid,
   AUTOFP_CHECK_EQ(train_.num_classes, valid_.num_classes);
 }
 
-void PipelineEvaluator::AttachFaultInjector(const FaultInjectorConfig& config) {
-  fault_injector_ = std::make_unique<FaultInjector>(config);
-}
-
 Evaluation PipelineEvaluator::Evaluate(const EvalRequest& request) {
   return Evaluate(request, /*scratch=*/nullptr);
 }
@@ -85,11 +80,10 @@ Evaluation PipelineEvaluator::Evaluate(const EvalRequest& request) {
 Evaluation PipelineEvaluator::Evaluate(const EvalRequest& request,
                                        TransformScratch* scratch) {
   num_evaluations_.fetch_add(1, std::memory_order_relaxed);
-  return EvaluateImpl(request, /*use_injector=*/true, scratch);
+  return EvaluateImpl(request, scratch);
 }
 
 Evaluation PipelineEvaluator::EvaluateImpl(const EvalRequest& request,
-                                           bool use_injector,
                                            TransformScratch* scratch) {
   const PipelineSpec& pipeline = request.pipeline;
   const double budget_fraction = request.budget_fraction;
@@ -97,22 +91,9 @@ Evaluation PipelineEvaluator::EvaluateImpl(const EvalRequest& request,
   AUTOFP_CHECK_LE(budget_fraction, 1.0);
   Stopwatch eval_watch;
 
-  // Injected faults and slowdowns are decided up front from the request
-  // seed; a slowdown is simulated (no real sleep) by counting against the
-  // deadline.
-  double injected_delay = 0.0;
-  if (use_injector && fault_injector_ != nullptr) {
-    InjectionDecision decision = fault_injector_->DecisionFor(request.seed);
-    if (decision.failure != EvalFailure::kNone) {
-      return FailedEvaluation(pipeline, budget_fraction, decision.failure,
-                              Status::Internal("injected fault"));
-    }
-    injected_delay = decision.delay_seconds;
-  }
   const double deadline = request.deadline_seconds;
   auto past_deadline = [&]() {
-    return deadline > 0.0 &&
-           eval_watch.ElapsedSeconds() + injected_delay > deadline;
+    return deadline > 0.0 && eval_watch.ElapsedSeconds() > deadline;
   };
 
   Evaluation result;
@@ -138,16 +119,15 @@ Evaluation PipelineEvaluator::EvaluateImpl(const EvalRequest& request,
   Result<SharedTransformedPair> transformed = CheckedFitTransformPairCached(
       pipeline, train_view->features, valid_.features, transform_cache_.get(),
       SubsampleKey(effective_fraction, request.seed), scratch);
-  result.timing.prep_seconds = prep_watch.ElapsedSeconds() + injected_delay;
+  result.timing.prep_seconds = prep_watch.ElapsedSeconds();
   if (!transformed.ok()) {
     Status status = transformed.status();
     EvalFailure failure = FailureFromStatus(status);
-    return FailedEvaluation(pipeline, budget_fraction, failure,
-                            std::move(status));
+    return FailedEvaluation(request, failure, std::move(status));
   }
   if (past_deadline()) {
     return FailedEvaluation(
-        pipeline, budget_fraction, EvalFailure::kDeadlineExceeded,
+        request, EvalFailure::kDeadlineExceeded,
         Status::Internal("deadline exceeded after preprocessing"));
   }
 
@@ -159,13 +139,12 @@ Evaluation PipelineEvaluator::EvaluateImpl(const EvalRequest& request,
       EvaluateAccuracy(*model, *transformed.value().valid, valid_.labels);
   result.timing.train_seconds = train_watch.ElapsedSeconds();
   if (!std::isfinite(accuracy)) {
-    return FailedEvaluation(pipeline, budget_fraction,
-                            EvalFailure::kModelDiverged,
+    return FailedEvaluation(request, EvalFailure::kModelDiverged,
                             Status::Internal("non-finite validation score"));
   }
   if (past_deadline()) {
     return FailedEvaluation(
-        pipeline, budget_fraction, EvalFailure::kDeadlineExceeded,
+        request, EvalFailure::kDeadlineExceeded,
         Status::Internal("deadline exceeded during training"));
   }
   result.accuracy = accuracy;
@@ -176,50 +155,12 @@ double PipelineEvaluator::BaselineAccuracy() {
   std::lock_guard<std::mutex> lock(baseline_mutex_);
   if (baseline_accuracy_ < 0.0) {
     // The baseline is infrastructure, not a search decision: compute it
-    // without injection, deadlines, or budget accounting (the evaluation
-    // counter is not bumped).
-    EvalRequest request;
+    // without a deadline or budget accounting (the evaluation counter is
+    // not bumped).
     baseline_accuracy_ =
-        EvaluateImpl(request, /*use_injector=*/false, /*scratch=*/nullptr)
-            .accuracy;
+        EvaluateImpl(EvalRequest{}, /*scratch=*/nullptr).accuracy;
   }
   return baseline_accuracy_;
-}
-
-FaultInjectingEvaluator::FaultInjectingEvaluator(
-    EvaluatorInterface* inner, const FaultInjectorConfig& config)
-    : inner_(inner), injector_(config) {
-  AUTOFP_CHECK(inner != nullptr);
-}
-
-Evaluation FaultInjectingEvaluator::Evaluate(const EvalRequest& request) {
-  return Evaluate(request, /*scratch=*/nullptr);
-}
-
-Evaluation FaultInjectingEvaluator::Evaluate(const EvalRequest& request,
-                                             TransformScratch* scratch) {
-  InjectionDecision decision = injector_.DecisionFor(request.seed);
-  if (decision.failure != EvalFailure::kNone) {
-    Evaluation result;
-    result.pipeline = request.pipeline;
-    result.budget_fraction = request.budget_fraction;
-    result.failure = decision.failure;
-    result.status = Status::Internal("injected fault");
-    result.accuracy = kPenaltyAccuracy;
-    return result;
-  }
-  Evaluation result = inner_->Evaluate(request, scratch);
-  if (decision.delay_seconds > 0.0) {
-    result.timing.prep_seconds += decision.delay_seconds;
-    if (request.deadline_seconds > 0.0 &&
-        decision.delay_seconds > request.deadline_seconds &&
-        !result.failed()) {
-      result.failure = EvalFailure::kDeadlineExceeded;
-      result.status = Status::Internal("injected slowdown past deadline");
-      result.accuracy = kPenaltyAccuracy;
-    }
-  }
-  return result;
 }
 
 }  // namespace autofp

@@ -26,8 +26,8 @@ struct EvalTiming {
 
 /// One evaluation request: everything an evaluator needs to score a
 /// pipeline, carried per call so evaluators hold no mutable evaluation
-/// state and wrappers (fault injection, the distributed coordinator) compose
-/// without hidden knobs.
+/// state and wrappers (the distributed coordinator) compose without hidden
+/// knobs.
 struct EvalRequest {
   PipelineSpec pipeline;
   /// Fraction of training rows used (bandit partial-training budgets);
@@ -36,9 +36,10 @@ struct EvalRequest {
   /// Per-evaluation wall-clock deadline in seconds; <= 0 disables. An
   /// evaluation that exceeds it reports EvalFailure::kDeadlineExceeded.
   double deadline_seconds = -1.0;
-  /// Seed for all evaluation-local randomness (training subsampling, fault
-  /// injection). Two evaluations of identical requests produce identical
-  /// results regardless of thread interleaving or call order.
+  /// Seed for all evaluation-local randomness (training subsampling) and
+  /// the key of SearchContext's injection decision for this attempt. Two
+  /// evaluations of identical requests produce identical results
+  /// regardless of thread interleaving or call order.
   uint64_t seed = 0;
 
   /// Canonical seed derivation: a pure function of (root, pipeline,
@@ -69,6 +70,11 @@ struct Evaluation {
 
   bool failed() const { return failure != EvalFailure::kNone; }
 };
+
+/// The record of `request` failing with `failure`: the penalty score and
+/// `status` as its detail.
+Evaluation FailedEvaluation(const EvalRequest& request, EvalFailure failure,
+                            Status status);
 
 /// Abstract pipeline evaluator: what the search framework needs from an
 /// evaluation backend. The production implementation is PipelineEvaluator;
@@ -131,15 +137,14 @@ class EvaluatorInterface {
 ///
 /// Fault tolerance: non-finite or degenerate transform output and diverged
 /// models are reported as typed failures (never NaN scores, never aborts);
-/// an attached FaultInjector can additionally fail or slow down attempts;
 /// the per-request deadline turns slow evaluations into kDeadlineExceeded
 /// failures.
 ///
 /// Thread-safety: safe for concurrent Evaluate() calls. The datasets and
-/// model config are immutable after construction; subsampling and fault
-/// injection are pure functions of the request seed; counters are atomic.
-/// Configuration setters (global train fraction, injector, cache) must be
-/// called before concurrent use begins.
+/// model config are immutable after construction; subsampling is a pure
+/// function of the request seed; counters are atomic. Configuration
+/// setters (global train fraction, cache) must be called before
+/// concurrent use begins.
 class PipelineEvaluator : public EvaluatorInterface {
  public:
   PipelineEvaluator(Dataset train, Dataset valid, ModelConfig model);
@@ -153,11 +158,6 @@ class PipelineEvaluator : public EvaluatorInterface {
     global_train_fraction_ = fraction;
   }
   double global_train_fraction() const { return global_train_fraction_; }
-
-  /// Attaches a deterministic fault injector; every subsequent Evaluate()
-  /// attempt draws one decision from it, keyed by the request seed.
-  /// Replaces any previous injector.
-  void AttachFaultInjector(const FaultInjectorConfig& config);
 
   /// Attaches a prefix-transform cache: fitted-pipeline-prefix outputs are
   /// memoized so evaluating "A -> B -> C" after "A -> B" only fits C. The
@@ -178,7 +178,8 @@ class PipelineEvaluator : public EvaluatorInterface {
                       TransformScratch* scratch) override;
 
   /// Validation accuracy with no preprocessing (the paper's no-FP line).
-  /// Computed once and cached; immune to fault injection and deadlines.
+  /// Computed once and cached; no deadline applies, and SearchContext's
+  /// fault injection never reaches it.
   double BaselineAccuracy() override;
 
   const Dataset& train() const { return train_; }
@@ -189,9 +190,9 @@ class PipelineEvaluator : public EvaluatorInterface {
   }
 
  private:
-  /// The evaluation body; `use_injector` is false for the baseline and
-  /// `scratch` (may be null) backs the uncached transform path.
-  Evaluation EvaluateImpl(const EvalRequest& request, bool use_injector,
+  /// The evaluation body, uncounted (the baseline uses it too); `scratch`
+  /// (may be null) backs the uncached transform path.
+  Evaluation EvaluateImpl(const EvalRequest& request,
                           TransformScratch* scratch);
 
   Dataset train_;
@@ -201,31 +202,7 @@ class PipelineEvaluator : public EvaluatorInterface {
   std::mutex baseline_mutex_;
   double baseline_accuracy_ = -1.0;
   double global_train_fraction_ = 1.0;
-  std::unique_ptr<FaultInjector> fault_injector_;
   std::shared_ptr<TransformCache> transform_cache_;
-};
-
-/// Decorator that applies fault injection (and simulated-slowdown deadline
-/// accounting) to *any* EvaluatorInterface — used to exercise search
-/// algorithms under faults on synthetic reward landscapes where no real
-/// pipeline evaluation happens. Injection decisions are a pure function of
-/// the request seed, so faulty runs reproduce exactly even under
-/// concurrent evaluation.
-class FaultInjectingEvaluator : public EvaluatorInterface {
- public:
-  FaultInjectingEvaluator(EvaluatorInterface* inner,
-                          const FaultInjectorConfig& config);
-
-  Evaluation Evaluate(const EvalRequest& request) override;
-  Evaluation Evaluate(const EvalRequest& request,
-                      TransformScratch* scratch) override;
-  double BaselineAccuracy() override { return inner_->BaselineAccuracy(); }
-
-  FaultInjector* injector() { return &injector_; }
-
- private:
-  EvaluatorInterface* inner_;
-  FaultInjector injector_;
 };
 
 }  // namespace autofp

@@ -1,8 +1,6 @@
 #include "core/fault.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
+#include "util/random.h"
 
 namespace autofp {
 
@@ -38,15 +36,6 @@ EvalFailure FailureFromStatus(const Status& status) {
   }
 }
 
-FaultInjector::FaultInjector(const FaultInjectorConfig& config)
-    : config_(config) {
-  AUTOFP_CHECK_GE(config.fault_rate, 0.0);
-  AUTOFP_CHECK_LE(config.fault_rate, 1.0);
-  AUTOFP_CHECK_GE(config.slowdown_rate, 0.0);
-  AUTOFP_CHECK_LE(config.slowdown_rate, 1.0);
-  AUTOFP_CHECK_GE(config.slowdown_seconds, 0.0);
-}
-
 namespace {
 
 uint64_t SplitMix64(uint64_t x) {
@@ -58,37 +47,23 @@ uint64_t SplitMix64(uint64_t x) {
 
 }  // namespace
 
-InjectionDecision FaultInjector::DecisionFor(uint64_t stream) {
-  num_decisions_.fetch_add(1, std::memory_order_relaxed);
+InjectionDecision DecideInjection(const FaultInjectorConfig& config,
+                                  uint64_t stream) {
   InjectionDecision decision;
-  // One short seeded generator per decision keeps each decision a pure
-  // function of (config seed, stream key), independent of call order.
-  Rng rng(SplitMix64(config_.seed ^ SplitMix64(stream)));
-  bool fault = rng.Bernoulli(config_.fault_rate);
-  bool slow = rng.Bernoulli(config_.slowdown_rate);
-  if (fault) {
-    num_injected_faults_.fetch_add(1, std::memory_order_relaxed);
-    decision.failure = EvalFailure::kInjected;
+  if (config.fault_rate <= 0.0 && config.slowdown_rate <= 0.0) {
     return decision;
   }
-  if (slow) {
-    num_injected_slowdowns_.fetch_add(1, std::memory_order_relaxed);
-    decision.delay_seconds = config_.slowdown_seconds;
+  // One short seeded generator per decision keeps each decision a pure
+  // function of (config seed, stream key), independent of call order.
+  Rng rng(SplitMix64(config.seed ^ SplitMix64(stream)));
+  bool fault = rng.Bernoulli(config.fault_rate);
+  bool slow = rng.Bernoulli(config.slowdown_rate);
+  if (fault) {
+    decision.failure = EvalFailure::kInjected;
+  } else if (slow) {
+    decision.delay_seconds = config.slowdown_seconds;
   }
   return decision;
-}
-
-double FaultPolicy::BackoffSeconds(int retry_index) const {
-  if (initial_backoff_seconds <= 0.0 || retry_index <= 0) return 0.0;
-  double backoff = initial_backoff_seconds;
-  for (int i = 1; i < retry_index; ++i) backoff *= backoff_multiplier;
-  return std::min(backoff, max_backoff_seconds);
-}
-
-void BackoffSleep(const FaultPolicy& policy, int retry_index) {
-  double seconds = policy.BackoffSeconds(retry_index);
-  if (seconds <= 0.0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
 }  // namespace autofp

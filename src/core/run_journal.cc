@@ -125,8 +125,9 @@ uint64_t SearchOptionsFingerprint(const SearchOptions& options) {
                      std::bit_cast<uint64_t>(options.budget.max_eval_seconds));
   hash = HashCombine(hash,
                      static_cast<uint64_t>(options.fault_policy.max_retries));
-  hash = HashCombine(hash,
-                     static_cast<uint64_t>(options.fault_policy.quarantine));
+  // Once the quarantine switch, which was always on; kept so journals
+  // written before its removal still resume.
+  hash = HashCombine(hash, 1);
   return hash;
 }
 

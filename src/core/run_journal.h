@@ -42,10 +42,12 @@ inline constexpr int kCrashPointExitCode = 86;
 uint64_t DatasetFingerprint(const Dataset& dataset);
 
 /// Fingerprint of the determinism-relevant SearchOptions fields: seed,
-/// budget axes and retry/quarantine policy. num_threads, num_workers and
+/// budget axes and retry policy. num_threads, num_workers and
 /// cache_bytes are deliberately excluded — history is thread-count-,
 /// worker-count- and cache-invariant, so a run may be resumed at a
-/// different thread or worker count.
+/// different thread or worker count. fault_injection is left out so
+/// existing journals keep their fingerprint; a caller that injects folds
+/// its config in itself, as the CLI's configuration fingerprint does.
 uint64_t SearchOptionsFingerprint(const SearchOptions& options);
 
 /// Why a journal could not be opened/validated. kNone means success.

@@ -30,8 +30,7 @@ SearchContext::SearchContext(const SearchSpace* space,
       evaluator_(evaluator),
       options_(options),
       budget_(options.budget),
-      rng_(options.seed),
-      policy_(options.fault_policy) {
+      rng_(options.seed) {
   AUTOFP_CHECK(space != nullptr);
   AUTOFP_CHECK(evaluator != nullptr);
   AUTOFP_CHECK(budget_.limited()) << "unlimited budget would never terminate";
@@ -39,6 +38,11 @@ SearchContext::SearchContext(const SearchSpace* space,
   AUTOFP_CHECK(options.num_workers <= 0 || options.num_threads == 1)
       << "distributed workers and in-process evaluation threads are "
          "mutually exclusive (the coordinator submits from one thread)";
+  const FaultInjectorConfig& injection = options.fault_injection;
+  AUTOFP_CHECK(injection.fault_rate >= 0.0 && injection.fault_rate <= 1.0);
+  AUTOFP_CHECK(injection.slowdown_rate >= 0.0 &&
+               injection.slowdown_rate <= 1.0);
+  AUTOFP_CHECK_GE(injection.slowdown_seconds, 0.0);
 
   if (options.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options.num_threads);
@@ -86,7 +90,7 @@ void SearchContext::EvaluateWithRetries(std::vector<EvalRequest> requests,
   int attempt = 1;
   while (!active.empty()) {
     // Repeats of an earlier request of this run are served from the memo;
-    // only the misses reach the evaluator.
+    // only the misses go on.
     std::vector<size_t> missed;
     std::vector<std::string> missed_keys;
     for (size_t index : active) {
@@ -103,12 +107,35 @@ void SearchContext::EvaluateWithRetries(std::vector<EvalRequest> requests,
       }
       missed.push_back(index);
     }
+    // Each miss draws its injection decision from its attempt seed. An
+    // injected fault, or a slowdown that breaks the deadline, resolves
+    // here without the evaluator; a shorter slowdown only adds its delay
+    // to the outcome's prep time.
+    const double deadline = budget_.max_eval_seconds;
+    std::vector<Evaluation> outcomes(missed.size());
+    std::vector<double> delays(missed.size(), 0.0);
+    std::vector<size_t> dispatched;
     std::vector<EvalRequest> round;
-    round.reserve(missed.size());
-    for (size_t index : missed) round.push_back(requests[index]);
+    for (size_t k = 0; k < missed.size(); ++k) {
+      const EvalRequest& request = requests[missed[k]];
+      const InjectionDecision decision =
+          DecideInjection(options_.fault_injection, request.seed);
+      if (decision.failure != EvalFailure::kNone) {
+        outcomes[k] = FailedEvaluation(request, decision.failure,
+                                       Status::Internal("injected fault"));
+      } else if (deadline > 0.0 && decision.delay_seconds >= deadline) {
+        outcomes[k] = FailedEvaluation(
+            request, EvalFailure::kDeadlineExceeded,
+            Status::Internal("injected slowdown past deadline"));
+      } else {
+        delays[k] = decision.delay_seconds;
+        dispatched.push_back(k);
+        round.push_back(request);
+      }
+    }
     std::vector<Evaluation> round_results;
     if (round.empty()) {
-      // Every request of the round was a memo hit.
+      // Every miss of the round was resolved above.
     } else if (evaluator_->SupportsConcurrentBatches()) {
       // The evaluator overlaps evaluations itself (a distributed
       // coordinator): hand it the whole round at once.
@@ -126,28 +153,31 @@ void SearchContext::EvaluateWithRetries(std::vector<EvalRequest> requests,
         round_results.push_back(evaluator_->Evaluate(request, &scratch_[0]));
       }
     }
+    for (size_t j = 0; j < dispatched.size(); ++j) {
+      outcomes[dispatched[j]] = std::move(round_results[j]);
+      outcomes[dispatched[j]].timing.prep_seconds += delays[dispatched[j]];
+    }
     for (size_t k = 0; k < missed.size(); ++k) {
       // A deadline failure depends on wall-clock, not on the request, so
       // it is the one outcome a repeat must not reuse.
-      if (memo_on &&
-          round_results[k].failure != EvalFailure::kDeadlineExceeded) {
-        memo_.emplace(std::move(missed_keys[k]), round_results[k]);
+      if (memo_on && outcomes[k].failure != EvalFailure::kDeadlineExceeded) {
+        memo_.emplace(std::move(missed_keys[k]), outcomes[k]);
       }
-      (*results)[missed[k]] = std::move(round_results[k]);
+      (*results)[missed[k]] = std::move(outcomes[k]);
     }
 
-    // Transient failures (injected faults, deadline flakes) retry with a
-    // re-derived attempt seed; permanent ones are deterministic and final.
+    // Transient failures (injected faults, deadline flakes) retry at once
+    // with a re-derived attempt seed; permanent ones are deterministic and
+    // final.
     std::vector<size_t> to_retry;
     for (size_t index : active) {
       const Evaluation& evaluation = (*results)[index];
       if (evaluation.failed() && IsTransientFailure(evaluation.failure) &&
-          attempt <= policy_.max_retries) {
+          attempt <= options_.fault_policy.max_retries) {
         to_retry.push_back(index);
       }
     }
     if (to_retry.empty()) break;
-    BackoffSleep(policy_, attempt);
     ++attempt;
     for (size_t index : to_retry) {
       ++(*retries)[index];
@@ -170,7 +200,7 @@ double SearchContext::RecordEvaluation(Evaluation evaluation, int retries) {
   if (evaluation.failed()) {
     ++num_failures_;
     evaluation.accuracy = kPenaltyAccuracy;  // never record garbage scores.
-    if (policy_.quarantine && !IsTransientFailure(evaluation.failure)) {
+    if (!IsTransientFailure(evaluation.failure)) {
       quarantine_.emplace(evaluation.pipeline.Key(), evaluation.failure);
     }
   }

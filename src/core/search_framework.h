@@ -59,6 +59,11 @@ struct SearchOptions {
   /// non-null and nonzero, the budget reads as exhausted, so the search
   /// stops at the next evaluation boundary with its bookkeeping intact.
   const volatile std::sig_atomic_t* stop_flag = nullptr;
+  /// Injected faults and slowdowns (default: none). SearchContext draws
+  /// one DecideInjection per attempt that misses the result memo, before
+  /// dispatch, so whichever evaluator sits behind it sees the same
+  /// outcomes.
+  FaultInjectorConfig fault_injection{};
 };
 
 /// Services the unified framework (Algorithm 1) offers an algorithm:
@@ -66,10 +71,11 @@ struct SearchOptions {
 /// shared evaluation history. Owned by RunSearch.
 ///
 /// Fault tolerance (see DESIGN.md "Failure semantics"): evaluations that
-/// fail transiently are retried with bounded backoff; pipelines that fail
-/// permanently are quarantined and never re-evaluated; every failed
-/// evaluation enters the history with the penalty score flagged as failed,
-/// and the search continues.
+/// fail transiently are retried; pipelines that fail permanently are
+/// quarantined and never re-evaluated; every failed evaluation enters the
+/// history with the penalty score flagged as failed, and the search
+/// continues. Injected faults (SearchOptions::fault_injection) are decided
+/// here, at the one point every evaluation passes.
 ///
 /// Determinism: every evaluation's seed is derived from (run seed,
 /// pipeline, fraction, attempt) — never from call order — so the recorded
@@ -158,7 +164,6 @@ class SearchContext {
   bool IsQuarantined(const PipelineSpec& pipeline) const {
     return quarantine_.count(pipeline.Key()) > 0;
   }
-  const FaultPolicy& fault_policy() const { return policy_; }
   const SearchOptions& options() const { return options_; }
 
   /// Result-memo lookups (cache_bytes > 0 only), one per evaluation
@@ -177,9 +182,11 @@ class SearchContext {
                           double budget_fraction, int attempt) const;
   /// Runs `requests` through the evaluator's own batch engine, the pool,
   /// or inline when single-threaded, with transient-failure retry rounds;
-  /// each round first serves the requests the result memo holds. On
-  /// return, `results[i]` is the final outcome of request i and
-  /// `retries[i]` the retry attempts it consumed.
+  /// each round first serves the requests the result memo holds, then
+  /// resolves the injected faults and deadline-breaking slowdowns among
+  /// the misses without the evaluator. On return, `results[i]` is the
+  /// final outcome of request i and `retries[i]` the retry attempts it
+  /// consumed.
   void EvaluateWithRetries(std::vector<EvalRequest> requests,
                            std::vector<Evaluation>* results,
                            std::vector<int>* retries);
@@ -196,7 +203,6 @@ class SearchContext {
   SearchOptions options_;
   Budget budget_;
   Rng rng_;
-  FaultPolicy policy_;
   /// Result memo (empty unless cache_bytes > 0): request identity
   /// (pipeline key, fraction, seed) -> the evaluator's outcome. Evaluation
   /// is a pure function of the request, so a repeat is served verbatim,

@@ -34,17 +34,6 @@ double MonotonicSeconds() {
       .count();
 }
 
-Evaluation WorkerLostEvaluation(const EvalRequest& request) {
-  Evaluation evaluation;
-  evaluation.pipeline = request.pipeline;
-  evaluation.budget_fraction = request.budget_fraction;
-  evaluation.accuracy = kPenaltyAccuracy;
-  evaluation.failure = EvalFailure::kWorkerLost;
-  evaluation.status =
-      Status::Internal("distributed lease attempts exhausted");
-  return evaluation;
-}
-
 }  // namespace
 
 WorkerSpawner ExecWorkerSpawner(std::vector<std::string> argv_prefix) {
@@ -198,7 +187,9 @@ void DistributedEvaluator::ResolveWithoutWorkers(const PendingSlot& pending,
     (*round->results)[pending.slot] = local_->Evaluate(request, &scratch_);
     ++stats_.local_fallback_evals;
   } else {
-    (*round->results)[pending.slot] = WorkerLostEvaluation(request);
+    (*round->results)[pending.slot] = FailedEvaluation(
+        request, EvalFailure::kWorkerLost,
+        Status::Internal("distributed lease attempts exhausted"));
     ++stats_.worker_lost_evals;
   }
   --round->remaining;

@@ -1,7 +1,7 @@
-/// Tests of the fault-tolerant evaluation subsystem: FaultInjector
-/// determinism, retry/quarantine bookkeeping in SearchContext, deadline
-/// semantics, and end-to-end searches over a rigged evaluator with 20%
-/// injected faults.
+/// Tests of the fault-tolerant evaluation subsystem: injection-decision
+/// determinism, retry/quarantine bookkeeping in SearchContext, where
+/// injected faults and slowdowns resolve, deadline semantics, and
+/// end-to-end searches over a rigged evaluator with 20% injected faults.
 
 #include <algorithm>
 #include <cmath>
@@ -20,7 +20,7 @@ namespace autofp {
 namespace {
 
 // ---------------------------------------------------------------------------
-// FaultInjector determinism.
+// Injection-decision determinism.
 
 TEST(FaultInjector, SameSeedSameDecisionStream) {
   FaultInjectorConfig config;
@@ -28,43 +28,42 @@ TEST(FaultInjector, SameSeedSameDecisionStream) {
   config.slowdown_rate = 0.2;
   config.slowdown_seconds = 0.7;
   config.seed = 1234;
-  FaultInjector a(config);
-  FaultInjector b(config);
+  const FaultInjectorConfig copy = config;
+  int faults = 0;
+  int slowdowns = 0;
   for (int i = 0; i < 500; ++i) {
-    InjectionDecision da = a.DecisionFor(i);
-    InjectionDecision db = b.DecisionFor(i);
+    InjectionDecision da = DecideInjection(config, i);
+    InjectionDecision db = DecideInjection(copy, i);
     EXPECT_EQ(da.failure, db.failure) << "call " << i;
     EXPECT_DOUBLE_EQ(da.delay_seconds, db.delay_seconds) << "call " << i;
+    faults += da.failure == EvalFailure::kInjected;
+    slowdowns += da.delay_seconds > 0.0;
   }
-  EXPECT_EQ(a.num_decisions(), 500);
-  EXPECT_EQ(a.num_injected_faults(), b.num_injected_faults());
-  EXPECT_EQ(a.num_injected_slowdowns(), b.num_injected_slowdowns());
-  EXPECT_GT(a.num_injected_faults(), 0);
-  EXPECT_GT(a.num_injected_slowdowns(), 0);
+  EXPECT_GT(faults, 0);
+  EXPECT_GT(slowdowns, 0);
 }
 
 TEST(FaultInjector, DifferentSeedsDiverge) {
-  FaultInjectorConfig config;
-  config.fault_rate = 0.5;
-  config.seed = 1;
-  FaultInjector a(config);
-  config.seed = 2;
-  FaultInjector b(config);
+  FaultInjectorConfig a;
+  a.fault_rate = 0.5;
+  a.seed = 1;
+  FaultInjectorConfig b = a;
+  b.seed = 2;
   int differences = 0;
   for (int i = 0; i < 200; ++i) {
-    if (a.DecisionFor(i).failure != b.DecisionFor(i).failure) ++differences;
+    if (DecideInjection(a, i).failure != DecideInjection(b, i).failure) {
+      ++differences;
+    }
   }
   EXPECT_GT(differences, 0);
 }
 
 TEST(FaultInjector, ZeroRatesNeverInject) {
-  FaultInjector injector(FaultInjectorConfig{});
   for (int i = 0; i < 100; ++i) {
-    InjectionDecision decision = injector.DecisionFor(i);
+    InjectionDecision decision = DecideInjection(FaultInjectorConfig{}, i);
     EXPECT_EQ(decision.failure, EvalFailure::kNone);
     EXPECT_DOUBLE_EQ(decision.delay_seconds, 0.0);
   }
-  EXPECT_EQ(injector.num_injected_faults(), 0);
 }
 
 TEST(FaultTaxonomy, NamesAndTransience) {
@@ -205,23 +204,18 @@ TEST(BestTracking, NonFiniteAccuracyIsRejected) {
 }
 
 TEST(Retry, TransientFaultsAreRetriedWithBookkeeping) {
-  // Injected faults are transient: wrap the rigged evaluator in a
-  // FaultInjectingEvaluator with a high fault rate and verify retries
-  // happen and recovered evaluations keep their true score. Injection is
-  // a pure function of the request seed, so distinct pipelines (distinct
-  // seeds) are needed to explore varied injector outcomes.
-  FlakyRiggedEvaluator inner;
-  FaultInjectorConfig config;
-  config.fault_rate = 0.5;
-  config.seed = 99;
-  FaultInjectingEvaluator evaluator(&inner, config);
+  // Injected faults are transient: inject at a high fault rate and verify
+  // retries happen and recovered evaluations keep their true score.
+  // Injection is a pure function of the request seed, so distinct
+  // pipelines (distinct seeds) are needed to explore varied outcomes.
+  FlakyRiggedEvaluator evaluator;
   SearchSpace space = SearchSpace::Default();
-  FaultPolicy policy;
-  policy.max_retries = 3;
   SearchOptions options;
   options.budget = Budget::Evaluations(50);
   options.seed = 7;
-  options.fault_policy = policy;
+  options.fault_policy.max_retries = 3;
+  options.fault_injection.fault_rate = 0.5;
+  options.fault_injection.seed = 99;
   SearchContext context(&space, &evaluator, options);
   int recovered_after_retry = 0;
   for (int i = 0; i < 50; ++i) {
@@ -247,17 +241,91 @@ TEST(Retry, TransientFaultsAreRetriedWithBookkeeping) {
   EXPECT_EQ(context.num_quarantined(), 0);
 }
 
-TEST(Retry, BackoffIsBounded) {
-  FaultPolicy policy;
-  policy.max_retries = 10;
-  policy.initial_backoff_seconds = 0.01;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_seconds = 0.03;
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(1), 0.01);
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(2), 0.02);
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(3), 0.03);  // capped.
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(8), 0.03);  // still capped.
-  EXPECT_DOUBLE_EQ(FaultPolicy{}.BackoffSeconds(3), 0.0);  // default: none.
+// ---------------------------------------------------------------------------
+// The injection point: SearchContext resolves injected faults and
+// deadline-breaking slowdowns before dispatch.
+
+/// Scores every pipeline 0.6 with 0.5 s of reported prep time, and counts
+/// its calls.
+class CountingPrepLandscape : public EvaluatorInterface {
+ public:
+  using EvaluatorInterface::Evaluate;
+
+  Evaluation Evaluate(const EvalRequest& request) override {
+    ++num_calls_;
+    Evaluation evaluation;
+    evaluation.pipeline = request.pipeline;
+    evaluation.budget_fraction = request.budget_fraction;
+    evaluation.accuracy = 0.6;
+    evaluation.timing.prep_seconds = 0.5;
+    return evaluation;
+  }
+  double BaselineAccuracy() override { return 0.25; }
+  long num_calls() const { return num_calls_; }
+
+ private:
+  long num_calls_ = 0;
+};
+
+/// One evaluation of a Binarizer pipeline under `injection` with a 5 s
+/// deadline and no retries; returns its record.
+Evaluation EvaluateOnceInjected(CountingPrepLandscape* evaluator,
+                                const FaultInjectorConfig& injection) {
+  SearchSpace space = SearchSpace::Default();
+  SearchOptions options{Budget::Evaluations(10).WithEvalDeadline(5.0), 7};
+  options.fault_policy.max_retries = 0;
+  options.fault_injection = injection;
+  SearchContext context(&space, evaluator, options);
+  context.Evaluate(SpecOf({PreprocessorKind::kBinarizer}));
+  return context.history().back();
+}
+
+TEST(InjectionPoint, InjectedFaultNeverCallsTheEvaluator) {
+  CountingPrepLandscape evaluator;
+  FaultInjectorConfig injection;
+  injection.fault_rate = 1.0;
+  Evaluation evaluation = EvaluateOnceInjected(&evaluator, injection);
+  EXPECT_EQ(evaluation.failure, EvalFailure::kInjected);
+  EXPECT_DOUBLE_EQ(evaluation.accuracy, kPenaltyAccuracy);
+  EXPECT_EQ(evaluator.num_calls(), 0);
+}
+
+TEST(InjectionPoint, SlowdownAtOrPastDeadlineNeverCallsTheEvaluator) {
+  for (double delay : {5.0, 10.0}) {  // the deadline is 5 s.
+    CountingPrepLandscape evaluator;
+    FaultInjectorConfig injection;
+    injection.slowdown_rate = 1.0;
+    injection.slowdown_seconds = delay;
+    Evaluation evaluation = EvaluateOnceInjected(&evaluator, injection);
+    EXPECT_EQ(evaluation.failure, EvalFailure::kDeadlineExceeded) << delay;
+    EXPECT_EQ(evaluator.num_calls(), 0) << delay;
+  }
+}
+
+TEST(InjectionPoint, SlowdownBelowDeadlineAddsExactlyItsDelayToPrep) {
+  CountingPrepLandscape evaluator;
+  FaultInjectorConfig injection;
+  injection.slowdown_rate = 1.0;
+  injection.slowdown_seconds = 0.25;
+  Evaluation evaluation = EvaluateOnceInjected(&evaluator, injection);
+  EXPECT_FALSE(evaluation.failed());
+  EXPECT_DOUBLE_EQ(evaluation.accuracy, 0.6);
+  EXPECT_EQ(evaluation.timing.prep_seconds, 0.5 + 0.25);
+  EXPECT_EQ(evaluator.num_calls(), 1);
+}
+
+TEST(InjectionPoint, BaselineIsUntouchedAtFaultRateOne) {
+  CountingPrepLandscape evaluator;
+  SearchOptions options{Budget::Evaluations(20), 7};
+  options.fault_injection.fault_rate = 1.0;
+  auto rs = MakeSearchAlgorithm("RS").value();
+  SearchResult result =
+      RunSearch(rs.get(), &evaluator, SearchSpace::Default(), options);
+  EXPECT_EQ(evaluator.num_calls(), 0);
+  EXPECT_EQ(result.num_successes, 0);
+  EXPECT_GT(result.num_failures, 0);
+  EXPECT_DOUBLE_EQ(result.baseline_accuracy, 0.25);
+  EXPECT_DOUBLE_EQ(result.best_accuracy, 0.25);  // the baseline fallback.
 }
 
 // ---------------------------------------------------------------------------
@@ -290,14 +358,13 @@ class LandscapeEvaluator : public EvaluatorInterface {
 
 TEST(FaultySearch, TwentyPercentFaultsStillFindValidBest) {
   for (const char* name : {"RS", "TEVO_H", "TPE"}) {
-    LandscapeEvaluator inner;
-    FaultInjectorConfig config;
-    config.fault_rate = 0.2;
-    config.seed = 4242;
-    FaultInjectingEvaluator evaluator(&inner, config);
+    LandscapeEvaluator evaluator;
+    SearchOptions options{Budget::Evaluations(200), 21};
+    options.fault_injection.fault_rate = 0.2;
+    options.fault_injection.seed = 4242;
     auto algorithm = MakeSearchAlgorithm(name).value();
-    SearchResult result =
-        RunSearch(algorithm.get(), &evaluator, SearchSpace::Default(), {Budget::Evaluations(200), 21});
+    SearchResult result = RunSearch(algorithm.get(), &evaluator,
+                                    SearchSpace::Default(), options);
     EXPECT_TRUE(std::isfinite(result.best_accuracy)) << name;
     EXPECT_GE(result.best_accuracy, 0.5) << name;
     EXPECT_FALSE(result.best_pipeline.empty()) << name;
@@ -342,15 +409,14 @@ TEST(FaultySearch, RealEvaluatorWithInjectorAndDeadline) {
   ModelConfig model = ModelConfig::Defaults(ModelKind::kLogisticRegression);
   model.lr_epochs = 10;
   PipelineEvaluator evaluator(split.train, split.valid, model);
-  FaultInjectorConfig config;
-  config.fault_rate = 0.2;
-  config.slowdown_rate = 0.1;
-  config.slowdown_seconds = 100.0;  // always past the deadline below.
-  config.seed = 12;
-  evaluator.AttachFaultInjector(config);
+  SearchOptions options{Budget::Evaluations(40).WithEvalDeadline(5.0), 11};
+  options.fault_injection.fault_rate = 0.2;
+  options.fault_injection.slowdown_rate = 0.1;
+  options.fault_injection.slowdown_seconds = 100.0;  // past the deadline.
+  options.fault_injection.seed = 12;
   auto rs = MakeSearchAlgorithm("RS").value();
   SearchResult result =
-      RunSearch(rs.get(), &evaluator, SearchSpace::Default(), {Budget::Evaluations(40).WithEvalDeadline(5.0), 11});
+      RunSearch(rs.get(), &evaluator, SearchSpace::Default(), options);
   EXPECT_TRUE(std::isfinite(result.best_accuracy));
   EXPECT_GT(result.best_accuracy, 0.0);
   EXPECT_GT(result.num_failures, 0);

@@ -26,6 +26,7 @@
 #include "data/splits.h"
 #include "data/synthetic.h"
 #include "preprocess/transform_cache.h"
+#include "search/registry.h"
 #include "util/thread_pool.h"
 
 namespace autofp {
@@ -399,17 +400,60 @@ TEST(ResultMemo, ZeroCacheBytesSendsEveryRepeatToTheEvaluator) {
   EXPECT_EQ(result.result_cache_misses, 0);
 }
 
+/// Forwards every call to `inner`, as a decorator between the search and
+/// the evaluator does.
+class ForwardingEvaluator : public EvaluatorInterface {
+ public:
+  explicit ForwardingEvaluator(EvaluatorInterface* inner) : inner_(inner) {}
+
+  Evaluation Evaluate(const EvalRequest& request) override {
+    return inner_->Evaluate(request);
+  }
+  Evaluation Evaluate(const EvalRequest& request,
+                      TransformScratch* scratch) override {
+    return inner_->Evaluate(request, scratch);
+  }
+  double BaselineAccuracy() override { return inner_->BaselineAccuracy(); }
+
+ private:
+  EvaluatorInterface* inner_;
+};
+
 TEST(ResultMemo, WorksThroughAWrappedEvaluator) {
   // The memo needs nothing from the evaluator's type, so a wrapper between
   // the search and the landscape changes nothing (pool path included).
   CountingLandscape landscape;
-  FaultInjectingEvaluator wrapped(&landscape, FaultInjectorConfig{});
+  ForwardingEvaluator wrapped(&landscape);
   SearchResult result =
       RunRepeats(&wrapped, /*cache_bytes=*/1 << 20, /*num_threads=*/2);
   EXPECT_EQ(result.num_evaluations, 4);
   EXPECT_EQ(landscape.calls(), 1);
   EXPECT_EQ(result.result_cache_hits, 3);
   EXPECT_EQ(result.result_cache_misses, 1);
+}
+
+TEST(ResultMemo, InjectedFaultsKeepHitAndMissCounts) {
+  // Injection is drawn after the memo lookup, so each lookup is counted
+  // once whether its attempt is injected or dispatched. The expected
+  // figures are the ones a run counted when injection lived inside the
+  // evaluator: moving it ahead of dispatch must change no count, at one
+  // thread or at four.
+  for (int threads : {1, 4}) {
+    CountingLandscape landscape;
+    auto search = MakeSearchAlgorithm("TEVO_H").value();
+    SearchOptions options{Budget::Evaluations(60), 3};
+    options.num_threads = threads;
+    options.cache_bytes = 1 << 20;
+    options.fault_injection.fault_rate = 0.2;
+    options.fault_injection.seed = 99;
+    SearchResult result =
+        RunSearch(search.get(), &landscape, SearchSpace::Default(), options);
+    EXPECT_EQ(result.result_cache_hits, 11) << threads;
+    EXPECT_EQ(result.result_cache_misses, 67) << threads;
+    EXPECT_EQ(landscape.calls(), 51) << threads;
+    EXPECT_EQ(result.num_failures, 19) << threads;
+    EXPECT_EQ(result.num_retries, 18) << threads;
+  }
 }
 
 TEST(ResultMemo, DeadlineFailureIsNotMemoised) {

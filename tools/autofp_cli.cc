@@ -148,8 +148,7 @@ bool ParseArgs(int argc, char** argv, Options* options) {
                             &options->algorithm))
         return false;
     } else if (arg == "--budget") {
-      if (!cli::ParseLong(argc, argv, &i, "--budget", LONG_MIN,
-                          &options->budget))
+      if (!cli::ParseLong(argc, argv, &i, "--budget", 1, &options->budget))
         return false;
     } else if (arg == "--seconds") {
       if (!cli::ParseDouble(argc, argv, &i, "--seconds", &options->seconds))
@@ -158,7 +157,7 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       if (!cli::ParseU64(argc, argv, &i, "--seed", &options->seed))
         return false;
     } else if (arg == "--max-length") {
-      if (!cli::ParseSize(argc, argv, &i, "--max-length", 0,
+      if (!cli::ParseSize(argc, argv, &i, "--max-length", 1,
                           &options->max_length))
         return false;
     } else if (arg == "--space") {
@@ -168,19 +167,21 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       options->two_step = true;
     } else if (arg == "--train-fraction") {
       if (!cli::ParseDouble(argc, argv, &i, "--train-fraction",
+                            {.min = 0.0, .max = 1.0, .min_open = true},
                             &options->train_fraction))
         return false;
     } else if (arg == "--fault-rate") {
       if (!cli::ParseDouble(argc, argv, &i, "--fault-rate",
-                            &options->fault_rate))
+                            {.min = 0.0, .max = 1.0}, &options->fault_rate))
         return false;
     } else if (arg == "--slowdown-rate") {
       if (!cli::ParseDouble(argc, argv, &i, "--slowdown-rate",
+                            {.min = 0.0, .max = 1.0},
                             &options->slowdown_rate))
         return false;
     } else if (arg == "--slowdown-seconds") {
       if (!cli::ParseDouble(argc, argv, &i, "--slowdown-seconds",
-                            &options->slowdown_seconds))
+                            {.min = 0.0}, &options->slowdown_seconds))
         return false;
     } else if (arg == "--eval-deadline") {
       if (!cli::ParseDouble(argc, argv, &i, "--eval-deadline",
@@ -194,13 +195,15 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       if (!cli::ParseInt(argc, argv, &i, "--threads", 1, &options->threads))
         return false;
     } else if (arg == "--cache-mb") {
-      if (!cli::ParseDouble(argc, argv, &i, "--cache-mb", &options->cache_mb))
+      if (!cli::ParseDouble(argc, argv, &i, "--cache-mb", {.min = 0.0},
+                            &options->cache_mb))
         return false;
     } else if (arg == "--workers") {
       if (!cli::ParseInt(argc, argv, &i, "--workers", 0, &options->workers))
         return false;
     } else if (arg == "--lease-deadline") {
       if (!cli::ParseDouble(argc, argv, &i, "--lease-deadline",
+                            {.min = 0.0, .min_open = true},
                             &options->lease_deadline))
         return false;
     } else if (arg == "--dist-worker") {
@@ -287,9 +290,10 @@ bool ParseModelKind(const std::string& name, ModelKind* kind) {
 }
 
 /// Builds the pipeline evaluator exactly as the single-process search
-/// does — same seeded split, same train fraction, same fault injector —
-/// shared by the search path and the dist worker entrypoint so a worker
-/// evaluates byte-identically to an in-process run.
+/// does — same seeded split, same train fraction — shared by the search
+/// path and the dist worker entrypoint so a worker evaluates
+/// byte-identically to an in-process run. Fault injection is not the
+/// evaluator's: the search context draws it before dispatch.
 std::unique_ptr<PipelineEvaluator> MakeEvaluator(const Options& options,
                                                  const Dataset& dataset,
                                                  ModelKind model_kind) {
@@ -300,20 +304,12 @@ std::unique_ptr<PipelineEvaluator> MakeEvaluator(const Options& options,
   if (options.train_fraction < 1.0) {
     evaluator->set_global_train_fraction(options.train_fraction);
   }
-  if (options.fault_rate > 0.0 || options.slowdown_rate > 0.0) {
-    FaultInjectorConfig injector;
-    injector.fault_rate = options.fault_rate;
-    injector.slowdown_rate = options.slowdown_rate;
-    injector.slowdown_seconds = options.slowdown_seconds;
-    injector.seed = options.seed ^ 0x5EEDFA17;
-    evaluator->AttachFaultInjector(injector);
-  }
   return evaluator;
 }
 
 /// Full-precision double formatting for flags forwarded to exec'd
 /// workers (std::to_string truncates to 6 digits and would desync the
-/// worker's fault injector from the coordinator's fingerprint).
+/// worker's train fraction from the coordinator's).
 std::string FormatDouble(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
@@ -487,6 +483,10 @@ int main(int argc, char** argv) {
   search_options.budget = budget;
   search_options.seed = options.seed;
   search_options.fault_policy.max_retries = options.max_retries;
+  search_options.fault_injection.fault_rate = options.fault_rate;
+  search_options.fault_injection.slowdown_rate = options.slowdown_rate;
+  search_options.fault_injection.slowdown_seconds = options.slowdown_seconds;
+  search_options.fault_injection.seed = options.seed ^ 0x5EEDFA17;
   search_options.num_threads = options.threads > 0 ? options.threads : 1;
   search_options.cache_bytes =
       static_cast<size_t>(options.cache_mb * 1024.0 * 1024.0);
@@ -535,14 +535,6 @@ int main(int argc, char** argv) {
     if (options.train_fraction < 1.0) {
       argv_prefix.push_back("--train-fraction");
       argv_prefix.push_back(FormatDouble(options.train_fraction));
-    }
-    if (options.fault_rate > 0.0 || options.slowdown_rate > 0.0) {
-      argv_prefix.push_back("--fault-rate");
-      argv_prefix.push_back(FormatDouble(options.fault_rate));
-      argv_prefix.push_back("--slowdown-rate");
-      argv_prefix.push_back(FormatDouble(options.slowdown_rate));
-      argv_prefix.push_back("--slowdown-seconds");
-      argv_prefix.push_back(FormatDouble(options.slowdown_seconds));
     }
     DistOptions dist_options;
     dist_options.num_workers = options.workers;

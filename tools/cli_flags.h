@@ -16,13 +16,16 @@
 ///   }
 ///
 /// All parsers print to stderr and return false on a missing value, a
-/// non-numeric value, or a value below the given minimum; the caller
-/// turns false into its usage-error exit.
+/// non-numeric value, or a value outside the given bounds (a minimum for
+/// the integer parsers, a Range for ParseDouble); the caller turns false
+/// into its usage-error exit.
 
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 namespace autofp {
@@ -98,8 +101,23 @@ inline bool ParseU64(int argc, char** argv, int* i, const char* flag,
   return true;
 }
 
+/// Allowed values of a double flag: from `min` to `max`, each end closed
+/// (the bound itself allowed) unless marked open. The default allows every
+/// number but NaN.
+struct Range {
+  double min = -std::numeric_limits<double>::infinity();
+  double max = std::numeric_limits<double>::infinity();
+  bool min_open = false;
+  bool max_open = false;
+
+  bool Contains(double value) const {
+    return (min_open ? value > min : value >= min) &&
+           (max_open ? value < max : value <= max);
+  }
+};
+
 inline bool ParseDouble(int argc, char** argv, int* i, const char* flag,
-                        double* out) {
+                        const Range& range, double* out) {
   const char* value = NextValue(argc, argv, i, flag);
   if (value == nullptr) return false;
   char* end = nullptr;
@@ -109,8 +127,21 @@ inline bool ParseDouble(int argc, char** argv, int* i, const char* flag,
                  value);
     return false;
   }
+  if (!range.Contains(parsed)) {
+    const bool min_open = range.min_open || std::isinf(range.min);
+    const bool max_open = range.max_open || std::isinf(range.max);
+    std::fprintf(stderr, "error: %s must be in %c%g, %g%c, got '%s'\n", flag,
+                 min_open ? '(' : '[', range.min, range.max,
+                 max_open ? ')' : ']', value);
+    return false;
+  }
   *out = parsed;
   return true;
+}
+
+inline bool ParseDouble(int argc, char** argv, int* i, const char* flag,
+                        double* out) {
+  return ParseDouble(argc, argv, i, flag, Range{}, out);
 }
 
 }  // namespace cli
